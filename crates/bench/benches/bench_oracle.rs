@@ -4,7 +4,7 @@
 
 use atlas_interp::{BuiltinRegistry, CompiledProgram, ExecLimits, Interpreter, Vm};
 use atlas_ir::{LibraryInterface, ParamSlot};
-use atlas_learn::{Oracle, OracleConfig, OracleEngine};
+use atlas_learn::{Oracle, OracleConfig};
 use atlas_spec::PathSpec;
 use atlas_synth::{synthesize_witness, InitStrategy, InstantiationPlanner};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -66,25 +66,19 @@ fn bench_oracle(c: &mut Criterion) {
         b.iter(|| CompiledProgram::compile(&library))
     });
 
-    for (name, engine) in [
-        ("oracle_query_uncached_treewalk", OracleEngine::TreeWalk),
-        ("oracle_query_uncached_bytecode", OracleEngine::Bytecode),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut oracle = Oracle::new(
-                    &library,
-                    &interface,
-                    OracleConfig {
-                        memoize: false,
-                        engine,
-                        ..OracleConfig::default()
-                    },
-                );
-                oracle.check(&spec)
-            })
-        });
-    }
+    c.bench_function("oracle_query_uncached_bytecode", |b| {
+        b.iter(|| {
+            let mut oracle = Oracle::new(
+                &library,
+                &interface,
+                OracleConfig {
+                    memoize: false,
+                    ..OracleConfig::default()
+                },
+            );
+            oracle.check(&spec)
+        })
+    });
 }
 
 criterion_group!(benches, bench_oracle);

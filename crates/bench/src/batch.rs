@@ -60,7 +60,7 @@ pub struct BatchConfig {
     /// app, more benign-payload sinks (precision bait), larger size spread.
     pub app_config: AppConfig,
     /// Persistent store directory (`ATLAS_STORE`).  When set, the run
-    /// reads/writes `cache.json` (`atlas-cache/1`) and `specs.json`
+    /// reads/writes `cache.json` (`atlas-cache/2`) and `specs.json`
     /// (`atlas-spec/1`) in this directory: an existing cache warm-starts
     /// the inference leg *across processes*, the run's verdicts are
     /// persisted back (first-entry-wins merge), and the report gains a
@@ -228,7 +228,6 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         samples_per_cluster: config.samples,
         clusters,
         num_threads: config.threads,
-        engine: crate::config::oracle_engine(),
         ..AtlasConfig::default()
     };
 

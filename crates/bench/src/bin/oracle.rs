@@ -19,21 +19,19 @@
 //!   (default `javalib`).
 //! * `--words N` / `--rounds N` — workload size, overriding the
 //!   environment.
-//! * `--samples N` — sampling budget of the cross-engine inference
-//!   identity check.
 //! * `--trace` — record span events (overriding `ATLAS_TRACE`); never
 //!   changes results.
 //! * `--trace-out PATH` — write the run's Chrome trace-event JSON to
 //!   `PATH` (implies `--trace`; overrides `ATLAS_TRACE_OUT`).
-//! * `--profile` — record per-opcode dynamic execution counts and
-//!   inline-cache hit rates (overriding `ATLAS_VM_PROFILE`); the counts
-//!   come from a dedicated untimed pass and never change results.
+//! * `--profile` — record per-opcode dynamic execution counts
+//!   (overriding `ATLAS_VM_PROFILE`); the counts come from a dedicated
+//!   untimed pass and never change results.
 //! * `--profile-out PATH` — write the report's `profile` section to
 //!   `PATH` as its own JSON document (implies `--profile`).
 //! * `--expect-speedup X` — assert the performance and equivalence
-//!   contract: identical verdicts, steps, and inferred specs under both
-//!   engines, and bytecode throughput at least `X` times the
-//!   tree-walker's.  Exits `1` otherwise.
+//!   contract: identical verdicts and steps under both engines, and
+//!   bytecode throughput at least `X` times the tree-walker's.  Exits `1`
+//!   otherwise.
 
 use atlas_bench::{Json, OracleBenchConfig};
 use std::path::PathBuf;
@@ -41,8 +39,7 @@ use std::path::PathBuf;
 fn usage(message: &str) -> ! {
     eprintln!(
         "oracle: {message}\nusage: oracle [--library NAME] [--words N] [--rounds N] \
-         [--samples N] [--trace] [--trace-out PATH] [--profile] [--profile-out PATH] \
-         [--expect-speedup X]"
+         [--trace] [--trace-out PATH] [--profile] [--profile-out PATH] [--expect-speedup X]"
     );
     std::process::exit(1);
 }
@@ -72,12 +69,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--rounds needs a number"));
             }
-            "--samples" => {
-                config.identity_samples = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
             "--trace" => config.trace = true,
             "--trace-out" => {
                 config.trace = true;
@@ -105,8 +96,8 @@ fn main() {
         }
     }
     eprintln!(
-        "oracle: {} ({} words x {} rounds, identity budget {})",
-        config.library, config.words, config.rounds, config.identity_samples
+        "oracle: {} ({} words x {} rounds)",
+        config.library, config.words, config.rounds
     );
     let report = match atlas_bench::run_oracle_bench(&config) {
         Ok(report) => report,
@@ -136,11 +127,7 @@ fn main() {
 /// The `--expect-speedup` contract, checked from the report itself.
 fn verify_oracle(report: &Json, min_speedup: f64) {
     let mut failures = Vec::new();
-    for key in [
-        "verdicts_identical",
-        "steps_identical",
-        "inference_identical",
-    ] {
+    for key in ["verdicts_identical", "steps_identical"] {
         if report.get(key).and_then(Json::as_bool) != Some(true) {
             failures.push(format!("the engines must agree: {key} is not true"));
         }

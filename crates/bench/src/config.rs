@@ -12,9 +12,8 @@
 //! | `ATLAS_FLEET_STORE` | fingerprint-sharded fleet store root | unset |
 //! | `ATLAS_FLEET_SEED` | base seed of the synthetic fleet libraries | `0x5EED` |
 //! | `ATLAS_FLEET_LIBS` | comma-separated fleet library names | registry default |
-//! | `ATLAS_ENGINE` | oracle execution engine (`bytecode` / `tree-walk`) | `bytecode` |
 //! | `ATLAS_SERVE_EDITS` | serve-leg edit-stream length | 1000 |
-//! | `ATLAS_VM_PROFILE` | per-opcode VM execution counts in oracle legs | off |
+//! | `ATLAS_VM_PROFILE` | per-opcode VM execution counts in the oracle leg | off |
 //! | `ATLAS_TRACE` | record span events (`1`/`true`/`yes`/`on`) | off |
 //! | `ATLAS_TRACE_OUT` | Chrome trace-event JSON output path | unset |
 //!
@@ -71,23 +70,11 @@ pub fn fleet_seed() -> u64 {
         .unwrap_or(0x5EED)
 }
 
-/// Reads the oracle execution engine from `ATLAS_ENGINE` (`bytecode` /
-/// `tree-walk`; default bytecode).  Engine choice can never change
-/// results — the two engines are observationally identical (see
-/// `atlas_interp::vm`) — only throughput; the knob exists for the
-/// differential pipelines and for measuring one engine against the other.
-pub fn oracle_engine() -> atlas_core::OracleEngine {
-    std::env::var("ATLAS_ENGINE")
-        .ok()
-        .and_then(|s| atlas_core::OracleEngine::parse(&s))
-        .unwrap_or_default()
-}
-
-/// Whether `ATLAS_VM_PROFILE` asks the oracle legs for per-opcode (and
-/// fused-pair) dynamic execution counts (`1`/`true`/`yes`/`on`,
-/// case-insensitive).  Profiling never changes results — the counters
-/// ride a dedicated untimed pass outside the measured slices — it only
-/// adds a `profile` section to the `atlas-oracle/1` report.
+/// Whether `ATLAS_VM_PROFILE` asks the oracle leg for per-opcode dynamic
+/// execution counts (`1`/`true`/`yes`/`on`, case-insensitive).  Profiling
+/// never changes results — the counters ride a dedicated untimed pass
+/// outside the measured slices — it only adds a `profile` section to the
+/// `atlas-oracle/1` report.
 pub fn vm_profile_enabled() -> bool {
     env_flag("ATLAS_VM_PROFILE")
 }

@@ -69,7 +69,6 @@ impl EvalContext {
             samples_per_cluster,
             clusters,
             num_threads: thread_budget(),
-            engine: crate::config::oracle_engine(),
             ..AtlasConfig::default()
         };
         let outcome = Engine::new(&library, &interface, config).run();

@@ -245,7 +245,6 @@ fn run_library(
         samples_per_cluster: fleet.samples,
         clusters: lib.clusters.clone(),
         num_threads: inner_threads,
-        engine: crate::config::oracle_engine(),
         ..AtlasConfig::default()
     };
     // Library `i` records on lane stripe `i * 4096`: stripes are keyed by

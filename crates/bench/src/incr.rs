@@ -131,7 +131,6 @@ pub fn run_incremental(config: &IncrConfig) -> Result<IncrReport, FleetError> {
         samples_per_cluster: config.samples,
         clusters: lib.clusters.clone(),
         num_threads: config.threads,
-        engine: crate::config::oracle_engine(),
         ..AtlasConfig::default()
     };
 

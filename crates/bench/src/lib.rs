@@ -56,11 +56,10 @@
 //! sessions on one daemon, replayed concurrently, each byte-compared
 //! against its own cold baseline.
 //!
-//! The [`oracle`] module measures the oracle's two execution engines —
-//! the bytecode VM against the tree-walking interpreter — on a
-//! deterministic witness workload, cross-checks that verdicts, step
-//! counts, and inferred specifications are identical under both, and
-//! emits an `atlas-oracle/1` report (the `oracle` binary;
+//! The [`oracle`] module measures the oracle's bytecode VM against the
+//! tree-walking reference interpreter on a deterministic witness
+//! workload, cross-checks that verdicts and step counts are identical
+//! under both, and emits an `atlas-oracle/1` report (the `oracle` binary;
 //! `--expect-speedup` gates the performance contract in CI).
 //!
 //! The environment knobs (`ATLAS_SAMPLES`, `ATLAS_APPS`, `ATLAS_THREADS`,

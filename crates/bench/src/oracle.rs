@@ -10,15 +10,14 @@
 //!    out` shape that dominates phase one — keeping those whose witness
 //!    synthesizes;
 //! 2. lowers the program to bytecode once ([`CompiledProgram::compile`]),
-//!    timing the compilation and counting instructions (fused
-//!    superinstructions reported separately), and lowers every witness
-//!    prologue to a [`CompiledWitness`] once — the per-workload *setup*
-//!    cost, timed apart from execution;
+//!    timing the compilation and counting instructions, and lowers every
+//!    witness prologue to a [`CompiledWitness`] once — the per-workload
+//!    *setup* cost, timed apart from execution;
 //! 3. executes every witness for the configured number of rounds under
 //!    each engine — one [`Vm`] [`reset`](Vm::reset) plus
 //!    [`run_witness`](Vm::run_witness) per execution (the [`VmScratch`]
-//!    and its inline-cache table carried across slices), versus a fresh
-//!    [`Interpreter`] per execution as the tree-walker has always run —
+//!    carried across slices), versus a fresh reference [`Interpreter`]
+//!    per execution —
 //!    and records wall-clock, verdicts, and interpreter step counts.  The
 //!    rounds are split into interleaved timed slices and each engine is
 //!    scored by its fastest slice, so scheduler steal on a shared host
@@ -29,28 +28,23 @@
 //!    mistaken for an execution win: the headline `execs_per_sec_best`
 //!    is computed from `exec_ns` alone;
 //! 4. cross-checks the engines: per-witness verdicts and total step
-//!    counts must agree, and a small end-to-end inference run under each
-//!    engine must produce byte-identical spec artifacts;
+//!    counts must agree;
 //! 5. emits an `atlas-oracle/1` JSON report (executions/sec and steps/sec
 //!    per engine, compile cost, speedup) plus a human summary.  Under
 //!    `ATLAS_VM_PROFILE` (or [`OracleBenchConfig::profile`]) a dedicated
 //!    untimed pass additionally records per-opcode dynamic execution
-//!    counts, inline-cache hit rates, and the static adjacent-pair
-//!    frequencies that justify the fused superinstruction selection —
-//!    reported under `profile`, never touching the timed slices.
+//!    counts — reported under `profile`, never touching the timed
+//!    slices.
 //!
 //! The `oracle` binary adds `--expect-speedup N`, which turns the
 //! performance contract (bytecode at least `N`x the tree-walker's
 //! executions/sec) and the equivalence contract into an exit code for CI.
 
-use crate::config::{env_parse, sample_budget, trace_enabled, vm_profile_enabled};
+use crate::config::{env_parse, trace_enabled, vm_profile_enabled};
 use crate::fleet::{build_library, FleetError};
 use crate::json::Json;
-use crate::storeleg::{SPEC_LIMIT, SPEC_MAX_LEN};
-use atlas_core::{AtlasConfig, Engine, OracleEngine};
 use atlas_interp::{
-    BuiltinRegistry, CompiledProgram, CompiledWitness, ExecLimits, Interpreter, OpKind, Vm,
-    VmScratch,
+    BuiltinRegistry, CompiledProgram, CompiledWitness, ExecLimits, Interpreter, Vm, VmScratch,
 };
 use atlas_ir::{LibraryInterface, ParamSlot};
 use atlas_obs::{ArgValue, Recorder};
@@ -70,11 +64,9 @@ pub struct OracleBenchConfig {
     pub words: usize,
     /// Executions per witness per engine.
     pub rounds: usize,
-    /// Phase-one sampling budget of the cross-engine identity check.
-    pub identity_samples: usize,
     /// Record span events (`ATLAS_TRACE`); see `atlas-obs`.  Spans cover
-    /// compilation, the timed slices, and the identity check — never the
-    /// measured inner loop, and never the results.
+    /// compilation and the timed slices — never the measured inner loop,
+    /// and never the results.
     pub trace: bool,
     /// Record per-opcode dynamic execution counts (`ATLAS_VM_PROFILE`).
     /// Off by default; the counts come from a dedicated untimed pass, so
@@ -84,14 +76,12 @@ pub struct OracleBenchConfig {
 
 impl OracleBenchConfig {
     /// Reads the configuration from the environment: `ATLAS_ORACLE_WORDS`
-    /// and `ATLAS_ORACLE_ROUNDS` size the workload, `ATLAS_SAMPLES` (as
-    /// everywhere) budgets the identity check.
+    /// and `ATLAS_ORACLE_ROUNDS` size the workload.
     pub fn from_env() -> OracleBenchConfig {
         OracleBenchConfig {
             library: "javalib".to_string(),
             words: env_parse("ATLAS_ORACLE_WORDS").unwrap_or(64),
             rounds: env_parse("ATLAS_ORACLE_ROUNDS").unwrap_or(200),
-            identity_samples: sample_budget().min(1_000),
             trace: trace_enabled(),
             profile: vm_profile_enabled(),
         }
@@ -103,7 +93,6 @@ impl OracleBenchConfig {
             library: "javalib-lang".to_string(),
             words: 8,
             rounds: 3,
-            identity_samples: 250,
             trace: false,
             profile: false,
         }
@@ -178,27 +167,6 @@ fn per_sec(count: usize, wall: Duration) -> f64 {
     } else {
         f64::INFINITY
     }
-}
-
-/// Counts the fused superinstructions in the compiled program — the
-/// `Load+Branch`, `Call+RetFall`, and `Const+Store` pairs selected by the
-/// static frequency pass (see `atlas_interp::compile`).
-fn count_fused(compiled: &CompiledProgram) -> usize {
-    (0..compiled.num_methods() as u32)
-        .map(|i| {
-            compiled
-                .method(atlas_ir::MethodId::from_index(i))
-                .code()
-                .iter()
-                .filter(|instr| {
-                    matches!(
-                        instr.kind(),
-                        OpKind::LoadBranch | OpKind::CallRetFall | OpKind::ConstStore
-                    )
-                })
-                .count()
-        })
-        .sum()
 }
 
 /// Enumerates the workload: two-step candidates `(entry a → receiver a,
@@ -290,8 +258,8 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
 
     // 3. The measured loops: the bytecode engine runs each witness as a
     // compiled prologue (lowered once, below — the engine's `setup_ns`),
-    // the tree-walker re-marshals per round as the oracle has always run
-    // it.  Verdicts and steps are collected for the cross-check.
+    // the tree-walker re-marshals per round through the reference
+    // harness.  Verdicts and steps are collected for the cross-check.
     let mut vm_run = EngineRun::default();
     let mut vm_verdicts = Vec::with_capacity(witnesses.len() * config.rounds);
     let mut scratch = VmScratch::default();
@@ -306,9 +274,8 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
 
     // Untimed warmup: one pass of the workload under each engine, so
     // first-run effects (allocator arenas, instruction cache, scratch
-    // high-water marks, inline-cache installs, CPU frequency ramp) are
-    // paid before either timer starts instead of being charged to
-    // whichever engine runs first.
+    // high-water marks, CPU frequency ramp) are paid before either timer
+    // starts instead of being charged to whichever engine runs first.
     {
         let mut vm = Vm::with_scratch(&compiled, &builtins, limits, scratch);
         for cw in &compiled_witnesses {
@@ -399,11 +366,8 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     drop(obs_lane);
 
     // Optional profiling pass (`ATLAS_VM_PROFILE`): per-opcode dynamic
-    // counts and inline-cache hit rates over one full workload pass, plus
-    // the static adjacent-pair frequencies (measured on the *unfused*
-    // lowering) that justify the superinstruction selection.  Runs after
-    // the timed slices so the counter branch never executes inside a
-    // measured region.
+    // counts over one full workload pass.  Runs after the timed slices so
+    // the counter branch never executes inside a measured region.
     let profile = if config.profile {
         let mut scratch = scratch;
         scratch.enable_profile();
@@ -418,25 +382,17 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
         for (kind, n) in prof.histogram() {
             ops = ops.set(kind.name(), n as usize);
         }
-        let pairs: Vec<Json> = CompiledProgram::compile_unfused(program)
-            .pair_frequencies()
-            .into_iter()
-            .take(8)
-            .map(|((a, b), n)| Json::obj().set("pair", format!("{a}+{b}")).set("count", n))
-            .collect();
         Some(
             Json::obj()
                 .set("ops", ops)
-                .set("dynamic_total", prof.total() as usize)
-                .set("ic_hits", prof.ic_hits() as usize)
-                .set("ic_misses", prof.ic_misses() as usize)
-                .set("static_pairs", pairs),
+                .set("dynamic_total", prof.total() as usize),
         )
     } else {
         drop(scratch);
         None
     };
 
+    // 4. Cross-check the engines.
     let verdicts_identical = vm_verdicts == tree_verdicts;
     let steps_identical = vm_run.steps == tree_run.steps;
     // Best slice against best slice: compare the engines at their least
@@ -447,41 +403,6 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
         f64::INFINITY
     };
 
-    // 4. Cross-engine inference identity: a full (small) run under each
-    // engine must export byte-identical spec artifacts.
-    let inference_identical = {
-        let base = AtlasConfig {
-            samples_per_cluster: config.identity_samples,
-            clusters: lib.clusters.clone(),
-            num_threads: 1,
-            ..AtlasConfig::default()
-        };
-        let artifact = |engine: OracleEngine| {
-            let cfg = AtlasConfig {
-                engine,
-                ..base.clone()
-            };
-            // Each identity leg records on its own 4096-lane stripe.
-            let stripe = match engine {
-                OracleEngine::Bytecode => 4096,
-                OracleEngine::TreeWalk => 8192,
-            };
-            Engine::new(program, &interface, cfg)
-                .with_recorder(recorder.with_lane_base(stripe))
-                .run()
-                .spec_artifact(program, &interface, SPEC_MAX_LEN, SPEC_LIMIT)
-                .encode(program)
-                .map(|doc| doc.render())
-        };
-        match (
-            artifact(OracleEngine::Bytecode),
-            artifact(OracleEngine::TreeWalk),
-        ) {
-            (Ok(a), Ok(b)) => a == b,
-            _ => false,
-        }
-    };
-
     // 5. Assemble the report.
     let mut json = Json::obj()
         .set("schema", "atlas-oracle/1")
@@ -490,15 +411,13 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
             Json::obj()
                 .set("library", config.library.as_str())
                 .set("words", witnesses.len())
-                .set("rounds", config.rounds)
-                .set("identity_samples", config.identity_samples),
+                .set("rounds", config.rounds),
         )
         .set(
             "compile",
             Json::obj()
                 .set("methods", compiled.num_methods())
                 .set("instructions", compiled.total_instructions())
-                .set("fused_instructions", count_fused(&compiled))
                 .set("compile_ms", compile_time.as_secs_f64() * 1e3),
         )
         .set(
@@ -510,7 +429,6 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
         .set("speedup", speedup)
         .set("verdicts_identical", verdicts_identical)
         .set("steps_identical", steps_identical)
-        .set("inference_identical", inference_identical)
         .set("metrics", atlas_obs::metrics_snapshot(&recorder));
     if let Some(profile) = profile {
         json = json.set("profile", profile);
@@ -526,10 +444,9 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     );
     let _ = writeln!(
         summary,
-        "compile: {} methods -> {} instructions ({} fused) in {:.2?}",
+        "compile: {} methods -> {} instructions in {:.2?}",
         compiled.num_methods(),
         compiled.total_instructions(),
-        count_fused(&compiled),
         compile_time,
     );
     let _ = writeln!(
@@ -546,8 +463,7 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     );
     let _ = writeln!(
         summary,
-        "equivalence: verdicts identical={verdicts_identical}, steps identical={steps_identical}, \
-         inference identical={inference_identical}",
+        "equivalence: verdicts identical={verdicts_identical}, steps identical={steps_identical}",
     );
     Ok(OracleBenchReport {
         json,
@@ -567,7 +483,6 @@ mod tests {
         assert_eq!(json.get("schema"), Some(&Json::str("atlas-oracle/1")));
         assert_eq!(json.get("verdicts_identical"), Some(&Json::Bool(true)));
         assert_eq!(json.get("steps_identical"), Some(&Json::Bool(true)));
-        assert_eq!(json.get("inference_identical"), Some(&Json::Bool(true)));
         let config = json.get("config").expect("config");
         let words = config.get("words").and_then(Json::as_int).unwrap();
         assert!(words > 0, "the workload must not be empty");
@@ -591,18 +506,12 @@ mod tests {
         let compile = json.get("compile").expect("compile");
         assert!(compile.get("instructions").and_then(Json::as_int).unwrap() > 0);
         assert!(
-            compile
-                .get("fused_instructions")
-                .and_then(Json::as_int)
-                .unwrap()
-                > 0,
-            "the library lowering must contain fused superinstructions"
-        );
-        assert!(
             json.get("profile").is_none(),
             "profiling stays off by default"
         );
-        assert!(report.summary.contains("inference identical=true"));
+        assert!(report
+            .summary
+            .contains("verdicts identical=true, steps identical=true"));
     }
 
     #[test]
@@ -619,19 +528,6 @@ mod tests {
         // Every witness prologue issues calls and ends in a verdict.
         assert!(ops.get("WCall").and_then(Json::as_int).unwrap() > 0);
         assert!(ops.get("WVerdict").and_then(Json::as_int).unwrap() > 0);
-        // Witnesses raw-allocate their receivers, so most field reads find
-        // the field absent (nothing to install) — the hit *rate* is a
-        // workload property, but every access must be counted.
-        let hits = profile.get("ic_hits").and_then(Json::as_int).unwrap();
-        let misses = profile.get("ic_misses").and_then(Json::as_int).unwrap();
-        assert!(
-            hits + misses > 0,
-            "field accesses must flow through the inline caches"
-        );
-        match profile.get("static_pairs") {
-            Some(Json::Arr(pairs)) => assert!(!pairs.is_empty(), "pair frequencies present"),
-            other => panic!("static_pairs must be an array, got {other:?}"),
-        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ use crate::inference::{AtlasConfig, ClusterOutcome, InferenceOutcome, Parallelis
 use atlas_interp::CompiledProgram;
 use atlas_ir::{ClassId, DepGraph, LibraryInterface, Program};
 use atlas_learn::{
-    infer_fsa, sample_positive_examples, CacheStats, Oracle, OracleConfig, OracleEngine,
-    OracleStats, SampleResult, VerdictCache,
+    infer_fsa, sample_positive_examples, CacheStats, Oracle, OracleConfig, OracleStats,
+    SampleResult, VerdictCache,
 };
 use atlas_obs::{ArgValue, Recorder};
 use atlas_store::{load_cache, save_cache, CacheArtifact, CacheProvenance, StoreError};
@@ -81,8 +81,7 @@ pub struct Engine<'p> {
     /// Bytecode compilation of the program, computed on first use and
     /// shared (via `Arc`) by every per-cluster oracle of every session:
     /// lowering is a pure function of the program, so one compilation
-    /// serves all workers.  Never built when the config selects the
-    /// tree-walking engine.
+    /// serves all workers.
     compiled: std::sync::OnceLock<Arc<CompiledProgram>>,
     /// The observability handle (`atlas-obs`).  Disabled by default —
     /// every instrumentation site is then a no-op — and never part of any
@@ -219,7 +218,7 @@ impl<'p> Engine<'p> {
         self
     }
 
-    /// Seeds the engine from a persisted `atlas-cache/1` artifact (see
+    /// Seeds the engine from a persisted `atlas-cache/2` artifact (see
     /// `atlas-store`): the file's entries warm-start every per-cluster
     /// oracle exactly as [`Engine::warm_start`] would with a live cache.
     /// This is the cross-*process* half of the warm-start story — the file
@@ -231,7 +230,7 @@ impl<'p> Engine<'p> {
     ///
     /// # Errors
     /// Returns the `atlas-store` error when the file is missing, is not
-    /// valid JSON, or violates the `atlas-cache/1` schema.
+    /// valid JSON, or violates the `atlas-cache/2` schema.
     pub fn warm_start_from_path(self, path: &Path) -> Result<Engine<'p>, StoreError> {
         let artifact = load_cache(path)?;
         Ok(self.warm_start(artifact.to_cache()))
@@ -593,8 +592,6 @@ pub(crate) fn run_cluster_job(
         // Verdicts are keyed on the cluster's dependency-closure
         // fingerprint, so they survive edits outside the closure.
         fingerprint: Some(job.closure),
-        engine: config.engine,
-        profile: config.vm_profile && config.engine == OracleEngine::Bytecode,
         ..OracleConfig::default()
     };
     // Each cluster starts from its own copy of the session's warm cache:
@@ -607,12 +604,8 @@ pub(crate) fn run_cluster_job(
         warm.warm_clone(),
     );
     // Oracles share the engine-wide compilation instead of each lowering
-    // the program themselves.  Engine choice cannot change verdicts (the
-    // engines are step-for-step equivalent), so this is purely a
-    // wall-clock concern — which is also why verdict-cache keys exclude it.
-    if config.engine == OracleEngine::Bytecode {
-        oracle.set_compiled_program(engine.compiled_program());
-    }
+    // the program themselves.
+    oracle.set_compiled_program(engine.compiled_program());
     let mut sampler_config = config.sampler.clone();
     // Decorrelate clusters while staying deterministic.
     sampler_config.seed = job.seed;
@@ -658,19 +651,9 @@ pub(crate) fn run_cluster_job(
         ],
     );
 
-    let vm_profile = oracle.take_vm_profile();
     let stats = oracle.stats();
     let cache = oracle.into_cache();
     if engine.recorder.is_enabled() {
-        if let Some(profile) = &vm_profile {
-            // Per-opcode dynamic counts (ATLAS_VM_PROFILE): fold this
-            // cluster's histogram into the session counters.
-            for (kind, n) in profile.histogram() {
-                engine.recorder.count(&format!("vm.op.{}", kind.name()), n);
-            }
-            engine.recorder.count("vm.ic_hits", profile.ic_hits());
-            engine.recorder.count("vm.ic_misses", profile.ic_misses());
-        }
         let cache_stats = cache.stats();
         lane.count("engine.clusters", 1);
         lane.count("engine.oracle_queries", stats.queries as u64);

@@ -8,9 +8,7 @@
 
 use atlas_interp::ExecLimits;
 use atlas_ir::{ClassId, LibraryInterface, Program};
-use atlas_learn::{
-    library_fingerprint, CacheStats, OracleEngine, RpniConfig, SamplerConfig, SamplingStrategy,
-};
+use atlas_learn::{library_fingerprint, CacheStats, RpniConfig, SamplerConfig, SamplingStrategy};
 use atlas_spec::{CodeFragments, Fsa, PathSpec};
 use atlas_store::{SpecArtifact, SpecCluster};
 use atlas_synth::InitStrategy;
@@ -40,16 +38,6 @@ pub struct AtlasConfig {
     /// available core.  The thread count never changes the result, only the
     /// wall-clock (see [`crate::engine`]).
     pub num_threads: usize,
-    /// The oracle's execution engine.  Like the thread count, this can
-    /// never change the result — the engines are verdict-identical by
-    /// construction and verdict-cache keys exclude the engine — only the
-    /// wall-clock.  Defaults to the bytecode VM.
-    pub engine: OracleEngine,
-    /// Record per-opcode dynamic execution counts on the bytecode engine
-    /// (`ATLAS_VM_PROFILE`): each cluster's oracle profiles its VM and
-    /// the per-opcode totals land as `vm.op.*` counters on the cluster's
-    /// observability lane.  Off by default; never changes results.
-    pub vm_profile: bool,
 }
 
 impl Default for AtlasConfig {
@@ -63,8 +51,6 @@ impl Default for AtlasConfig {
             limits: ExecLimits::for_unit_tests(),
             clusters: Vec::new(),
             num_threads: 0,
-            engine: OracleEngine::default(),
-            vm_profile: false,
         }
     }
 }

@@ -51,11 +51,9 @@ pub use inference::{
 };
 pub use report::{compare_fragments, MethodComparison, SpecComparison};
 
-// The verdict-cache and oracle-engine vocabulary of the Engine API,
-// re-exported so engine users don't need a direct `atlas-learn` dependency.
-pub use atlas_learn::{
-    library_fingerprint, CacheKeyer, CacheStats, OracleEngine, VerdictCache, VerdictKey,
-};
+// The verdict-cache vocabulary of the Engine API, re-exported so engine
+// users don't need a direct `atlas-learn` dependency.
+pub use atlas_learn::{library_fingerprint, CacheKeyer, CacheStats, VerdictCache, VerdictKey};
 
 // The persistence vocabulary of the Engine API (`warm_start_from_path`,
 // `Session::persist`, `InferenceOutcome::spec_artifact`), re-exported so

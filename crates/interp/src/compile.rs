@@ -78,8 +78,6 @@ pub enum Instr {
         obj: Reg,
         /// The field read.
         field: FieldId,
-        /// Inline-cache site id (see [`CompiledProgram::num_field_sites`]).
-        ic: u32,
     },
     /// `obj.field = src`.
     Store {
@@ -89,8 +87,6 @@ pub enum Instr {
         field: FieldId,
         /// Register holding the stored value.
         src: Reg,
-        /// Inline-cache site id (see [`CompiledProgram::num_field_sites`]).
-        ic: u32,
     },
     /// `dst = arr[index]`.
     ArrLoad {
@@ -201,48 +197,6 @@ pub enum Instr {
         message: String,
     },
 
-    // --- Fused superinstructions (see [`fuse`]). ---
-    //
-    // Fusion never renumbers jump targets: the fused instruction replaces
-    // the *first* of the pair in place, performs both effects, and skips
-    // over the second, which is retained verbatim so any jump landing on
-    // it still executes the original. Each fused instruction ticks once
-    // per constituent, in the original order, so the step accounting (and
-    // the statement at which a budget exhausts) is unchanged.
-    /// Fused `Load` + `Branch` where the branch condition is the loaded
-    /// value — the `if (x.field)` shape that dominates javalib bodies.
-    LoadBranch {
-        /// Destination register (still written: later code may read it).
-        dst: Reg,
-        /// Register holding the object reference.
-        obj: Reg,
-        /// The field read.
-        field: FieldId,
-        /// Inline-cache site id.
-        ic: u32,
-        /// Instruction index of the else-block.
-        else_target: u32,
-    },
-    /// Fused `Call` + `RetFall` — the tail call at the end of a body.
-    /// When the callee is native (returns a value immediately), the
-    /// fall-off return happens without re-dispatching; when it pushes a
-    /// frame, the callee returns to the retained `RetFall`.
-    CallRetFall(Box<CallSite>),
-    /// Fused `Const` + `Store` where the stored value is the constant —
-    /// the `x.f = null` / `x.f = 0` initialization shape.
-    ConstStore {
-        /// Destination register of the constant (still written).
-        dst: Reg,
-        /// The literal value.
-        value: Constant,
-        /// Register holding the object reference.
-        obj: Reg,
-        /// The field written.
-        field: FieldId,
-        /// Inline-cache site id.
-        ic: u32,
-    },
-
     // --- Witness-prologue instructions (see [`CompiledWitness`]). ---
     //
     // These mirror the oracle's *external* test harness, which the
@@ -282,8 +236,7 @@ pub enum Instr {
 }
 
 /// The shape of an instruction, without its operands — the key of the
-/// static pair-frequency pass and the dynamic `ATLAS_VM_PROFILE`
-/// histogram.
+/// VM's dynamic per-opcode profile (see [`crate::VmProfile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum OpKind {
@@ -333,12 +286,6 @@ pub enum OpKind {
     RetFall,
     /// See [`Instr::Throw`].
     Throw,
-    /// See [`Instr::LoadBranch`].
-    LoadBranch,
-    /// See [`Instr::CallRetFall`].
-    CallRetFall,
-    /// See [`Instr::ConstStore`].
-    ConstStore,
     /// See [`Instr::WConst`].
     WConst,
     /// See [`Instr::WAlloc`].
@@ -351,7 +298,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Number of distinct instruction shapes.
-    pub const COUNT: usize = 30;
+    pub const COUNT: usize = 27;
 
     /// Every shape, in discriminant order.
     pub const ALL: [OpKind; OpKind::COUNT] = [
@@ -378,9 +325,6 @@ impl OpKind {
         OpKind::RetVoid,
         OpKind::RetFall,
         OpKind::Throw,
-        OpKind::LoadBranch,
-        OpKind::CallRetFall,
-        OpKind::ConstStore,
         OpKind::WConst,
         OpKind::WAlloc,
         OpKind::WCall,
@@ -413,9 +357,6 @@ impl OpKind {
             OpKind::RetVoid => "RetVoid",
             OpKind::RetFall => "RetFall",
             OpKind::Throw => "Throw",
-            OpKind::LoadBranch => "LoadBranch",
-            OpKind::CallRetFall => "CallRetFall",
-            OpKind::ConstStore => "ConstStore",
             OpKind::WConst => "WConst",
             OpKind::WAlloc => "WAlloc",
             OpKind::WCall => "WCall",
@@ -451,9 +392,6 @@ impl Instr {
             Instr::RetVoid => OpKind::RetVoid,
             Instr::RetFall => OpKind::RetFall,
             Instr::Throw { .. } => OpKind::Throw,
-            Instr::LoadBranch { .. } => OpKind::LoadBranch,
-            Instr::CallRetFall(_) => OpKind::CallRetFall,
-            Instr::ConstStore { .. } => OpKind::ConstStore,
             Instr::WConst { .. } => OpKind::WConst,
             Instr::WAlloc { .. } => OpKind::WAlloc,
             Instr::WCall(_) => OpKind::WCall,
@@ -482,12 +420,11 @@ pub(crate) enum FastArg {
 /// A trivial method body the VM executes inline at the call site without
 /// pushing a register frame (see `Vm::invoke_site`).
 ///
-/// Classification runs over the final (fused) code, and every shape
-/// reads its operands *before* any write, so the operand values are
-/// exactly what a pushed frame would have copied.  Each shape's
-/// execution replays the precise tick/check sequence of its instruction
-/// sequence — budget charges, step counts, and error identity are the
-/// same as dispatching the body, by construction.
+/// Every shape reads its operands *before* any write, so the operand
+/// values are exactly what a pushed frame would have copied.  Each
+/// shape's execution replays the precise tick/check sequence of its
+/// instruction sequence — budget charges, step counts, and error identity
+/// are the same as dispatching the body, by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FastBody {
     /// `[Ret src; RetFall]` — returns an argument (identity methods,
@@ -501,8 +438,6 @@ pub(crate) enum FastBody {
         obj: FastArg,
         /// The field read.
         field: FieldId,
-        /// The body's inline-cache site (shared with slow dispatch).
-        ic: u32,
     },
     /// `[Store obj f src; RetFall]` — a setter with a fall-off return.
     Setter {
@@ -512,8 +447,6 @@ pub(crate) enum FastBody {
         field: FieldId,
         /// The stored value.
         src: FastArg,
-        /// The body's inline-cache site (shared with slow dispatch).
-        ic: u32,
     },
     /// `[RefEq dst a b; Ret dst; RetFall]` — `equals`-shaped bodies.
     RefEq {
@@ -538,12 +471,12 @@ pub(crate) enum FastBody {
     },
 }
 
-/// One operand of a [`FastBody::ConstBinRet`]: either the fused literal
+/// One operand of a [`FastBody::ConstBinRet`]: either the body's literal
 /// (the `Const` destination register, which the `Bin` reads *after* the
 /// write) or an argument resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FastBinOperand {
-    /// The fused literal.
+    /// The body's literal.
     Lit,
     /// A register untouched by the `Const` — an argument or `null`.
     Arg(FastArg),
@@ -565,9 +498,8 @@ fn fast_arg(r: Reg, has_this: bool, num_params: usize) -> FastArg {
 }
 
 /// Classifies a lowered body as a [`FastBody`] if it matches one of the
-/// inlinable shapes.  Run after fusion, on the final code; the trailing
-/// [`Instr::RetFall`] every compiled body carries is part of each
-/// pattern.
+/// inlinable shapes.  The trailing [`Instr::RetFall`] every compiled body
+/// carries is part of each pattern.
 fn classify_fast(code: &[Instr], has_this: bool, num_params: usize) -> Option<FastBody> {
     let arg = |r: &Reg| fast_arg(*r, has_this, num_params);
     match code {
@@ -575,30 +507,16 @@ fn classify_fast(code: &[Instr], has_this: bool, num_params: usize) -> Option<Fa
         [Instr::Const { dst, value }, Instr::Ret { src }, Instr::RetFall] if dst == src => {
             Some(FastBody::RetConst(value.clone()))
         }
-        [Instr::Load {
-            dst,
-            obj,
-            field,
-            ic,
-        }, Instr::Ret { src }, Instr::RetFall]
-            if dst == src =>
-        {
+        [Instr::Load { dst, obj, field }, Instr::Ret { src }, Instr::RetFall] if dst == src => {
             Some(FastBody::Getter {
                 obj: arg(obj),
                 field: *field,
-                ic: *ic,
             })
         }
-        [Instr::Store {
-            obj,
-            field,
-            src,
-            ic,
-        }, Instr::RetFall] => Some(FastBody::Setter {
+        [Instr::Store { obj, field, src }, Instr::RetFall] => Some(FastBody::Setter {
             obj: arg(obj),
             field: *field,
             src: arg(src),
-            ic: *ic,
         }),
         [Instr::RefEq { dst, a, b }, Instr::Ret { src }, Instr::RetFall] if dst == src => {
             Some(FastBody::RefEq {
@@ -680,69 +598,22 @@ pub struct CompiledProgram {
     /// shared by clones.  Keys the VM's resolved-builtin cache together
     /// with [`crate::BuiltinRegistry`]'s version.
     id: u64,
-    /// Number of field-access sites ([`Instr::Load`]/[`Instr::Store`] and
-    /// their fused forms), each holding a compile-time-assigned `ic`
-    /// index into the VM's inline-cache table.
-    num_field_sites: u32,
 }
 
 /// Source of unique compilation ids (see [`CompiledProgram::id`]).
 static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl CompiledProgram {
-    /// Lowers every method body of `program` to bytecode and fuses the
-    /// hot instruction pairs (see `fuse`).
+    /// Lowers every method body of `program` to bytecode and classifies
+    /// the trivial bodies the VM runs inline (see `Vm::invoke_site`).
     pub fn compile(program: &Program) -> CompiledProgram {
-        CompiledProgram::compile_inner(program, true)
-    }
-
-    /// Lowers without the fusion pass — the baseline the static
-    /// pair-frequency pass ([`CompiledProgram::pair_frequencies`]) runs
-    /// over, and the control arm of fused-vs-unfused differential tests.
-    pub fn compile_unfused(program: &Program) -> CompiledProgram {
-        CompiledProgram::compile_inner(program, false)
-    }
-
-    fn compile_inner(program: &Program, fused: bool) -> CompiledProgram {
-        let mut field_sites = 0u32;
-        let mut methods: Vec<CompiledMethod> = (0..program.num_methods() as u32)
-            .map(|i| compile_method(program, MethodId::from_index(i), &mut field_sites))
+        let methods = (0..program.num_methods() as u32)
+            .map(|i| compile_method(program, MethodId::from_index(i)))
             .collect();
-        for m in &mut methods {
-            if fused {
-                fuse(&mut m.code);
-            }
-            m.fast = classify_fast(&m.code, m.has_this, m.num_params);
-        }
         CompiledProgram {
             methods,
             id: NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            num_field_sites: field_sites,
         }
-    }
-
-    /// Number of field-access sites; sizes the VM's inline-cache table.
-    pub fn num_field_sites(&self) -> u32 {
-        self.num_field_sites
-    }
-
-    /// The static frequency of adjacent instruction pairs across every
-    /// method body, most frequent first.  Run on an unfused compilation
-    /// ([`CompiledProgram::compile_unfused`]) this is the data that
-    /// selects fusion candidates; run on a fused one it shows what
-    /// remains unfused.
-    pub fn pair_frequencies(&self) -> Vec<((&'static str, &'static str), usize)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for m in &self.methods {
-            for w in m.code.windows(2) {
-                *counts
-                    .entry((w[0].kind().name(), w[1].kind().name()))
-                    .or_insert(0usize) += 1;
-            }
-        }
-        let mut out: Vec<_> = counts.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 
     /// An identifier for this compilation (clones share it; each
@@ -781,7 +652,7 @@ impl CompiledProgram {
     }
 }
 
-fn compile_method(program: &Program, id: MethodId, field_sites: &mut u32) -> CompiledMethod {
+fn compile_method(program: &Program, id: MethodId) -> CompiledMethod {
     let m = program.method(id);
     if m.is_native() {
         return CompiledMethod {
@@ -803,78 +674,17 @@ fn compile_method(program: &Program, id: MethodId, field_sites: &mut u32) -> Com
             num_regs = num_regs.max(v.index() + 1);
         }
     });
-    let mut c = FnCompiler {
-        code: Vec::new(),
-        field_sites,
-    };
+    let mut c = FnCompiler { code: Vec::new() };
     c.block(m.body());
     c.code.push(Instr::RetFall);
+    let fast = classify_fast(&c.code, m.has_this(), m.num_params());
     CompiledMethod {
         code: c.code,
         num_regs,
         has_this: m.has_this(),
         num_params: m.num_params(),
         native: None,
-        fast: None,
-    }
-}
-
-/// The peephole fusion pass: rewrites the hot adjacent pairs selected by
-/// the static frequency data ([`CompiledProgram::pair_frequencies`] on
-/// javalib puts `Load+Branch`, `Const+Store`, and `Call+RetFall` at the
-/// top) into single fused instructions.
-///
-/// The fused instruction replaces the pair's *first* slot and performs
-/// both effects; the second instruction stays in place, dead on the
-/// fall-through path but still a valid target for any jump that lands on
-/// it — so no jump needs renumbering, and a jump *into* the middle of a
-/// fused pair executes exactly the original second half.  The firsts
-/// (`Load`, `Call`, `Const`) and seconds (`Branch`, `RetFall`, `Store`)
-/// are disjoint sets, so skipping past a fused pair never misses a
-/// fusion opportunity.
-fn fuse(code: &mut [Instr]) {
-    let mut i = 0;
-    while i + 1 < code.len() {
-        let fused = match (&code[i], &code[i + 1]) {
-            (
-                Instr::Load {
-                    dst,
-                    obj,
-                    field,
-                    ic,
-                },
-                Instr::Branch { cond, else_target },
-            ) if cond == dst => Some(Instr::LoadBranch {
-                dst: *dst,
-                obj: *obj,
-                field: *field,
-                ic: *ic,
-                else_target: *else_target,
-            }),
-            (Instr::Call(site), Instr::RetFall) => Some(Instr::CallRetFall(site.clone())),
-            (
-                Instr::Const { dst, value },
-                Instr::Store {
-                    obj,
-                    field,
-                    src,
-                    ic,
-                },
-            ) if src == dst => Some(Instr::ConstStore {
-                dst: *dst,
-                value: value.clone(),
-                obj: *obj,
-                field: *field,
-                ic: *ic,
-            }),
-            _ => None,
-        };
-        if let Some(f) = fused {
-            code[i] = f;
-            i += 2;
-        } else {
-            i += 1;
-        }
+        fast,
     }
 }
 
@@ -910,21 +720,11 @@ fn stmt_vars(s: &Stmt) -> Vec<Var> {
     }
 }
 
-struct FnCompiler<'a> {
+struct FnCompiler {
     code: Vec<Instr>,
-    /// Program-wide field-site counter: every `Load`/`Store` emitted
-    /// draws the next inline-cache index.
-    field_sites: &'a mut u32,
 }
 
-impl FnCompiler<'_> {
-    /// Draws the next inline-cache site id.
-    fn next_ic(&mut self) -> u32 {
-        let ic = *self.field_sites;
-        *self.field_sites += 1;
-        ic
-    }
-
+impl FnCompiler {
     fn here(&self) -> u32 {
         self.code.len() as u32
     }
@@ -950,24 +750,16 @@ impl FnCompiler<'_> {
                 dst: r(dst),
                 len: r(len),
             }),
-            Stmt::Store { obj, field, src } => {
-                let ic = self.next_ic();
-                self.code.push(Instr::Store {
-                    obj: r(obj),
-                    field: *field,
-                    src: r(src),
-                    ic,
-                });
-            }
-            Stmt::Load { dst, obj, field } => {
-                let ic = self.next_ic();
-                self.code.push(Instr::Load {
-                    dst: r(dst),
-                    obj: r(obj),
-                    field: *field,
-                    ic,
-                });
-            }
+            Stmt::Store { obj, field, src } => self.code.push(Instr::Store {
+                obj: r(obj),
+                field: *field,
+                src: r(src),
+            }),
+            Stmt::Load { dst, obj, field } => self.code.push(Instr::Load {
+                dst: r(dst),
+                obj: r(obj),
+                field: *field,
+            }),
             Stmt::ArrayStore { arr, index, src } => self.code.push(Instr::ArrStore {
                 arr: r(arr),
                 index: r(index),

@@ -94,6 +94,8 @@ pub trait Executor {
 /// This is the reference engine: the bytecode VM ([`crate::Vm`]) must
 /// match it bit for bit on outcomes, step counts, and limit errors, and
 /// the differential tests in `tests/vm_equivalence.rs` hold it to that.
+/// It is not a runtime engine — the oracle always runs the VM — so only
+/// tests, benches, and the `oracle` bench leg execute it.
 #[derive(Debug)]
 pub struct Interpreter<'p> {
     program: &'p Program,

@@ -63,65 +63,6 @@ pub struct Heap {
     elems: Vec<Value>,
 }
 
-/// Sentinel class id marking an empty inline-cache entry.
-const IC_EMPTY: u32 = u32::MAX;
-/// Sentinel class id marking a megamorphic site: the cache saw too many
-/// distinct layouts and permanently falls back to the linear scan.
-const IC_MEGAMORPHIC: u32 = u32::MAX - 1;
-/// Installs tolerated before a site goes megamorphic.
-const IC_MAX_INSTALLS: u8 = 8;
-
-/// One monomorphic inline-cache entry: the guess that objects of class
-/// `class` keep the site's field at block offset `slot`.
-///
-/// The guess is *verified on every use* — class id match, slot in range,
-/// and the slot's `FieldId` equal to the site's — so a stale entry (a
-/// recycled cache from a previous execution, a same-class object whose
-/// fields were written in a different order) is never wrong, only a
-/// miss.  Field-block relocation preserves slot order (see
-/// [`Heap::write_field`]), so a verified slot stays valid for the
-/// object's lifetime.  After `IC_MAX_INSTALLS` re-installs the entry
-/// pins itself megamorphic and the site scans unconditionally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldCache {
-    class: u32,
-    slot: u32,
-    installs: u8,
-}
-
-impl FieldCache {
-    /// The empty entry (never matches; first use installs).
-    pub const EMPTY: FieldCache = FieldCache {
-        class: IC_EMPTY,
-        slot: 0,
-        installs: 0,
-    };
-
-    /// Whether the site has gone megamorphic.
-    pub fn is_megamorphic(&self) -> bool {
-        self.class == IC_MEGAMORPHIC
-    }
-
-    fn install(&mut self, class: u32, slot: u32) {
-        if self.class == IC_MEGAMORPHIC {
-            return;
-        }
-        if self.installs >= IC_MAX_INSTALLS {
-            self.class = IC_MEGAMORPHIC;
-            return;
-        }
-        self.installs += 1;
-        self.class = class;
-        self.slot = slot;
-    }
-}
-
-impl Default for FieldCache {
-    fn default() -> FieldCache {
-        FieldCache::EMPTY
-    }
-}
-
 impl Heap {
     /// Creates an empty heap.
     pub fn new() -> Heap {
@@ -200,78 +141,6 @@ impl Heap {
             self.objects[r.0].fstart = new_start;
         }
         self.objects[r.0].flen += 1;
-    }
-
-    /// [`Heap::read_field`] through a per-site inline cache.  Returns the
-    /// value and whether the cached guess verified (the hit flag feeds
-    /// the `ATLAS_VM_PROFILE` counters).  Observationally identical to
-    /// the uncached read: a failed guess falls back to the scan.
-    pub fn read_field_cached(
-        &self,
-        r: ObjRef,
-        field: FieldId,
-        cache: &mut FieldCache,
-    ) -> (Value, bool) {
-        let d = self.objects[r.0];
-        if let Some(class) = d.class {
-            if cache.class == class.index() {
-                let slot = cache.slot as usize;
-                if slot < d.flen && self.fields[d.fstart + slot].0 == field {
-                    return (self.fields[d.fstart + slot].1.clone(), true);
-                }
-            }
-            // Miss: scan, and re-install the verified position.
-            let found = self.fields[d.fstart..d.fstart + d.flen]
-                .iter()
-                .position(|(f, _)| *f == field);
-            if let Some(slot) = found {
-                cache.install(class.index(), slot as u32);
-                return (self.fields[d.fstart + slot].1.clone(), false);
-            }
-            return (Value::Null, false);
-        }
-        // Arrays have no class key: always the plain scan.
-        (self.read_field(r, field), false)
-    }
-
-    /// [`Heap::write_field`] through a per-site inline cache.  Returns
-    /// whether the cached guess verified.  A hit overwrites the slot in
-    /// place; a miss takes the full create-or-grow path.
-    pub fn write_field_cached(
-        &mut self,
-        r: ObjRef,
-        field: FieldId,
-        value: Value,
-        cache: &mut FieldCache,
-    ) -> bool {
-        let d = self.objects[r.0];
-        if let Some(class) = d.class {
-            if cache.class == class.index() {
-                let slot = cache.slot as usize;
-                if slot < d.flen && self.fields[d.fstart + slot].0 == field {
-                    self.fields[d.fstart + slot].1 = value;
-                    return true;
-                }
-            }
-            let found = self.fields[d.fstart..d.fstart + d.flen]
-                .iter()
-                .position(|(f, _)| *f == field);
-            if let Some(slot) = found {
-                cache.install(class.index(), slot as u32);
-                self.fields[d.fstart + slot].1 = value;
-                return false;
-            }
-            // First write of this field on this object: the new slot's
-            // position is `flen` after the grow — install that, since
-            // later objects of the class written in the same order will
-            // verify against it.
-            let slot = d.flen as u32;
-            self.write_field(r, field, value);
-            cache.install(class.index(), slot);
-            return false;
-        }
-        self.write_field(r, field, value);
-        false
     }
 
     /// Reads an array element, if `r` is an array and the index is in range.

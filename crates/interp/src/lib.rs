@@ -11,11 +11,13 @@
 //!
 //! Two engines implement the same [`Executor`] semantics:
 //!
-//! * [`Interpreter`] — the tree-walking reference engine, which executes
-//!   [`atlas_ir::Stmt`] bodies directly; and
-//! * [`Vm`] — the oracle fast path, which executes flat bytecode produced
-//!   by [`CompiledProgram::compile`] with register frames and an
-//!   arena-backed heap.
+//! * [`Vm`] — the oracle's runtime engine, which executes flat bytecode
+//!   produced by [`CompiledProgram::compile`] with register frames and an
+//!   arena-backed heap; and
+//! * [`Interpreter`] — the tree-walking reference, which executes
+//!   [`atlas_ir::Stmt`] bodies directly.  Only tests, benches, and the
+//!   `oracle` bench leg run it, as the ground truth the VM is checked
+//!   against.
 //!
 //! The engines are interchangeable bit for bit: same outcomes, same step
 //! counts, same errors.  Both charge the shared [`StepBudget`], so an
@@ -36,7 +38,7 @@ pub mod vm;
 pub use builtins::BuiltinRegistry;
 pub use compile::{CompiledMethod, CompiledProgram, CompiledWitness, Instr, OpKind};
 pub use eval::{ExecError, ExecOutcome, Executor, Interpreter};
-pub use heap::{FieldCache, Heap, ObjRef};
+pub use heap::{Heap, ObjRef};
 pub use limits::{ExecLimits, StepBudget};
 pub use value::Value;
 pub use vm::{Vm, VmProfile, VmScratch};

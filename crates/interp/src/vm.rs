@@ -22,7 +22,7 @@ use crate::compile::{
 };
 use crate::eval::{eval_bin, ExecError, ExecOutcome, Executor};
 use crate::frame::FrameStack;
-use crate::heap::{FieldCache, Heap, ObjRef};
+use crate::heap::{Heap, ObjRef};
 use crate::limits::{ExecLimits, StepBudget};
 use crate::value::Value;
 use atlas_ir::{ClassId, Constant, MethodId};
@@ -41,43 +41,22 @@ fn witness_frame_method() -> MethodId {
     MethodId::from_index(u32::MAX)
 }
 
-/// Per-opcode dynamic execution counts plus inline-cache hit/miss
-/// totals, gathered when profiling is enabled (`ATLAS_VM_PROFILE`).
+/// Per-opcode dynamic execution counts, gathered when profiling is
+/// enabled ([`VmScratch::enable_profile`]).
 ///
 /// Off by default and allocated out of line (`Option<Box<VmProfile>>`),
 /// so the unprofiled dispatch loop pays one predictable branch per
 /// instruction and nothing else — recording never changes verdicts,
 /// steps, or errors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VmProfile {
     counts: [u64; OpKind::COUNT],
-    ic_hits: u64,
-    ic_misses: u64,
-}
-
-impl Default for VmProfile {
-    fn default() -> VmProfile {
-        VmProfile {
-            counts: [0; OpKind::COUNT],
-            ic_hits: 0,
-            ic_misses: 0,
-        }
-    }
 }
 
 impl VmProfile {
     #[inline]
     fn record(&mut self, kind: OpKind) {
         self.counts[kind as usize] += 1;
-    }
-
-    #[inline]
-    fn record_ic(&mut self, hit: bool) {
-        if hit {
-            self.ic_hits += 1;
-        } else {
-            self.ic_misses += 1;
-        }
     }
 
     /// Executions of one instruction shape.
@@ -90,16 +69,6 @@ impl VmProfile {
         self.counts.iter().sum()
     }
 
-    /// Inline-cache hits across all field sites.
-    pub fn ic_hits(&self) -> u64 {
-        self.ic_hits
-    }
-
-    /// Inline-cache misses (including megamorphic fallbacks).
-    pub fn ic_misses(&self) -> u64 {
-        self.ic_misses
-    }
-
     /// The nonzero counts, most-executed first.
     pub fn histogram(&self) -> Vec<(OpKind, u64)> {
         let mut out: Vec<(OpKind, u64)> = OpKind::ALL
@@ -109,16 +78,6 @@ impl VmProfile {
             .collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
-    }
-
-    /// Folds another profile into this one (per-worker profiles merge
-    /// into session totals like the oracle's other counters).
-    pub fn merge(&mut self, other: &VmProfile) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.ic_hits += other.ic_hits;
-        self.ic_misses += other.ic_misses;
     }
 }
 
@@ -146,15 +105,6 @@ pub struct VmScratch {
     /// both ids are globally unique, so a match proves the resolution is
     /// still exact and native dispatch never re-hashes a method name.
     natives_key: Option<(u64, u64)>,
-    /// Per-site inline caches (indexed by the `ic` field of
-    /// `Load`/`Store` and their fused forms).  Kept *warm* across
-    /// executions while `field_cache_key` matches the program: entries
-    /// are verified on every use, so a stale guess from a previous
-    /// execution is a safe miss, and a correct one skips the field scan
-    /// from the very first round.
-    field_cache: Vec<FieldCache>,
-    /// The `CompiledProgram::id` the `field_cache` table was sized for.
-    field_cache_key: Option<u64>,
     /// Dynamic opcode counts, when profiling is enabled; carried across
     /// executions so a profiled pass accumulates session totals.
     profile: Option<Box<VmProfile>>,
@@ -168,11 +118,6 @@ impl VmScratch {
         if self.profile.is_none() {
             self.profile = Some(Box::default());
         }
-    }
-
-    /// The accumulated profile, if profiling is enabled.
-    pub fn profile(&self) -> Option<&VmProfile> {
-        self.profile.as_deref()
     }
 
     /// Takes the accumulated profile, disabling further recording.
@@ -201,9 +146,6 @@ pub struct Vm<'p> {
     /// dispatch indexes this table instead of hashing the method name.
     natives: Vec<Option<crate::builtins::BuiltinFn>>,
     natives_key: Option<(u64, u64)>,
-    /// Per-site inline caches (see [`VmScratch::field_cache`]).
-    field_cache: Vec<FieldCache>,
-    field_cache_key: Option<u64>,
     /// Dynamic opcode counts, when profiling is enabled.
     profile: Option<Box<VmProfile>>,
 }
@@ -241,16 +183,6 @@ impl<'p> Vm<'p> {
             );
             scratch.natives_key = Some(key);
         }
-        // The inline-cache table is likewise keyed on the program and
-        // *kept* while the key matches: entries verify on use, so reuse
-        // is safe and keeps the caches warm across executions.
-        if scratch.field_cache_key != Some(compiled.id()) {
-            scratch.field_cache.clear();
-            scratch
-                .field_cache
-                .resize(compiled.num_field_sites() as usize, FieldCache::EMPTY);
-            scratch.field_cache_key = Some(compiled.id());
-        }
         Vm {
             compiled,
             heap: scratch.heap,
@@ -259,8 +191,6 @@ impl<'p> Vm<'p> {
             args: scratch.args,
             natives: scratch.natives,
             natives_key: scratch.natives_key,
-            field_cache: scratch.field_cache,
-            field_cache_key: scratch.field_cache_key,
             profile: scratch.profile,
         }
     }
@@ -285,8 +215,6 @@ impl<'p> Vm<'p> {
             args: self.args,
             natives: self.natives,
             natives_key: self.natives_key,
-            field_cache: self.field_cache,
-            field_cache_key: self.field_cache_key,
             profile: self.profile,
         }
     }
@@ -294,12 +222,6 @@ impl<'p> Vm<'p> {
     /// Access to the heap (after execution), e.g. for inspecting effects.
     pub fn heap(&self) -> &Heap {
         &self.heap
-    }
-
-    /// The accumulated opcode profile, if profiling is enabled (see
-    /// [`VmScratch::enable_profile`]).
-    pub fn profile(&self) -> Option<&VmProfile> {
-        self.profile.as_deref()
     }
 
     /// The allocated capacities of every reusable buffer — `(heap
@@ -367,13 +289,9 @@ impl<'p> Vm<'p> {
     /// method bodies tick — verdict, step count, and error identity with
     /// `atlas_synth`-level `execute_with` hold by construction.
     /// Between rounds, [`Vm::reset`] restores a fresh budget while
-    /// keeping every buffer (and the warm inline caches) in place.
+    /// keeping every buffer in place.
     pub fn run_witness(&mut self, witness: &CompiledWitness) -> Result<bool, ExecError> {
         debug_assert_eq!(self.stack.depth(), 0, "witness run on an active VM");
-        debug_assert!(
-            self.field_cache.len() >= self.compiled.num_field_sites() as usize,
-            "inline-cache table sized for a different program"
-        );
         // No budget.push_frame: the harness level is depth 0.
         self.stack.push_with_args(
             witness_frame_method(),
@@ -583,44 +501,17 @@ impl<'p> Vm<'p> {
                     let r = self.heap.alloc_array(len as usize);
                     self.wr(base, *dst, Value::Ref(r));
                 }
-                Instr::Load {
-                    dst,
-                    obj,
-                    field,
-                    ic,
-                } => {
+                Instr::Load { dst, obj, field } => {
                     self.tick()?;
                     let r = self.rr(base, *obj).as_ref().ok_or(ExecError::NullPointer)?;
-                    let (v, hit) =
-                        self.heap
-                            .read_field_cached(r, *field, &mut self.field_cache[*ic as usize]);
-                    if PROFILE {
-                        if let Some(p) = self.profile.as_deref_mut() {
-                            p.record_ic(hit);
-                        }
-                    }
+                    let v = self.heap.read_field(r, *field);
                     self.wr(base, *dst, v);
                 }
-                Instr::Store {
-                    obj,
-                    field,
-                    src,
-                    ic,
-                } => {
+                Instr::Store { obj, field, src } => {
                     self.tick()?;
                     let r = self.rr(base, *obj).as_ref().ok_or(ExecError::NullPointer)?;
                     let v = self.rd(base, *src);
-                    let hit = self.heap.write_field_cached(
-                        r,
-                        *field,
-                        v,
-                        &mut self.field_cache[*ic as usize],
-                    );
-                    if PROFILE {
-                        if let Some(p) = self.profile.as_deref_mut() {
-                            p.record_ic(hit);
-                        }
-                    }
+                    self.heap.write_field(r, *field, v);
                 }
                 Instr::ArrLoad { dst, arr, index } => {
                     self.tick()?;
@@ -749,88 +640,6 @@ impl<'p> Vm<'p> {
                     self.tick()?;
                     return Err(ExecError::Thrown(message.clone()));
                 }
-                Instr::LoadBranch {
-                    dst,
-                    obj,
-                    field,
-                    ic,
-                    else_target,
-                } => {
-                    // Fused Load + Branch: both ticks, in the original
-                    // order, with the dst write between them — the budget
-                    // can exhaust at exactly the same two points.
-                    self.tick()?;
-                    let r = self.rr(base, *obj).as_ref().ok_or(ExecError::NullPointer)?;
-                    let (v, hit) =
-                        self.heap
-                            .read_field_cached(r, *field, &mut self.field_cache[*ic as usize]);
-                    if PROFILE {
-                        if let Some(p) = self.profile.as_deref_mut() {
-                            p.record_ic(hit);
-                        }
-                    }
-                    let cond = v.as_bool();
-                    self.wr(base, *dst, v);
-                    self.tick()?;
-                    let c = cond.ok_or_else(|| {
-                        ExecError::TypeError("if condition must be boolean".into())
-                    })?;
-                    // The retained Branch sits at ip + 1; the true path
-                    // falls through past it.
-                    ip = if c { ip + 2 } else { *else_target as usize };
-                    continue;
-                }
-                Instr::CallRetFall(site) => {
-                    self.tick()?;
-                    match self.invoke_site::<PROFILE>(site, base, ip + 1)? {
-                        Invoked::Value(v) => {
-                            if let Some(d) = site.dst {
-                                self.wr(base, d, v);
-                            }
-                            // The fall-off return, without re-dispatching
-                            // the retained RetFall.
-                            match self.ret(Value::Void, witness) {
-                                Ok((b, c, i)) => (base, code, ip) = (b, c, i),
-                                Err(v) => return Ok(v),
-                            }
-                        }
-                        Invoked::Frame(b, c) => {
-                            // The callee returns to the retained RetFall
-                            // at ip + 1, which unwinds as before.
-                            (base, code, ip) = (b, c, 0);
-                        }
-                    }
-                    continue;
-                }
-                Instr::ConstStore {
-                    dst,
-                    value,
-                    obj,
-                    field,
-                    ic,
-                } => {
-                    // Fused Const + Store: dst is still written (later
-                    // code may read it) before the second tick.
-                    self.tick()?;
-                    self.wr(base, *dst, const_value(value));
-                    self.tick()?;
-                    let r = self.rr(base, *obj).as_ref().ok_or(ExecError::NullPointer)?;
-                    let v = self.rd(base, *dst);
-                    let hit = self.heap.write_field_cached(
-                        r,
-                        *field,
-                        v,
-                        &mut self.field_cache[*ic as usize],
-                    );
-                    if PROFILE {
-                        if let Some(p) = self.profile.as_deref_mut() {
-                            p.record_ic(hit);
-                        }
-                    }
-                    // Skip the retained Store at ip + 1.
-                    ip += 2;
-                    continue;
-                }
                 Instr::WConst { dst, value } => {
                     self.wr(base, *dst, const_value(value));
                 }
@@ -918,32 +727,24 @@ impl<'p> Vm<'p> {
                 self.tick()?; // Ret
                 Ok(const_value(c))
             }
-            FastBody::Getter { obj, field, ic } => {
+            FastBody::Getter { obj, field } => {
                 self.tick()?; // Load
                 let r = self
                     .fast_read(site, base, recv, *obj)
                     .as_ref()
                     .ok_or(ExecError::NullPointer)?;
-                let (v, _) =
-                    self.heap
-                        .read_field_cached(r, *field, &mut self.field_cache[*ic as usize]);
+                let v = self.heap.read_field(r, *field);
                 self.tick()?; // Ret
                 Ok(v)
             }
-            FastBody::Setter {
-                obj,
-                field,
-                src,
-                ic,
-            } => {
+            FastBody::Setter { obj, field, src } => {
                 self.tick()?; // Store
                 let r = self
                     .fast_read(site, base, recv, *obj)
                     .as_ref()
                     .ok_or(ExecError::NullPointer)?;
                 let v = self.fast_read(site, base, recv, *src).clone();
-                self.heap
-                    .write_field_cached(r, *field, v, &mut self.field_cache[*ic as usize]);
+                self.heap.write_field(r, *field, v);
                 Ok(Value::Void) // fall-off return: no tick
             }
             FastBody::RefEq { a, b } => {

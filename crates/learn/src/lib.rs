@@ -27,6 +27,6 @@ pub mod rpni;
 pub mod sample;
 
 pub use cache::{library_fingerprint, CacheKeyer, CacheStats, VerdictCache, VerdictKey};
-pub use oracle::{Oracle, OracleConfig, OracleEngine, OracleStats};
+pub use oracle::{Oracle, OracleConfig, OracleStats};
 pub use rpni::{infer_fsa, RpniConfig, RpniResult};
 pub use sample::{sample_positive_examples, SampleResult, SamplerConfig, SamplingStrategy};

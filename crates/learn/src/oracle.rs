@@ -2,51 +2,13 @@
 //! potential witness and executing it against the blackbox library.
 
 use crate::cache::{CacheKeyer, CacheStats, VerdictCache};
-use atlas_interp::{BuiltinRegistry, CompiledProgram, ExecLimits, Interpreter, Vm, VmScratch};
+use atlas_interp::{BuiltinRegistry, CompiledProgram, ExecLimits, Vm, VmScratch};
 use atlas_ir::{LibraryInterface, ParamSlot, Program};
 use atlas_spec::PathSpec;
 use atlas_synth::{
     synthesize_witness, InitStrategy, InstantiationPlanner, WitnessScratch, WitnessTest,
 };
 use std::sync::Arc;
-
-/// Which execution engine the oracle runs synthesized unit tests on.
-///
-/// The engines are interchangeable by construction — identical verdicts,
-/// step counts, and errors (`tests/vm_equivalence.rs`) — so the choice is
-/// *deliberately excluded* from verdict-cache keys: a cache populated
-/// under one engine warm-starts an oracle running the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OracleEngine {
-    /// The bytecode VM ([`atlas_interp::Vm`]): method bodies compiled
-    /// once per library, register frames, arena heap.  The default.
-    #[default]
-    Bytecode,
-    /// The tree-walking reference interpreter
-    /// ([`atlas_interp::Interpreter`]), kept as the differential-testing
-    /// baseline.
-    TreeWalk,
-}
-
-impl OracleEngine {
-    /// Parses the names used by bench CLI flags and env knobs.
-    pub fn parse(s: &str) -> Option<OracleEngine> {
-        match s {
-            "bytecode" | "vm" => Some(OracleEngine::Bytecode),
-            "tree-walk" | "treewalk" | "tree" => Some(OracleEngine::TreeWalk),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for OracleEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OracleEngine::Bytecode => write!(f, "bytecode"),
-            OracleEngine::TreeWalk => write!(f, "tree-walk"),
-        }
-    }
-}
 
 /// Configuration of the oracle.
 #[derive(Debug, Clone)]
@@ -64,14 +26,6 @@ pub struct OracleConfig {
     /// (`atlas_ir::DepGraph::closure_fingerprint`) so verdicts survive
     /// edits outside the closure.
     pub fingerprint: Option<u64>,
-    /// The execution engine for witness tests.  Not part of cache keys:
-    /// engines cannot change verdicts.
-    pub engine: OracleEngine,
-    /// Record per-opcode dynamic execution counts on the bytecode engine
-    /// (`ATLAS_VM_PROFILE`).  Off by default; recording never changes
-    /// verdicts, steps, or errors.  Collect with
-    /// [`Oracle::take_vm_profile`].
-    pub profile: bool,
 }
 
 impl Default for OracleConfig {
@@ -81,8 +35,6 @@ impl Default for OracleConfig {
             limits: ExecLimits::for_unit_tests(),
             memoize: true,
             fingerprint: None,
-            engine: OracleEngine::default(),
-            profile: false,
         }
     }
 }
@@ -127,8 +79,7 @@ pub struct Oracle<'p> {
     keyer: CacheKeyer,
     cache: VerdictCache,
     stats: OracleStats,
-    /// One registry for the oracle's lifetime (the tree-walker clones it
-    /// per witness; the VM borrows it).
+    /// One registry for the oracle's lifetime, borrowed by every VM.
     builtins: BuiltinRegistry,
     /// The bytecode image, compiled lazily on first use — or injected
     /// up front with [`Oracle::set_compiled_program`] so a whole session
@@ -137,8 +88,8 @@ pub struct Oracle<'p> {
     /// Recycled VM buffers (arena heap, register stack): cleared between
     /// unit tests, so steady-state bytecode execution allocates nothing.
     scratch: VmScratch,
-    /// Recycled witness-execution buffers (variable environment, argument
-    /// staging), shared by both engines.
+    /// Recycled witness-lowering buffers (argument staging and the
+    /// compiled-witness image), relowered in place per execution.
     witness_scratch: WitnessScratch,
 }
 
@@ -180,10 +131,6 @@ impl<'p> Oracle<'p> {
             config.strategy,
             config.limits,
         );
-        let mut scratch = VmScratch::default();
-        if config.profile {
-            scratch.enable_profile();
-        }
         Oracle {
             program,
             interface,
@@ -194,22 +141,16 @@ impl<'p> Oracle<'p> {
             stats: OracleStats::default(),
             builtins: BuiltinRegistry::with_defaults(),
             compiled: None,
-            scratch,
+            scratch: VmScratch::default(),
             witness_scratch: WitnessScratch::default(),
         }
-    }
-
-    /// Takes the accumulated VM opcode profile, when
-    /// [`OracleConfig::profile`] was set and the bytecode engine ran.
-    pub fn take_vm_profile(&mut self) -> Option<Box<atlas_interp::VmProfile>> {
-        self.scratch.take_profile()
     }
 
     /// Injects a pre-built bytecode image, so callers that run many
     /// oracles over the same library (the engine's cluster jobs, the
     /// bench harness) compile it exactly once and share the result
     /// across threads.  Without this, the oracle compiles lazily on its
-    /// first bytecode execution.
+    /// first execution.
     pub fn set_compiled_program(&mut self, compiled: Arc<CompiledProgram>) {
         self.compiled = Some(compiled);
     }
@@ -272,7 +213,9 @@ impl<'p> Oracle<'p> {
             return hit;
         }
         if word.chunks(2).any(|c| c.len() == 2 && c[0] == c[1]) {
-            self.cache.insert(key, false);
+            if self.config.memoize {
+                self.cache.insert(key, false);
+            }
             return false;
         }
         let result = match PathSpec::new(word.to_vec()) {
@@ -317,38 +260,22 @@ impl<'p> Oracle<'p> {
         ) else {
             return false;
         };
-        match self.config.engine {
-            OracleEngine::Bytecode => {
-                let compiled = self
-                    .compiled
-                    .get_or_insert_with(|| Arc::new(CompiledProgram::compile(self.program)))
-                    .clone();
-                // The whole query — instantiation plan, argument values,
-                // call word, verdict — runs as one compiled unit: lower
-                // the witness into the recycled buffer, then execute it
-                // inside the VM without re-entering the tree-level
-                // harness per op.
-                witness.compile_into(&mut self.witness_scratch);
-                let scratch = std::mem::take(&mut self.scratch);
-                let mut vm =
-                    Vm::with_scratch(&compiled, &self.builtins, self.config.limits, scratch);
-                let verdict = vm
-                    .run_witness(self.witness_scratch.compiled())
-                    .unwrap_or(false);
-                self.scratch = vm.into_scratch();
-                verdict
-            }
-            OracleEngine::TreeWalk => {
-                let mut interp = Interpreter::with_config(
-                    self.program,
-                    self.builtins.clone(),
-                    self.config.limits,
-                );
-                witness
-                    .execute_with(self.program, &mut interp, &mut self.witness_scratch)
-                    .unwrap_or(false)
-            }
-        }
+        let compiled = self
+            .compiled
+            .get_or_insert_with(|| Arc::new(CompiledProgram::compile(self.program)))
+            .clone();
+        // The whole query — instantiation plan, argument values, call
+        // word, verdict — runs as one compiled unit: lower the witness
+        // into the recycled buffer, then execute it inside the VM without
+        // re-entering the tree-level harness per op.
+        witness.compile_into(&mut self.witness_scratch);
+        let scratch = std::mem::take(&mut self.scratch);
+        let mut vm = Vm::with_scratch(&compiled, &self.builtins, self.config.limits, scratch);
+        let verdict = vm
+            .run_witness(self.witness_scratch.compiled())
+            .unwrap_or(false);
+        self.scratch = vm.into_scratch();
+        verdict
     }
 }
 
@@ -438,6 +365,29 @@ mod tests {
             .planner()
             .cost(p.class_named("Box").unwrap())
             .is_some());
+    }
+
+    #[test]
+    fn degenerate_words_are_not_memoized_when_memoize_is_off() {
+        let p = box_program();
+        let iface = LibraryInterface::from_program(&p);
+        let set = p.method_qualified("Box.set").unwrap();
+        let mut oracle = Oracle::new(
+            &p,
+            &iface,
+            OracleConfig {
+                memoize: false,
+                ..OracleConfig::default()
+            },
+        );
+        // The same slot as both entry and exit of one step.
+        let degenerate = vec![ParamSlot::param(set, 0), ParamSlot::param(set, 0)];
+        assert!(!oracle.check_word(&degenerate));
+        assert!(!oracle.check_word(&degenerate));
+        assert_eq!(oracle.cache_stats().hits, 0);
+        assert_eq!(oracle.stats().queries, 2);
+        assert_eq!(oracle.stats().executions, 0);
+        assert!(oracle.into_cache().is_empty());
     }
 
     #[test]

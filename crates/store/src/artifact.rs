@@ -1,22 +1,23 @@
 //! The two artifact schemas of the registry:
 //!
-//! * **`atlas-cache/1`** ([`CacheArtifact`]) — a persisted verdict cache:
+//! * **`atlas-cache/2`** ([`CacheArtifact`]) — a persisted verdict cache:
 //!   one or more *shards*, each carrying the provenance of its entries
-//!   (library fingerprint, key context, initialization strategy, execution
-//!   limits), the cache statistics at persist time, and the entries
-//!   themselves in insertion order.  Keys are content hashes, so a reloaded
-//!   cache means exactly what the original meant — in any process.
+//!   (library and closure fingerprints, key context, initialization
+//!   strategy, execution limits), the cache statistics at persist time,
+//!   and the entries themselves in insertion order.  Keys are content
+//!   hashes, so a reloaded cache means exactly what the original meant —
+//!   in any process.
 //! * **`atlas-spec/1`** ([`SpecArtifact`]) — an inferred specification set:
 //!   per-cluster extracted [`PathSpec`]s *and* the full learned [`Fsa`],
 //!   with symbols written as qualified slot names (`ArrayList.add#p0`) and
 //!   resolved back against a program on decode.
 //!
-//! Both schemas version explicitly (the `schema` field): a future
-//! incompatible change bumps to `/2` and old readers fail loudly instead of
-//! mis-reading.  Encoding is deterministic — entry order, transition order,
-//! and key order are all canonical — so re-encoding an unchanged artifact
-//! is byte-identical, which is what the cross-process determinism check in
-//! the batch pipeline asserts.
+//! Both schemas version explicitly (the `schema` field): an incompatible
+//! change bumps the version and readers reject any other version loudly
+//! instead of mis-reading it.  Encoding is deterministic — entry order,
+//! transition order, and key order are all canonical — so re-encoding an
+//! unchanged artifact is byte-identical, which is what the cross-process
+//! determinism check in the batch pipeline asserts.
 
 use crate::json::Json;
 use atlas_interp::ExecLimits;
@@ -114,7 +115,7 @@ pub fn document_schema(doc: &Json) -> Option<&str> {
 }
 
 // ---------------------------------------------------------------------------
-// atlas-cache/1
+// atlas-cache/2
 // ---------------------------------------------------------------------------
 
 /// Where a cache shard's entries came from: which library content, which
@@ -216,7 +217,7 @@ pub struct GcSummary {
     pub dropped_entries: usize,
 }
 
-/// A persisted verdict cache (`atlas-cache/1`): provenance-grouped shards
+/// A persisted verdict cache (`atlas-cache/2`): provenance-grouped shards
 /// of content-addressed verdicts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CacheArtifact {
@@ -226,18 +227,9 @@ pub struct CacheArtifact {
 }
 
 impl CacheArtifact {
-    /// The schema tag this artifact encodes as.  `/2` records the closure
-    /// fingerprint each shard is keyed on; `/1` files (whole-library
-    /// keying) still decode via the [`CacheArtifact::SCHEMA_V1`] shim.
+    /// The schema tag this artifact encodes as.  Each shard records the
+    /// closure fingerprint its entries are keyed on.
     pub const SCHEMA: &'static str = "atlas-cache/2";
-
-    /// The previous schema tag.  A `/1` shard carries no closure
-    /// fingerprint; decoding treats its entries as keyed on the library
-    /// fingerprint (which is exactly how they were computed).  Such entries
-    /// can no longer hit under the closure-keyed contexts of current runs,
-    /// so old artifacts are carried — harmlessly — until a GC pass drops
-    /// them; see DESIGN.md's migration note.
-    pub const SCHEMA_V1: &'static str = "atlas-cache/1";
 
     /// Builds a single-shard artifact from a live cache, keeping only the
     /// entries that belong to `provenance` (entries carried over from other
@@ -386,7 +378,7 @@ impl CacheArtifact {
         summary
     }
 
-    /// Encodes the artifact as an `atlas-cache/1` document.
+    /// Encodes the artifact as an `atlas-cache/2` document.
     pub fn encode(&self) -> Json {
         let shards: Vec<Json> = self
             .shards
@@ -427,35 +419,19 @@ impl CacheArtifact {
             .set("shards", shards)
     }
 
-    /// Decodes an `atlas-cache/2` document — or, via the compatibility
-    /// shim, an `atlas-cache/1` document, whose shards are treated as
-    /// keyed on the library fingerprint (no closure fingerprint existed).
+    /// Decodes an `atlas-cache/2` document.
     ///
     /// # Errors
-    /// Returns a [`SchemaError`] on a schema-tag mismatch or any malformed
-    /// field.
+    /// Returns a [`SchemaError`] on a schema-tag mismatch (any other
+    /// version included) or any malformed field.
     pub fn decode(doc: &Json) -> Result<CacheArtifact, SchemaError> {
-        let found = str_field(doc, "schema")?;
-        if found != Self::SCHEMA && found != Self::SCHEMA_V1 {
-            return Err(err(format!(
-                "schema mismatch: expected '{}' (or '{}'), found '{found}'",
-                Self::SCHEMA,
-                Self::SCHEMA_V1
-            )));
-        }
+        check_schema(doc, Self::SCHEMA)?;
         let mut shards = Vec::new();
         for shard in arr_field(doc, "shards")? {
             let limits_doc = field(shard, "limits")?;
-            let fingerprint = hex_field(shard, "library_fingerprint")?;
             let provenance = CacheProvenance {
-                fingerprint,
-                // /1 shards predate closure keying: their entries were
-                // keyed on the whole-library fingerprint.
-                closure: if found == Self::SCHEMA_V1 {
-                    fingerprint
-                } else {
-                    hex_field(shard, "closure_fingerprint")?
-                },
+                fingerprint: hex_field(shard, "library_fingerprint")?,
+                closure: hex_field(shard, "closure_fingerprint")?,
                 context: hex_field(shard, "context")?,
                 strategy: match str_field(shard, "strategy")? {
                     "null" => InitStrategy::Null,
@@ -891,9 +867,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_decode_via_the_compat_shim() {
-        // A pre-incremental artifact: no closure_fingerprint field.
-        let v1 = Json::obj().set("schema", CacheArtifact::SCHEMA_V1).set(
+    fn v1_documents_are_rejected_as_schema_mismatches() {
+        // An `atlas-cache/1` artifact: no closure_fingerprint field.
+        let v1 = Json::obj().set("schema", "atlas-cache/1").set(
             "shards",
             vec![Json::obj()
                 .set("library_fingerprint", "0x00000000000000ab")
@@ -916,15 +892,11 @@ mod tests {
                     ])],
                 )],
         );
-        let artifact = CacheArtifact::decode(&v1).expect("v1 shim");
-        assert_eq!(artifact.shards.len(), 1);
-        let p = &artifact.shards[0].provenance;
-        assert_eq!(p.fingerprint, 0xab);
-        assert_eq!(p.closure, 0xab, "v1 shards were keyed on the library");
-        // Re-encoding writes the current schema with the closure recorded.
-        let rendered = artifact.encode().render();
-        assert!(rendered.contains(CacheArtifact::SCHEMA), "{rendered}");
-        assert!(rendered.contains("closure_fingerprint"), "{rendered}");
+        let e = CacheArtifact::decode(&v1).unwrap_err();
+        assert_eq!(
+            e.0,
+            "schema mismatch: expected 'atlas-cache/2', found 'atlas-cache/1'"
+        );
     }
 
     #[test]

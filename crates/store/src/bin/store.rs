@@ -109,7 +109,7 @@ fn inspect(files: &[String]) -> Result<(), CliError> {
         println!("{}:", path.display());
         println!("  content digest: {}", hex(digest.finish()));
         match document_schema(&doc) {
-            Some(CacheArtifact::SCHEMA | CacheArtifact::SCHEMA_V1) => inspect_cache(path, &doc)?,
+            Some(CacheArtifact::SCHEMA) => inspect_cache(path, &doc)?,
             Some(SpecArtifact::SCHEMA) => inspect_specs(&doc),
             Some(other) => println!("  schema: {other} (not a store artifact)"),
             None => println!("  schema: none (not a store artifact)"),

@@ -648,7 +648,7 @@ mod tests {
     #[test]
     fn parses_what_the_writer_writes() {
         let doc = Json::obj()
-            .set("schema", "atlas-cache/1")
+            .set("schema", "atlas-cache/2")
             .set("count", -42i64)
             .set("big", i64::MIN)
             .set("ratio", 0.25)

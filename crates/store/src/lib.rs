@@ -19,7 +19,7 @@
 //!
 //! * [`json`] — a self-contained JSON value/writer/parser (no crates.io
 //!   access, so no `serde`); the parser reports 1-based error positions.
-//! * [`artifact`] — the `atlas-cache/1` ([`CacheArtifact`]) and
+//! * [`artifact`] — the `atlas-cache/2` ([`CacheArtifact`]) and
 //!   `atlas-spec/1` ([`SpecArtifact`]) schemas: encode/decode, first-entry-
 //!   wins [`CacheArtifact::merge`], and GC by library fingerprint
 //!   ([`CacheArtifact::retain_fingerprint`]).

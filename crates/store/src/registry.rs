@@ -118,13 +118,13 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), StoreError> {
     }
 }
 
-/// Loads an `atlas-cache/1` artifact.
+/// Loads an `atlas-cache/2` artifact.
 pub fn load_cache(path: &Path) -> Result<CacheArtifact, StoreError> {
     let doc = load_document(path)?;
     CacheArtifact::decode(&doc).map_err(|e| StoreError::schema(path, e))
 }
 
-/// Persists an `atlas-cache/1` artifact atomically.
+/// Persists an `atlas-cache/2` artifact atomically.
 pub fn save_cache(path: &Path, artifact: &CacheArtifact) -> Result<(), StoreError> {
     atomic_write(path, &artifact.encode().render())
 }

@@ -47,14 +47,16 @@ pub enum TestOp {
     },
 }
 
-/// Reusable buffers for witness execution: the variable environment and
-/// the call-argument staging area.
+/// Reusable buffers for witness execution and lowering: the variable
+/// environment, the call-argument staging area, and the compiled-witness
+/// image.
 ///
-/// The oracle executes millions of witnesses back to back; threading one
-/// `WitnessScratch` through [`WitnessTest::execute_with`] keeps the
-/// marshalling path allocation-free in the steady state.  The buffers are
-/// cleared between tests, so reuse can never leak values from one test
-/// into the next.
+/// The oracle lowers millions of witnesses back to back through
+/// [`WitnessTest::compile_into`]; reference runs drive them through
+/// [`WitnessTest::execute_with`].  Threading one `WitnessScratch` through
+/// either keeps the path allocation-free in the steady state.  The
+/// buffers are cleared between tests, so reuse can never leak values from
+/// one test into the next.
 #[derive(Debug, Default)]
 pub struct WitnessScratch {
     env: Vec<Value>,
@@ -111,10 +113,9 @@ impl WitnessTest {
         self.execute_with(program, interp, &mut WitnessScratch::default())
     }
 
-    /// [`WitnessTest::execute`] with caller-provided buffers, for hot
-    /// loops (the oracle) that run many tests back to back: the variable
-    /// environment and argument staging area are recycled instead of
-    /// allocated per test.
+    /// [`WitnessTest::execute`] with caller-provided buffers, for loops
+    /// that run many tests back to back: the variable environment and
+    /// argument staging area are recycled instead of allocated per test.
     pub fn execute_with<E: Executor>(
         &self,
         program: &Program,

@@ -11,7 +11,7 @@
 //!   and reproduces the cold baseline's spec artifact byte for byte.
 
 use atlas_apps::{generate_library, mutate_library, MutationConfig, SynthLibConfig};
-use atlas_core::{AtlasConfig, ClusterDisposition, Engine, OracleEngine};
+use atlas_core::{AtlasConfig, ClusterDisposition, Engine};
 use atlas_ir::{DepGraph, LibraryInterface, MutationKind, Program};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -191,95 +191,6 @@ proptest! {
                 .unwrap()
                 .render()
         );
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// Cross-engine splice: shards persisted by a *tree-walking* cold run
-    /// warm-start a *bytecode* (default-engine) incremental run.  Nothing
-    /// may be forced dirty, the splice must reproduce the byte-identical
-    /// artifact, and both engines' cold baselines must agree — verdicts
-    /// and spec exports carry no trace of which engine produced them.
-    #[test]
-    fn splice_survives_the_engine_swap(
-        kind_pick in 0usize..KINDS.len(),
-        mutation_seed in 0u64..100,
-    ) {
-        let root: PathBuf = std::env::temp_dir().join(format!(
-            "atlas-incr-xengine-{}-{kind_pick}-{mutation_seed}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let extraction = (8, 64);
-        let kind = KINDS[kind_pick];
-
-        let variant = atlas_javalib::variant_named("javalib-lang").expect("registered");
-        let old_program = variant.build_program();
-        let old_interface = LibraryInterface::from_program(&old_program);
-        let clusters = variant.cluster_ids(&old_program);
-        let config = AtlasConfig {
-            samples_per_cluster: 150,
-            clusters: clusters.clone(),
-            num_threads: 1,
-            ..AtlasConfig::default()
-        };
-        // The swap under test: seed with the reference engine, resume with
-        // the default (bytecode) engine.
-        prop_assert_eq!(config.engine, OracleEngine::Bytecode);
-        let seed_config = AtlasConfig {
-            engine: OracleEngine::TreeWalk,
-            ..config.clone()
-        };
-
-        let old_engine = Engine::new(&old_program, &old_interface, seed_config);
-        let mut session = old_engine.session();
-        let old_outcome = session.run();
-        session
-            .persist_shards(&old_outcome, &root, extraction)
-            .expect("seed shards");
-        let old_provenance = old_engine.run_provenance();
-
-        let Ok(mutated) = mutate_library(&old_program, &MutationConfig::new(kind, mutation_seed))
-        else {
-            let _ = std::fs::remove_dir_all(&root);
-            return Ok(());
-        };
-        let new_program = mutated.program;
-        let new_interface = LibraryInterface::from_program(&new_program);
-        let new_engine = Engine::new(&new_program, &new_interface, config.clone());
-        let mut incr = new_engine.incremental_session(&old_provenance);
-        let outcome = incr.run_with_store(&root, extraction).expect("incremental");
-
-        // The engine swap must not force a single extra re-execution: the
-        // persisted verdicts are engine-independent.
-        prop_assert_eq!(outcome.forced_dirty, 0);
-        let spliced = outcome
-            .clusters
-            .iter()
-            .filter(|c| matches!(c.disposition, ClusterDisposition::Spliced { .. }))
-            .count();
-        prop_assert_eq!(spliced, clusters.len() - outcome.dirty_clusters);
-
-        // The spliced artifact matches a cold run under either engine.
-        let artifact = outcome
-            .spec_artifact(&new_program)
-            .encode(&new_program)
-            .unwrap()
-            .render();
-        for engine in [OracleEngine::Bytecode, OracleEngine::TreeWalk] {
-            let cold_config = AtlasConfig { engine, ..config.clone() };
-            let cold = Engine::new(&new_program, &new_interface, cold_config).run();
-            prop_assert_eq!(
-                &artifact,
-                &cold.spec_artifact(&new_program, &new_interface, extraction.0, extraction.1)
-                    .encode(&new_program)
-                    .unwrap()
-                    .render()
-            );
-        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 }
