@@ -648,6 +648,10 @@ pub(crate) fn run_cluster_job(
         vec![
             ("initial_states", ArgValue::from(rpni.initial_states)),
             ("final_states", ArgValue::from(rpni.final_states)),
+            ("merge_attempts", ArgValue::from(rpni.merge_attempts)),
+            ("merges_accepted", ArgValue::from(rpni.merges_accepted)),
+            ("words_checked", ArgValue::from(rpni.words_checked)),
+            ("unchecked_accepts", ArgValue::from(rpni.unchecked_accepts)),
         ],
     );
 
@@ -662,6 +666,13 @@ pub(crate) fn run_cluster_job(
         lane.count("engine.cache_hits", cache_stats.hits as u64);
         lane.count("engine.cache_warm_hits", cache_stats.warm_hits as u64);
         lane.count("engine.cache_misses", cache_stats.misses as u64);
+        lane.count("engine.rpni_merge_attempts", rpni.merge_attempts as u64);
+        lane.count("engine.rpni_merges_accepted", rpni.merges_accepted as u64);
+        lane.count("engine.rpni_words_checked", rpni.words_checked as u64);
+        lane.count(
+            "engine.rpni_unchecked_accepts",
+            rpni.unchecked_accepts as u64,
+        );
         engine
             .recorder
             .record_duration("engine.phase1_ns", phase1_time);

@@ -7,9 +7,14 @@
 //! algorithm tries to merge it with each previously kept state `p`, accepts
 //! the merge greedily if every word the merge adds (up to a bounded length)
 //! is accepted by the oracle, and otherwise keeps `q`.
+//!
+//! A candidate merge is never built to be checked: [`Fsa::check_merge`]
+//! walks the words it would add straight off the current automaton and
+//! stops at the first one the oracle refutes.  Only accepted merges are
+//! carried out.
 
 use crate::oracle::Oracle;
-use atlas_spec::{Fsa, PathSpec, StateId};
+use atlas_spec::{Fsa, MergeWalk, PathSpec, StateId};
 use std::collections::BTreeSet;
 
 /// Configuration of the language-inference algorithm.
@@ -19,6 +24,12 @@ pub struct RpniConfig {
     /// oracle (the paper uses N = 8).
     pub max_check_len: usize,
     /// Maximum number of added words checked per candidate merge.
+    ///
+    /// It also caps the enumeration: a merge check looks at no more than
+    /// `4 ×` this many words the merged automaton accepts, added or not.
+    /// So a merge whose first `4 × max_checks_per_merge` breadth-first
+    /// words the current automaton already accepts is taken with no
+    /// oracle check at all (counted in [`RpniResult::unchecked_accepts`]).
     pub max_checks_per_merge: usize,
 }
 
@@ -40,10 +51,16 @@ pub struct RpniResult {
     pub initial_states: usize,
     /// Number of reachable states of the final automaton.
     pub final_states: usize,
+    /// Number of candidate merges checked.
+    pub merge_attempts: usize,
     /// Number of merges accepted.
     pub merges_accepted: usize,
-    /// Number of merges considered but rejected.
-    pub merges_rejected: usize,
+    /// Number of added words submitted to the oracle.
+    pub words_checked: usize,
+    /// Number of merges accepted without a single oracle check because the
+    /// enumeration cap bound first (see
+    /// [`RpniConfig::max_checks_per_merge`]).
+    pub unchecked_accepts: usize,
 }
 
 impl RpniResult {
@@ -70,8 +87,11 @@ pub fn infer_fsa(
     let parity = state_parities(&fsa);
     let mut kept: Vec<StateId> = Vec::new();
     let mut merged_away: BTreeSet<StateId> = BTreeSet::new();
+    let mut walk = MergeWalk::default();
+    let mut merge_attempts = 0;
     let mut merges_accepted = 0;
-    let mut merges_rejected = 0;
+    let mut words_checked = 0;
+    let mut unchecked_accepts = 0;
 
     let states: Vec<StateId> = fsa.states().collect();
     for q in states {
@@ -83,18 +103,26 @@ pub fn infer_fsa(
             if parity.get(q.0 as usize) != parity.get(p.0 as usize) {
                 continue;
             }
-            let candidate = fsa.merge(q, p);
-            let added =
-                candidate.words_added_by(&fsa, config.max_check_len, config.max_checks_per_merge);
-            let all_pass = added.iter().all(|w| oracle.check_word(w));
-            if all_pass {
-                fsa = candidate;
+            merge_attempts += 1;
+            let check = fsa.check_merge(
+                q,
+                p,
+                config.max_check_len,
+                config.max_checks_per_merge,
+                &mut walk,
+                |w| oracle.check_word(w),
+            );
+            words_checked += check.words_checked;
+            if check.accepted {
+                fsa = fsa.merge(q, p);
                 merged_away.insert(q);
                 merges_accepted += 1;
+                if check.words_checked == 0 && check.capped {
+                    unchecked_accepts += 1;
+                }
                 merged = true;
                 break;
             }
-            merges_rejected += 1;
         }
         if !merged {
             kept.push(q);
@@ -106,8 +134,10 @@ pub fn infer_fsa(
         fsa,
         initial_states,
         final_states,
+        merge_attempts,
         merges_accepted,
-        merges_rejected,
+        words_checked,
+        unchecked_accepts,
     }
 }
 

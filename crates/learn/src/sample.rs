@@ -74,6 +74,58 @@ enum Choice {
     Stop,
 }
 
+/// The MCTS score table, keyed on the nodes of a trie of reinforced
+/// prefixes.  Node 0 is the empty prefix; every prefix of a reinforced
+/// word has a node, so a prefix outside the trie has no learned score.
+#[derive(Debug, Default)]
+struct ScoreTrie {
+    /// `(node, choice)` to the choice's learned score after the node's
+    /// prefix, and the node of the prefix extended by the choice.
+    edges: HashMap<(u32, Choice), TrieEdge>,
+}
+
+/// One reinforced choice after a prefix.
+#[derive(Debug, Clone, Copy)]
+struct TrieEdge {
+    score: f64,
+    child: u32,
+}
+
+impl ScoreTrie {
+    /// The node of the empty prefix.
+    const ROOT: u32 = 0;
+
+    /// The node of `node`'s prefix extended by `symbol`, if that prefix
+    /// was ever reinforced.
+    fn child(&self, node: u32, symbol: ParamSlot) -> Option<u32> {
+        self.edges
+            .get(&(node, Choice::Symbol(symbol)))
+            .map(|e| e.child)
+    }
+
+    /// The learned score of `choice` after `node`'s prefix.
+    fn score(&self, node: u32, choice: Choice) -> Option<f64> {
+        self.edges.get(&(node, choice)).map(|e| e.score)
+    }
+
+    /// Reinforces the prefix scores of a sampled word with the oracle
+    /// outcome.
+    fn reinforce(&mut self, word: &[ParamSlot], accepted: bool, alpha: f64) {
+        let outcome = if accepted { 1.0 } else { 0.0 };
+        let mut node = Self::ROOT;
+        for i in 0..=word.len() {
+            let choice = word.get(i).map_or(Choice::Stop, |&s| Choice::Symbol(s));
+            let fresh = self.edges.len() as u32 + 1;
+            let edge = self.edges.entry((node, choice)).or_insert(TrieEdge {
+                score: 0.0,
+                child: fresh,
+            });
+            edge.score = (1.0 - alpha) * edge.score + alpha * outcome;
+            node = edge.child;
+        }
+    }
+}
+
 /// Samples `num_samples` candidates and returns the positive examples found.
 pub fn sample_positive_examples(
     interface: &LibraryInterface,
@@ -85,7 +137,7 @@ pub fn sample_positive_examples(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut result = SampleResult::default();
     let mut seen: BTreeSet<Vec<ParamSlot>> = BTreeSet::new();
-    let mut scores: HashMap<(Vec<ParamSlot>, Choice), f64> = HashMap::new();
+    let mut scores = ScoreTrie::default();
     // Pre-compute the per-method slot lists.
     let slots_by_method: HashMap<MethodId, Vec<ParamSlot>> = {
         let mut map: HashMap<MethodId, Vec<ParamSlot>> = HashMap::new();
@@ -124,7 +176,7 @@ pub fn sample_positive_examples(
         };
         let accepted = oracle.check_word(&word);
         if strategy == SamplingStrategy::Mcts {
-            reinforce(&mut scores, &word, accepted, config.learning_rate);
+            scores.reinforce(&word, accepted, config.learning_rate);
         }
         if accepted {
             result.num_positive_samples += 1;
@@ -148,10 +200,12 @@ fn sample_one(
     class_of: &HashMap<MethodId, atlas_ir::ClassId>,
     strategy: SamplingStrategy,
     config: &SamplerConfig,
-    scores: &HashMap<(Vec<ParamSlot>, Choice), f64>,
+    scores: &ScoreTrie,
     rng: &mut StdRng,
 ) -> Option<Vec<ParamSlot>> {
     let mut word: Vec<ParamSlot> = Vec::new();
+    // The trie node of `word`, until the word leaves the trie.
+    let mut node = Some(ScoreTrie::ROOT);
     let max_len = config.max_steps * 2;
     loop {
         let choices: Vec<Choice> =
@@ -161,11 +215,16 @@ fn sample_one(
         }
         let choice = match strategy {
             SamplingStrategy::Random => choices[rng.gen_range(0..choices.len())],
-            SamplingStrategy::Mcts => softmax_choice(&choices, &word, scores, class_of, rng),
+            SamplingStrategy::Mcts => {
+                softmax_choice(&choices, word.last(), node, scores, class_of, rng)
+            }
         };
         match choice {
             Choice::Stop => return Some(word),
-            Choice::Symbol(slot) => word.push(slot),
+            Choice::Symbol(slot) => {
+                node = node.and_then(|n| scores.child(n, slot));
+                word.push(slot);
+            }
         }
         if word.len() > max_len {
             return None;
@@ -220,18 +279,21 @@ fn admissible_choices(
     out
 }
 
-/// Softmax selection over the learned scores.  Unvisited choices fall back
-/// to a structural prior: continuations within the class of the previous
-/// call score higher, and termination gets a small positive score.
+/// Softmax selection over the learned scores of the trie node `node` (the
+/// current prefix, or `None` once the prefix has left the trie).
+/// Unvisited choices fall back to a structural prior: continuations within
+/// the class of the previous call (`last`) score higher, and termination
+/// gets a small positive score.
 fn softmax_choice(
     choices: &[Choice],
-    word: &[ParamSlot],
-    scores: &HashMap<(Vec<ParamSlot>, Choice), f64>,
+    last: Option<&ParamSlot>,
+    node: Option<u32>,
+    scores: &ScoreTrie,
     class_of: &HashMap<MethodId, atlas_ir::ClassId>,
     rng: &mut StdRng,
 ) -> Choice {
     let prior = |c: &Choice| -> f64 {
-        match (c, word.last()) {
+        match (c, last) {
             (Choice::Stop, _) => 0.75,
             (Choice::Symbol(s), Some(prev)) => {
                 if class_of.get(&s.method) == class_of.get(&prev.method) {
@@ -246,9 +308,7 @@ fn softmax_choice(
     let weights: Vec<f64> = choices
         .iter()
         .map(|c| {
-            scores
-                .get(&(word.to_vec(), *c))
-                .copied()
+            node.and_then(|n| scores.score(n, *c))
                 .unwrap_or_else(|| prior(c))
                 .exp()
         })
@@ -262,29 +322,6 @@ fn softmax_choice(
         pick -= w;
     }
     *choices.last().expect("choices non-empty")
-}
-
-/// Reinforces the prefix scores of a sampled word with the oracle outcome.
-fn reinforce(
-    scores: &mut HashMap<(Vec<ParamSlot>, Choice), f64>,
-    word: &[ParamSlot],
-    accepted: bool,
-    alpha: f64,
-) {
-    let outcome = if accepted { 1.0 } else { 0.0 };
-    for i in 0..=word.len() {
-        let prefix = word[..i.min(word.len())].to_vec();
-        let choice = if i == word.len() {
-            Choice::Stop
-        } else {
-            Choice::Symbol(word[i])
-        };
-        let entry = scores.entry((prefix, choice)).or_insert(0.0);
-        *entry = (1.0 - alpha) * *entry + alpha * outcome;
-        if i == word.len() {
-            break;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //!
 //! The automaton starts life as the *prefix-tree acceptor* of the positive
 //! examples found in phase one; the RPNI-style learner then repeatedly
-//! [`Fsa::merge`]s pairs of states, using bounded enumeration of the newly
-//! accepted words ([`Fsa::words_added_by`]) to query the oracle.
+//! [`Fsa::merge`]s pairs of states.  Before it does, [`Fsa::check_merge`]
+//! walks the words the merge would add, lazily and in bounded
+//! breadth-first order, handing each to the oracle.
 
 use crate::path_spec::PathSpec;
 use atlas_ir::ParamSlot;
@@ -266,15 +267,164 @@ impl Fsa {
         out
     }
 
-    /// The words (up to `max_len`, at most `limit`) accepted by `self` but
-    /// not by `other` — the set `M_diff` queried against the oracle when
-    /// deciding whether to accept a merge.
-    pub fn words_added_by(&self, other: &Fsa, max_len: usize, limit: usize) -> Vec<Vec<ParamSlot>> {
-        self.enumerate_words(max_len, limit * 4)
-            .into_iter()
-            .filter(|w| !other.accepts(w))
-            .take(limit)
-            .collect()
+    /// Walks the words that `Merge(M, q, p)` adds — the set `M_diff` queried
+    /// against the oracle when deciding whether to accept the merge —
+    /// without building the merged automaton.
+    ///
+    /// The walk is one breadth-first enumeration over the product of the
+    /// merged automaton (read off `self`: `q`'s edges count as `p`'s, and
+    /// every edge into `q` lands on `p`) and `self`, so each word carries
+    /// the state set it reaches in both.  A word is *added* when the merged
+    /// automaton accepts it and `self` does not; each added word goes to
+    /// `visit` in breadth-first order.  The walk stops
+    ///
+    /// * when `visit` returns `false` (the merge is refuted),
+    /// * after `limit` added words, or
+    /// * after `4 × limit` words accepted by the merged automaton, added or
+    ///   not, so a merge whose first `4 × limit` words `self` already
+    ///   accepts is taken without a single visit.
+    ///
+    /// Words are at most `max_len` symbols.  The visited sequence is
+    /// exactly `self.merge(q, p).enumerate_words(max_len, 4 * limit)`
+    /// filtered by `!self.accepts(w)`, cut to `limit` words, up to the
+    /// first refusal.  `walk` is scratch space, reused across calls.
+    ///
+    /// # Panics
+    /// Panics if `q` is the initial state or `q == p`.
+    pub fn check_merge(
+        &self,
+        q: StateId,
+        p: StateId,
+        max_len: usize,
+        limit: usize,
+        walk: &mut MergeWalk,
+        mut visit: impl FnMut(&[ParamSlot]) -> bool,
+    ) -> MergeCheck {
+        assert_ne!(q, self.init, "cannot merge away the initial state");
+        assert_ne!(q, p, "cannot merge a state with itself");
+        let cap = limit * 4;
+        let mut check = MergeCheck {
+            accepted: true,
+            words_checked: 0,
+            capped: cap == 0,
+        };
+        if check.capped {
+            return check;
+        }
+        let stride = self.transitions.len().div_ceil(64);
+        walk.reset(self, q, p, stride);
+        let mut accepted_words = 0;
+        let mut node = 0;
+        while node < walk.nodes.len() {
+            let WalkNode {
+                depth,
+                merged_accepts,
+                current_accepts,
+                ..
+            } = walk.nodes[node];
+            if merged_accepts {
+                accepted_words += 1;
+                if !current_accepts {
+                    check.words_checked += 1;
+                    walk.rebuild_word(node);
+                    if !visit(&walk.word) {
+                        check.accepted = false;
+                        return check;
+                    }
+                    if check.words_checked == limit {
+                        return check;
+                    }
+                }
+                if accepted_words == cap {
+                    check.capped = true;
+                    return check;
+                }
+            }
+            if (depth as usize) < max_len {
+                self.expand(walk, node, q, p, stride, max_len);
+            }
+            node += 1;
+        }
+        check
+    }
+
+    /// Pushes the children of BFS node `node`, one per symbol leaving its
+    /// merged-automaton state set, in symbol order.
+    fn expand(
+        &self,
+        walk: &mut MergeWalk,
+        node: usize,
+        q: StateId,
+        p: StateId,
+        stride: usize,
+        max_len: usize,
+    ) {
+        walk.edges.clear();
+        let at = 2 * stride * node;
+        for s in bits(&walk.sets[at..at + stride]) {
+            self.push_edges(&mut walk.edges, s, Side::Merged, q, p);
+            if s == p.0 as usize {
+                self.push_edges(&mut walk.edges, q.0 as usize, Side::Merged, q, p);
+            }
+        }
+        if walk.edges.is_empty() {
+            return;
+        }
+        for s in bits(&walk.sets[at + stride..at + 2 * stride]) {
+            self.push_edges(&mut walk.edges, s, Side::Current, q, p);
+        }
+        // Symbol order is the enumeration order; within one symbol the
+        // merged side sorts first, so a group without it is skipped.
+        walk.edges.sort_unstable();
+        let depth = walk.nodes[node].depth + 1;
+        let mut i = 0;
+        while i < walk.edges.len() {
+            let symbol = walk.edges[i].0;
+            let end = i + walk.edges[i..].partition_point(|e| e.0 == symbol);
+            if walk.edges[i].1 == Side::Merged {
+                let base = walk.sets.len();
+                walk.sets.resize(base + 2 * stride, 0);
+                for &(_, side, to) in &walk.edges[i..end] {
+                    let at = base + if side == Side::Merged { 0 } else { stride };
+                    walk.sets[at + to as usize / 64] |= 1 << (to % 64);
+                }
+                let (merged, current) = walk.sets[base..].split_at(stride);
+                walk.nodes.push(WalkNode {
+                    parent: node as u32,
+                    symbol,
+                    depth,
+                    merged_accepts: intersects(merged, &walk.merged_accepting),
+                    current_accepts: intersects(current, &walk.accepting),
+                });
+                // Breadth-first order puts every node that will be
+                // expanded before the first one at `max_len`, so node
+                // `n`'s sets stay at `2 * stride * n`; the last level's
+                // are dropped.
+                if depth as usize >= max_len {
+                    walk.sets.truncate(base);
+                }
+            }
+            i = end;
+        }
+    }
+
+    /// Appends the outgoing edges of state `s` to `edges`.  On the merged
+    /// side an edge into `q` lands on `p`.
+    fn push_edges(
+        &self,
+        edges: &mut Vec<(ParamSlot, Side, u32)>,
+        s: usize,
+        side: Side,
+        q: StateId,
+        p: StateId,
+    ) {
+        let merged = side == Side::Merged;
+        for (&sym, targets) in &self.transitions[s] {
+            for &to in targets {
+                let to = if merged && to == q { p } else { to };
+                edges.push((sym, side, to.0));
+            }
+        }
     }
 
     /// Enumerates the *valid path specifications* accepted by the automaton
@@ -300,6 +450,118 @@ impl Default for Fsa {
     fn default() -> Self {
         Fsa::empty()
     }
+}
+
+/// How a [`Fsa::check_merge`] walk ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeCheck {
+    /// Whether every visited word passed, so the merge may be taken.
+    pub accepted: bool,
+    /// Number of added words handed to the visitor.
+    pub words_checked: usize,
+    /// Whether the walk stopped at its cap of `4 × limit` words accepted
+    /// by the merged automaton.
+    pub capped: bool,
+}
+
+/// Which automaton of the product an edge belongs to.  `Merged` sorts
+/// first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Side {
+    Merged,
+    Current,
+}
+
+/// One breadth-first node: the word reaching it is its parent's word plus
+/// `symbol`.
+#[derive(Debug, Clone, Copy)]
+struct WalkNode {
+    parent: u32,
+    symbol: ParamSlot,
+    depth: u32,
+    /// Whether the merged automaton accepts the word (never the empty one).
+    merged_accepts: bool,
+    /// Whether the current automaton accepts it.
+    current_accepts: bool,
+}
+
+/// Scratch space of [`Fsa::check_merge`], reused across merge attempts so
+/// a walk allocates only when it outgrows every earlier one.
+///
+/// The node arena doubles as the breadth-first queue.  Each node that
+/// will be expanded owns two dense state sets in `sets` — the merged
+/// automaton's, then the current one's — of `stride` 64-bit words each.
+#[derive(Debug, Default)]
+pub struct MergeWalk {
+    nodes: Vec<WalkNode>,
+    sets: Vec<u64>,
+    edges: Vec<(ParamSlot, Side, u32)>,
+    accepting: Vec<u64>,
+    merged_accepting: Vec<u64>,
+    word: Vec<ParamSlot>,
+}
+
+impl MergeWalk {
+    /// Clears the arena down to the root node (the empty word at the
+    /// initial state) and sets up the accepting masks of both automata.
+    fn reset(&mut self, fsa: &Fsa, q: StateId, p: StateId, stride: usize) {
+        self.accepting.clear();
+        self.accepting.resize(stride, 0);
+        for s in &fsa.accepting {
+            self.accepting[s.0 as usize / 64] |= 1 << (s.0 % 64);
+        }
+        self.merged_accepting.clone_from(&self.accepting);
+        if fsa.accepting.contains(&q) {
+            self.merged_accepting[q.0 as usize / 64] &= !(1 << (q.0 % 64));
+            self.merged_accepting[p.0 as usize / 64] |= 1 << (p.0 % 64);
+        }
+        self.nodes.clear();
+        self.sets.clear();
+        self.sets.resize(2 * stride, 0);
+        let init = fsa.init.0;
+        for half in [0, stride] {
+            self.sets[half + init as usize / 64] |= 1 << (init % 64);
+        }
+        self.nodes.push(WalkNode {
+            parent: u32::MAX,
+            // The root's symbol is never read: no word ends at depth 0.
+            symbol: ParamSlot::receiver(atlas_ir::MethodId::from_index(0)),
+            depth: 0,
+            merged_accepts: false,
+            current_accepts: false,
+        });
+    }
+
+    /// Rebuilds the word reaching `node` into `self.word`.
+    fn rebuild_word(&mut self, node: usize) {
+        let mut at = node;
+        self.word.clear();
+        self.word
+            .resize(self.nodes[node].depth as usize, self.nodes[node].symbol);
+        for slot in self.word.iter_mut().rev() {
+            *slot = self.nodes[at].symbol;
+            at = self.nodes[at].parent as usize;
+        }
+    }
+}
+
+/// Whether two dense state sets share a state.
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The members of a dense state set, in increasing order.
+fn bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                64 * i + b
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -362,10 +624,17 @@ mod tests {
         assert!(!merged.accepts(&clone_chain_word(1)[..4]));
         // The original did not accept the 0- and 2-clone variants.
         assert!(!fsa.accepts(&clone_chain_word(0)));
-        // words_added_by reports the newly accepted members (bounded).
-        let added = merged.words_added_by(&fsa, 8, 50);
-        assert!(added.contains(&clone_chain_word(0)));
-        assert!(added.contains(&clone_chain_word(2)[..8].to_vec()) || !added.is_empty());
+        // check_merge visits the newly accepted members (bounded), without
+        // the merged automaton.
+        let mut added = Vec::new();
+        let mut walk = MergeWalk::default();
+        let check = fsa.check_merge(StateId(4), StateId(2), 8, 50, &mut walk, |w| {
+            added.push(w.to_vec());
+            true
+        });
+        assert!(check.accepted && !check.capped);
+        assert_eq!(check.words_checked, added.len());
+        assert_eq!(added, vec![clone_chain_word(0), clone_chain_word(2)]);
         // Reachable states shrink after the merge.
         assert!(merged.num_reachable_states() < fsa.num_reachable_states());
     }
@@ -400,6 +669,37 @@ mod tests {
         assert_eq!(fsa.successors(fsa.init(), slot(0, 1)).len(), 1);
         assert!(fsa.successors(a, slot(0, 1)).is_empty());
         assert_eq!(Fsa::default(), Fsa::empty());
+    }
+
+    #[test]
+    fn the_unchecked_merge_cap_binds_before_any_added_word() {
+        // Four two-symbol words leave the root, then a b c d.  Merging the
+        // state after `a b` into the root adds `c d`, but breadth-first
+        // order puts it after the four words the tree already accepts.
+        let mut words: Vec<Vec<ParamSlot>> = (0..4).map(|m| vec![slot(m, 0), slot(m, 2)]).collect();
+        words.push(vec![slot(10, 0), slot(10, 2), slot(11, 0), slot(11, 2)]);
+        let fsa = Fsa::prefix_tree(&words);
+        let q = StateId(10);
+        assert_eq!(fsa.transitions_from(q), vec![(slot(11, 0), StateId(11))]);
+        let refute = |_: &[ParamSlot]| false;
+        let mut walk = MergeWalk::default();
+        // At one check per merge the cap is 4 accepted words: all four are
+        // old, so the merge is taken with no check at all.
+        let unchecked = fsa.check_merge(q, fsa.init(), 8, 1, &mut walk, refute);
+        assert_eq!(
+            unchecked,
+            MergeCheck {
+                accepted: true,
+                words_checked: 0,
+                capped: true
+            }
+        );
+        // At two checks the cap is 8, and `c d` is checked and refuted.
+        let checked = fsa.check_merge(q, fsa.init(), 8, 2, &mut walk, refute);
+        assert!(!checked.accepted && checked.words_checked == 1);
+        assert!(fsa
+            .merge(q, fsa.init())
+            .accepts(&[slot(11, 0), slot(11, 2)]));
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod fsa;
 pub mod path_spec;
 
 pub use codegen::{fragment_signature, CodeFragments};
-pub use fsa::{Fsa, StateId};
+pub use fsa::{Fsa, MergeCheck, MergeWalk, StateId};
 pub use path_spec::{EdgeRel, PathSpec, PathSpecError, SpecRule};

@@ -5,12 +5,29 @@
 use atlas_ir::{LibraryInterface, MethodId, ParamSlot, Program, SlotKind};
 use atlas_learn::{Oracle, OracleConfig};
 use atlas_pointsto::{ExtractionOptions, Graph, Solver};
-use atlas_spec::{CodeFragments, Fsa, PathSpec};
+use atlas_spec::{CodeFragments, Fsa, MergeWalk, PathSpec, StateId};
 use atlas_synth::{synthesize_witness, InitStrategy, InstantiationPlanner};
 use proptest::prelude::*;
 
 fn library() -> Program {
     atlas_javalib::library_program()
+}
+
+/// The reference for [`Fsa::check_merge`]: the words `Merge(fsa, q, p)`
+/// adds, enumerated from the merged automaton itself.
+fn words_added_by(
+    fsa: &Fsa,
+    q: StateId,
+    p: StateId,
+    max_len: usize,
+    limit: usize,
+) -> Vec<Vec<ParamSlot>> {
+    fsa.merge(q, p)
+        .enumerate_words(max_len, 4 * limit)
+        .into_iter()
+        .filter(|w| !fsa.accepts(w))
+        .take(limit)
+        .collect()
 }
 
 /// Strategy producing structurally valid path-specification words over the
@@ -126,6 +143,59 @@ proptest! {
         let merged = fsa.merge(q, p);
         for w in &words {
             prop_assert!(merged.accepts(w), "merge lost an original word");
+        }
+    }
+
+    /// The lazy merge walk visits exactly the reference's words, in order,
+    /// and stops right after the first refusal.  Earlier merges make the
+    /// automaton nondeterministic and give it q→q edges; up to 16 words
+    /// of up to 8 symbols take some automata past one 64-state word.
+    #[test]
+    fn merge_walk_visits_exactly_the_added_words(
+        words in proptest::collection::vec(valid_word(&LibraryInterface::from_program(&library()), 4), 1..17),
+        earlier in proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..4),
+        q_pick in any::<prop::sample::Index>(),
+        p_pick in any::<prop::sample::Index>(),
+        refuse_pick in any::<prop::sample::Index>()
+    ) {
+        let mut fsa = Fsa::prefix_tree(&words);
+        let n = fsa.num_states();
+        prop_assume!(n > 2);
+        let pair = |q: prop::sample::Index, p: prop::sample::Index| {
+            let q = StateId(1 + q.index(n - 1) as u32);
+            let p = StateId(p.index(n) as u32);
+            (q != p).then_some((q, p))
+        };
+        for (q, p) in earlier.into_iter().filter_map(|(q, p)| pair(q, p)) {
+            fsa = fsa.merge(q, p);
+        }
+        let Some((q, p)) = pair(q_pick, p_pick) else { return Ok(()); };
+        let mut walk = MergeWalk::default();
+        for (max_len, limit) in [(8, 64), (8, 2), (4, 1)] {
+            let reference = words_added_by(&fsa, q, p, max_len, limit);
+            let mut visited = Vec::new();
+            let check = fsa.check_merge(q, p, max_len, limit, &mut walk, |w| {
+                visited.push(w.to_vec());
+                true
+            });
+            prop_assert_eq!(&visited, &reference);
+            prop_assert!(check.accepted);
+            prop_assert_eq!(check.words_checked, reference.len());
+            let merged_words = fsa.merge(q, p).enumerate_words(max_len, 4 * limit).len();
+            prop_assert_eq!(check.capped, reference.len() < limit && merged_words == 4 * limit);
+
+            if reference.is_empty() {
+                continue;
+            }
+            let k = refuse_pick.index(reference.len());
+            let mut asked = Vec::new();
+            let refused = fsa.check_merge(q, p, max_len, limit, &mut walk, |w| {
+                asked.push(w.to_vec());
+                asked.len() <= k
+            });
+            prop_assert_eq!(&asked[..], &reference[..=k]);
+            prop_assert!(!refused.accepted);
+            prop_assert_eq!(refused.words_checked, k + 1);
         }
     }
 
