@@ -1,13 +1,15 @@
 //! The resident-service pipeline: spawn an in-process `atlas-serve`
-//! daemon, replay a deterministic mutation-generator edit stream, and
-//! byte-compare the daemon's final artifact against a cold batch run.
-//! One `atlas-serve/1` JSON report.
+//! daemon, open `N` named sessions, replay one deterministic
+//! mutation-generator edit stream per session from its own client thread,
+//! and byte-compare every session's final artifact against a cold batch
+//! run over its own edited program.  One `atlas-serve/2` JSON report.
 //!
 //! ```sh
 //! cargo run --release -p atlas-bench --bin serve_bench > report.json
 //! # the CI smoke gate:
-//! ATLAS_SERVE_STORE=target/atlas-serve-ci cargo run --release -p atlas-bench --bin serve_bench -- \
-//!     --library javalib-lang --edits 1000 --expect-throughput 5
+//! cargo run --release -p atlas-bench --bin serve_bench -- \
+//!     --samples 120 --threads 4 --workers 4 --sessions 4 --edits 250 --seed 7 \
+//!     --store target/atlas-serve-multi --expect-throughput 10
 //! ```
 //!
 //! The human summary goes to stderr, the JSON document to stdout (and to
@@ -23,13 +25,8 @@
 //! * `--samples N` / `--threads N` — budgets, overriding the environment.
 //! * `--store ROOT` — closure-sharded store root, overriding
 //!   `ATLAS_SERVE_STORE`.
-//! * `--edits N` — edit-stream length (default 1000; per session when
-//!   `--sessions` > 1).
-//! * `--sessions N` — concurrent sessions (default 1).  With more than
-//!   one, the run switches to the multi-session leg: `N` named sessions
-//!   on one daemon, each replayed from its own client thread, each
-//!   byte-compared against its own cold baseline, one `atlas-serve/2`
-//!   report with aggregate throughput.
+//! * `--edits N` — edit-stream length per session (default 1000).
+//! * `--sessions N` — concurrent named sessions (default 1).
 //! * `--workers N` — daemon worker-pool width (0 = auto from the thread
 //!   budget).
 //! * `--shards N` — hot-shard LRU budget.
@@ -40,9 +37,10 @@
 //!   never changes results.
 //! * `--trace-out PATH` — write the daemon's Chrome trace-event JSON to
 //!   `PATH` (implies `--trace`; overrides `ATLAS_TRACE_OUT`).
-//! * `--expect-throughput N` — assert the service contract: the final
-//!   artifact byte-identical to the cold baseline, fingerprints matching,
-//!   and at least `N` edits per second sustained.  Exits `1` otherwise.
+//! * `--expect-throughput N` — assert the service contract: every
+//!   session's final artifact byte-identical to its cold baseline,
+//!   fingerprints matching, and at least `N` edits per second sustained
+//!   in aggregate.  Exits `1` otherwise.
 
 use atlas_bench::{Json, ServeBenchConfig};
 use std::path::PathBuf;
@@ -154,12 +152,7 @@ fn main() {
         config.edits,
         config.serve.store.display()
     );
-    let run = if config.sessions > 1 {
-        atlas_bench::run_serve_multi_bench(&config)
-    } else {
-        atlas_bench::run_serve_bench(&config)
-    };
-    let report = match run {
+    let report = match atlas_bench::run_serve_multi_bench(&config) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("serve_bench: {e}");
@@ -183,7 +176,7 @@ fn verify_serve(report: &Json, config: &ServeBenchConfig, min_throughput: f64) {
     let equivalence = report.get("equivalence").unwrap_or(&Json::Null);
     if equivalence.get("identical").and_then(Json::as_bool) != Some(true) {
         failures.push(format!(
-            "the daemon's final artifact over {store} is not byte-identical to the cold baseline"
+            "a session's final artifact over {store} is not byte-identical to its cold baseline"
         ));
     }
     if equivalence
@@ -192,7 +185,7 @@ fn verify_serve(report: &Json, config: &ServeBenchConfig, min_throughput: f64) {
         != Some(true)
     {
         failures.push(
-            "the daemon's final library fingerprint diverged from the replayed content".to_string(),
+            "a session's final library fingerprint diverged from its replayed content".to_string(),
         );
     }
     let edits = report.get("edits").unwrap_or(&Json::Null);

@@ -12,8 +12,8 @@
 //! | `ATLAS_FLEET_STORE` | fingerprint-sharded fleet store root | unset |
 //! | `ATLAS_FLEET_SEED` | base seed of the synthetic fleet libraries | `0x5EED` |
 //! | `ATLAS_FLEET_LIBS` | comma-separated fleet library names | registry default |
-//! | `ATLAS_SERVE_EDITS` | serve-leg edit-stream length | 1000 |
-//! | `ATLAS_VM_PROFILE` | per-opcode VM execution counts in the oracle leg | off |
+//! | `ATLAS_SERVE_EDITS` | serve-leg edit-stream length per session | 1000 |
+//! | `ATLAS_SERVE_SESSIONS` | serve-leg concurrent sessions | 1 |
 //! | `ATLAS_TRACE` | record span events (`1`/`true`/`yes`/`on`) | off |
 //! | `ATLAS_TRACE_OUT` | Chrome trace-event JSON output path | unset |
 //!
@@ -68,15 +68,6 @@ pub fn fleet_seed() -> u64 {
         .ok()
         .and_then(|s| parse_u64(&s))
         .unwrap_or(0x5EED)
-}
-
-/// Whether `ATLAS_VM_PROFILE` asks the oracle leg for per-opcode dynamic
-/// execution counts (`1`/`true`/`yes`/`on`, case-insensitive).  Profiling
-/// never changes results — the counters ride a dedicated untimed pass
-/// outside the measured slices — it only adds a `profile` section to the
-/// `atlas-oracle/1` report.
-pub fn vm_profile_enabled() -> bool {
-    env_flag("ATLAS_VM_PROFILE")
 }
 
 /// Whether `ATLAS_TRACE` asks for span recording (`1`/`true`/`yes`/`on`,

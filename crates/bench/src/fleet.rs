@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use crate::storeleg::{SPEC_LIMIT, SPEC_MAX_LEN};
 
-/// An error raised by a fleet (or incremental) run.
+/// An error raised by a fleet (or serve) run.
 #[derive(Debug)]
 pub enum FleetError {
     /// A configured library name is not in the registry.
@@ -59,9 +59,6 @@ pub enum FleetError {
     EmptyFleet,
     /// A store operation failed (carries the file and position).
     Store(StoreError),
-    /// A library mutation could not be generated (incremental pipeline:
-    /// unknown or ineligible target).
-    Mutation(atlas_apps::MutationError),
 }
 
 impl fmt::Display for FleetError {
@@ -74,7 +71,6 @@ impl fmt::Display for FleetError {
             ),
             FleetError::EmptyFleet => write!(f, "the fleet needs at least one library"),
             FleetError::Store(e) => write!(f, "{e}"),
-            FleetError::Mutation(e) => write!(f, "{e}"),
         }
     }
 }
@@ -84,12 +80,6 @@ impl std::error::Error for FleetError {}
 impl From<StoreError> for FleetError {
     fn from(e: StoreError) -> FleetError {
         FleetError::Store(e)
-    }
-}
-
-impl From<atlas_apps::MutationError> for FleetError {
-    fn from(e: atlas_apps::MutationError) -> FleetError {
-        FleetError::Mutation(e)
     }
 }
 

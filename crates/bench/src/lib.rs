@@ -36,34 +36,23 @@
 //! store directory, scored against its ground truth, and reported as one
 //! `atlas-fleet/1` document (the `fleet` binary).
 //!
-//! The [`incr`] module measures the incremental-inference pipeline: seed
-//! a closure-sharded store cold, apply one deterministic library edit
-//! (`atlas-apps`' mutation generator), re-analyze via
-//! `Engine::incremental_session`, and emit an `atlas-incr/1` report with
-//! the dirty-cluster count, re-execution counts, and end-to-end speedup
-//! versus the cold baseline (the `incr` binary; `--expect-incremental`
-//! gates the contract in CI).
+//! The [`serve`] module drives the *resident* deployment mode: spawn an
+//! in-process `atlas-serve` daemon over a closure-sharded store, open
+//! `N` named sessions, replay one deterministic mutation-generator edit
+//! stream per session from its own client thread, and byte-compare every
+//! session's final specification artifact against a cold batch run over
+//! its own edited program — one `atlas-serve/2` report (the `serve_bench`
+//! binary; `--expect-throughput` gates equivalence plus a minimum
+//! aggregate edit rate in CI).
 //!
-//! The [`serve`] module benchmarks the *resident* deployment mode: spawn
-//! an in-process `atlas-serve` daemon over a closure-sharded store,
-//! replay a long mutation-generator edit stream through its wire-level
-//! request queue, measure throughput and p50/p99 edit latency, and
-//! byte-compare the daemon's final specification artifact against a cold
-//! batch run over the equivalently edited program — one `atlas-serve/1`
-//! report (the `serve_bench` binary; `--expect-throughput` gates
-//! equivalence plus a minimum edit rate in CI).  With `--sessions N` the
-//! leg switches to the `atlas-serve/2` multi-session variant: `N` named
-//! sessions on one daemon, replayed concurrently, each byte-compared
-//! against its own cold baseline.
-//!
-//! The [`oracle`] module measures the oracle's bytecode VM against the
-//! tree-walking reference interpreter on a deterministic witness
-//! workload, cross-checks that verdicts and step counts are identical
-//! under both, and emits an `atlas-oracle/1` report (the `oracle` binary;
-//! `--expect-speedup` gates the performance contract in CI).
+//! The end-to-end timings that count — a cold javalib inference and a
+//! served edit — are measured by the `perfbench` workspace, not here.
+//! The VM-versus-tree-walker, incremental-splice and service-equivalence
+//! checks are tier-1 tests (`crates/bench/tests/vm_equivalence.rs`,
+//! `tests/incremental_invalidation.rs`, `tests/serve_equivalence.rs`).
 //!
 //! The environment knobs (`ATLAS_SAMPLES`, `ATLAS_APPS`, `ATLAS_THREADS`,
-//! `ATLAS_STORE`, `ATLAS_FLEET_*`, `ATLAS_INCR_STORE`) are parsed in one
+//! `ATLAS_STORE`, `ATLAS_FLEET_*`, `ATLAS_SERVE_*`) are parsed in one
 //! place: [`config`].
 //!
 //! Every pipeline leg carries an `atlas-obs` recorder: reports embed an
@@ -80,9 +69,7 @@ pub mod config;
 pub mod context;
 pub mod experiments;
 pub mod fleet;
-pub mod incr;
 pub mod json;
-pub mod oracle;
 pub mod serve;
 mod storeleg;
 
@@ -90,23 +77,22 @@ pub use batch::{run_batch, BatchConfig, BatchReport};
 pub use config::export_trace;
 pub use context::{EvalContext, SpecSet};
 pub use fleet::{run_fleet, FleetConfig, FleetError, FleetReport};
-pub use incr::{run_incremental, IncrConfig, IncrReport};
 pub use json::Json;
-pub use oracle::{run_oracle_bench, OracleBenchConfig, OracleBenchReport};
-pub use serve::{run_serve_bench, run_serve_multi_bench, ServeBenchConfig, ServeBenchReport};
+pub use serve::{run_serve_multi_bench, ServeBenchConfig, ServeBenchReport};
 
 /// Emits a pipeline report from a report binary: the JSON goes to stdout
 /// first (the primary output — a bad file path must never lose the run),
 /// then a copy is written to the path named by the `out_env` environment
-/// variable when it is set.  Exits `1` with a `{tag}: cannot write …`
-/// message on a failed file write.
+/// variable when it is set and non-empty (an empty value means unset, as
+/// for every knob in [`config`]).  Exits `1` with a `{tag}: cannot write
+/// …` message on a failed file write.
 pub fn emit_report(tag: &str, rendered: &str, out_env: &str) {
     print!("{rendered}");
-    if let Ok(path) = std::env::var(out_env) {
+    if let Some(path) = config::env_path(out_env) {
         match std::fs::write(&path, rendered) {
-            Ok(()) => eprintln!("{tag}: report written to {path}"),
+            Ok(()) => eprintln!("{tag}: report written to {}", path.display()),
             Err(e) => {
-                eprintln!("{tag}: cannot write {path}: {e}");
+                eprintln!("{tag}: cannot write {}: {e}", path.display());
                 std::process::exit(1);
             }
         }

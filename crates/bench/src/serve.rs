@@ -1,39 +1,35 @@
-//! The resident-service leg: replay a long mutation-generator edit stream
-//! against a warm `atlas-serve` daemon and measure what a resident engine
-//! buys over batch re-analysis — then prove it changed nothing.
+//! The resident-service leg: replay deterministic mutation-generator edit
+//! streams against a warm `atlas-serve` daemon from concurrent client
+//! sessions — then prove every session equivalent to a batch run.
 //!
-//! One [`run_serve_bench`] call:
+//! One [`run_serve_multi_bench`] call:
 //!
 //! 1. spawns an in-process [`atlas_serve::Service`] (the same daemon the
 //!    `serve` binary runs behind stdio/socket frames) over a closure-sharded
-//!    store root; startup seeds the store cold or splices it warm;
-//! 2. streams `edits` deterministic mutations through the daemon, cycling
-//!    the generator kinds (`body-edit` / `rename-local` / `add-method` /
-//!    `signature-change`) with per-edit seeds, measuring client-side
-//!    latency per request; ineligible edits come back as structured
-//!    `bad-edit` errors and are skipped — identically — on both sides;
-//! 3. replays the *accepted* edits locally to reconstruct the final
-//!    library content, runs a cold batch `Engine` over it, and
-//!    byte-compares the daemon's final `specs` artifact against the cold
-//!    baseline — the service-equivalence invariant;
-//! 4. emits an `atlas-serve/1` JSON report: throughput, p50/p99/max
-//!    latency, cumulative re-execution counts, shard-cache counters, and
-//!    the equivalence verdict.
-//!
-//! [`run_serve_multi_bench`] is the `atlas-serve/2` variant: it opens
-//! `sessions` named sessions on one daemon and drives each from its own
-//! client thread with its own deterministic stream, so the worker pool
-//! runs edits from different sessions concurrently.  Every session gets
-//! the full per-stream treatment — lock-step local replay, then a cold
-//! batch baseline byte-compared against *that session's* final `specs`
-//! artifact — which makes the report a cross-session isolation check as
-//! well as a concurrency benchmark.  Throughput is aggregate: all
-//! accepted edits over the wall-clock of the parallel replay.
+//!    store root — startup seeds the store cold or splices it warm — and
+//!    opens `sessions` named sessions on it;
+//! 2. drives each session from its own client thread with its own stream
+//!    of `edits` deterministic mutations, cycling the generator kinds
+//!    (`body-edit` / `rename-local` / `add-method` / `signature-change`)
+//!    with per-edit seeds and measuring client-side latency per request,
+//!    so the worker pool runs edits from different sessions concurrently;
+//!    ineligible edits come back as structured `bad-edit` errors and are
+//!    skipped — identically — on both sides;
+//! 3. replays each session's *accepted* edits locally to reconstruct its
+//!    final library content, runs a cold batch `Engine` over it, and
+//!    byte-compares *that session's* final `specs` artifact against the
+//!    cold baseline — the service-equivalence invariant, which makes the
+//!    report a cross-session isolation check as well as a concurrency
+//!    benchmark;
+//! 4. emits an `atlas-serve/2` JSON report: aggregate throughput (all
+//!    accepted edits over the wall-clock of the parallel replay),
+//!    p50/p99/max latency, cumulative re-execution counts, shard-cache
+//!    counters, a per-session breakdown, and the equivalence verdict.
 //!
 //! The `serve_bench` binary adds `--expect-throughput N`, which turns the
-//! contract into an exit code for CI: the final artifact(s) must be
-//! byte-identical to the cold baseline(s) and the edit stream must sustain
-//! at least `N` edits per second.
+//! contract into an exit code for CI: every final artifact must be
+//! byte-identical to its cold baseline and the streams must sustain at
+//! least `N` edits per second in aggregate.
 
 use crate::config::{env_parse, sample_budget, thread_budget, trace_enabled};
 use crate::fleet::FleetError;
@@ -54,11 +50,9 @@ pub struct ServeBenchConfig {
     /// The daemon configuration: library under service, budgets, store
     /// root, worker/session/shard/queue/flush knobs (`ATLAS_SERVE_*`).
     pub serve: ServeConfig,
-    /// Length of the edit stream (`ATLAS_SERVE_EDITS`).  In the
-    /// multi-session leg this is the *per-session* stream length.
+    /// Length of each session's edit stream (`ATLAS_SERVE_EDITS`).
     pub edits: usize,
-    /// Concurrent sessions for [`run_serve_multi_bench`]
-    /// (`ATLAS_SERVE_SESSIONS`, default 1 — the single-session leg).
+    /// Concurrent named sessions (`ATLAS_SERVE_SESSIONS`, default 1).
     pub sessions: usize,
     /// Base mutation seed; edit `i` of session `s` uses
     /// `seed + (s << 20) + i`.
@@ -69,8 +63,8 @@ impl ServeBenchConfig {
     /// Reads the configuration from the environment: the `ATLAS_SERVE_*`
     /// family (see `atlas_serve::config`) plus the shared
     /// `ATLAS_SAMPLES`/`ATLAS_THREADS` budgets, `ATLAS_SERVE_EDITS`
-    /// for the stream length (default 1000), and `ATLAS_SERVE_SESSIONS`
-    /// for the multi-session leg's width (default 1).
+    /// for the per-session stream length (default 1000), and
+    /// `ATLAS_SERVE_SESSIONS` for the number of sessions (default 1).
     pub fn from_env() -> ServeBenchConfig {
         let mut serve = ServeConfig::from_env();
         serve.samples = sample_budget();
@@ -99,8 +93,7 @@ impl ServeBenchConfig {
 /// summary.
 #[derive(Debug, Clone)]
 pub struct ServeBenchReport {
-    /// The machine-readable report (schema `atlas-serve/1`, or
-    /// `atlas-serve/2` from the multi-session leg).
+    /// The machine-readable report (schema `atlas-serve/2`).
     pub json: Json,
     /// A short human-readable summary.
     pub summary: String,
@@ -143,14 +136,14 @@ struct StreamReplay {
     spliced_verdicts: i64,
 }
 
-/// Streams `edits` deterministic mutations into one session (`None` =
-/// the default session, plain `atlas-serve/1` frames), mirroring every
-/// accepted edit on a local copy of the library.  Lock-step invariant: an
-/// accepted edit must be locally applicable, a rejected one locally
-/// ineligible — the daemon's stream and the client's never diverge.
+/// Streams `edits` deterministic mutations into one named session,
+/// mirroring every accepted edit on a local copy of the library.
+/// Lock-step invariant: an accepted edit must be locally applicable, a
+/// rejected one locally ineligible — the daemon's stream and the client's
+/// never diverge.
 fn replay_stream(
     handle: &ServeHandle,
-    session: Option<&str>,
+    session: &str,
     mut program: Program,
     edits: usize,
     seed: u64,
@@ -166,17 +159,15 @@ fn replay_stream(
             seed: seed + i as u64,
             target: None,
         };
-        let mut request = Envelope::with_id(
+        let request = Envelope::with_id(
             i as i64,
             Request::Edit(atlas_serve::EditRequest {
                 kind: mutation.kind,
                 seed: mutation.seed,
                 target: None,
             }),
-        );
-        if let Some(name) = session {
-            request = request.in_session(name);
-        }
+        )
+        .in_session(session);
         let t_edit = Instant::now();
         let response = handle.request(request);
         latency.record(u64::try_from(t_edit.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -263,15 +254,11 @@ fn cold_baseline(
     })
 }
 
-/// Queries the final `specs` state of one session (`None` = default):
+/// Queries the final `specs` state of one session:
 /// `(library_fingerprint, rendered artifact)`.
-fn final_specs(handle: &ServeHandle, session: Option<&str>) -> Result<(String, String), String> {
-    let mut request = Envelope::of(Request::Specs);
-    if let Some(name) = session {
-        request = request.in_session(name);
-    }
+fn final_specs(handle: &ServeHandle, session: &str) -> Result<(String, String), String> {
     let specs = handle
-        .request(request)
+        .request(Envelope::of(Request::Specs).in_session(session))
         .outcome
         .map_err(|e| format!("specs query failed: {}", e.message))?;
     let fingerprint = specs
@@ -283,147 +270,7 @@ fn final_specs(handle: &ServeHandle, session: Option<&str>) -> Result<(String, S
     Ok((fingerprint, artifact))
 }
 
-/// Runs the full single-session service-replay pipeline.  See the
-/// [module docs](self).
-///
-/// # Errors
-/// Returns [`FleetError`] on an unknown library name or a store failure.
-/// An unexpected daemon response (a failure mode the protocol should have
-/// mapped to a structured error) is reported as a schema violation.
-pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, FleetError> {
-    let schema_err = |message: String| {
-        FleetError::Store(atlas_core::StoreError::schema(
-            &config.serve.store,
-            atlas_store::SchemaError(message),
-        ))
-    };
-
-    // 1. Resident daemon over the store root (cold seed or warm splice).
-    let t = Instant::now();
-    let mut service = Service::spawn(config.serve.clone())?;
-    let startup = t.elapsed();
-    let handle = service.handle();
-
-    // The client-side replay state: the same library content the daemon
-    // is editing, reconstructed from the accepted mutations.
-    let lib = atlas_apps::build_library(&config.serve.library, config.serve.synth_seed)
-        .map_err(FleetError::from)?;
-
-    // 2. Stream the edits, measuring per-request latency client-side.
-    // Latencies go straight into the shared log-linear histogram (ns
-    // resolution) — constant memory and O(buckets) quantiles instead of
-    // the full sort-per-report the leg used to do.
-    let t = Instant::now();
-    let replayed =
-        replay_stream(&handle, None, lib.program, config.edits, config.seed).map_err(schema_err)?;
-    let replay = t.elapsed();
-
-    // 3. Final daemon state: specs artifact, fingerprint, counters.
-    let (served_fingerprint, served_artifact) = final_specs(&handle, None).map_err(schema_err)?;
-    let stats = handle
-        .request(Envelope::of(Request::Stats))
-        .outcome
-        .map_err(|e| schema_err(format!("stats query failed: {}", e.message)))?;
-    let shutdown = handle.request(Envelope::of(Request::Shutdown));
-    if shutdown.outcome.is_err() {
-        return Err(schema_err("shutdown was rejected".to_string()));
-    }
-    let recorder = service.recorder().clone();
-    service.join();
-
-    // 4. Cold batch baseline over the replayed final content — the
-    // service-equivalence invariant.
-    let cold = cold_baseline(&replayed.program, &lib.clusters, &config.serve)?;
-    let identical = served_artifact == cold.artifact;
-    let fingerprints_match = served_fingerprint == cold.fingerprint;
-
-    // 5. Assemble the report.  Quantiles come from the histogram
-    // (bounded ~1.6% bucketing error); min/max/mean are exact.
-    let latency = &replayed.latency;
-    let p50 = ns_to_ms(latency.percentile(50));
-    let p99 = ns_to_ms(latency.percentile(99));
-    let max = ns_to_ms(latency.max());
-    let mean = latency.mean() / 1e6;
-    let throughput = if replay.as_secs_f64() > 0.0 {
-        config.edits as f64 / replay.as_secs_f64()
-    } else {
-        f64::INFINITY
-    };
-    let json = Json::obj()
-        .set("schema", "atlas-serve/1")
-        .set("config", config_doc(config))
-        .set(
-            "edits",
-            Json::obj()
-                .set("requested", config.edits)
-                .set("accepted", replayed.accepted)
-                .set("rejected", replayed.rejected),
-        )
-        .set(
-            "latency_ms",
-            Json::obj()
-                .set("p50", p50)
-                .set("p99", p99)
-                .set("max", max)
-                .set("mean", mean),
-        )
-        .set("throughput_edits_per_sec", throughput)
-        .set(
-            "executions",
-            Json::obj()
-                .set("oracle", replayed.oracle_executions)
-                .set("spliced_verdicts", replayed.spliced_verdicts)
-                .set("cold_baseline", cold.oracle_executions),
-        )
-        .set("shards", stats.get("shards").cloned().unwrap_or(Json::Null))
-        .set("budget", stats.get("budget").cloned().unwrap_or(Json::Null))
-        .set(
-            "metrics",
-            stats.get("metrics").cloned().unwrap_or(Json::Null),
-        )
-        .set(
-            "equivalence",
-            Json::obj()
-                .set("identical", identical)
-                .set("fingerprints_match", fingerprints_match)
-                .set("library_fingerprint", cold.fingerprint.as_str()),
-        )
-        .set(
-            "timings",
-            Json::obj()
-                .set("startup_ms", startup.as_secs_f64() * 1e3)
-                .set("replay_ms", replay.as_secs_f64() * 1e3)
-                .set("cold_ms", cold.elapsed.as_secs_f64() * 1e3),
-        );
-
-    let mut summary = String::new();
-    let _ = writeln!(
-        summary,
-        "edits: {} accepted, {} rejected of {}",
-        replayed.accepted, replayed.rejected, config.edits
-    );
-    let _ = writeln!(
-        summary,
-        "latency: p50 {p50:.2}ms p99 {p99:.2}ms max {max:.2}ms ({throughput:.1} edits/s)"
-    );
-    let _ = writeln!(
-        summary,
-        "executions: {} oracle across the stream \
-         ({} verdicts spliced), cold baseline {}",
-        replayed.oracle_executions, replayed.spliced_verdicts, cold.oracle_executions
-    );
-    let _ = writeln!(
-        summary,
-        "equivalence: identical={identical} fingerprints_match={fingerprints_match}"
-    );
-    Ok(ServeBenchReport {
-        json,
-        summary,
-        recorder,
-    })
-}
-
-/// The shared `config` block of both report schemas.
+/// The report's `config` block.
 fn config_doc(config: &ServeBenchConfig) -> Json {
     Json::obj()
         .set("library", config.serve.library.as_str())
@@ -439,14 +286,17 @@ fn config_doc(config: &ServeBenchConfig) -> Json {
         .set("seed", config.seed as i64)
 }
 
-/// Runs the multi-session service-replay pipeline: `config.sessions`
-/// named sessions on one daemon, each driven by its own client thread
-/// with its own deterministic edit stream, each byte-compared against its
-/// own cold batch baseline.  See the [module docs](self).
+/// Runs the service-replay pipeline: `config.sessions` named sessions on
+/// one daemon, each driven by its own client thread with its own
+/// deterministic edit stream, each byte-compared against its own cold
+/// batch baseline.  See the [module docs](self).
 ///
 /// # Errors
-/// As [`run_serve_bench`], plus a schema violation when a session cannot
-/// be opened or a client thread observes a lock-step divergence.
+/// Returns [`FleetError`] on an unknown library name or a store failure.
+/// An unexpected daemon response (a failure mode the protocol should have
+/// mapped to a structured error), a session that cannot be opened, or a
+/// client thread that observes a lock-step divergence is reported as a
+/// schema violation.
 pub fn run_serve_multi_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, FleetError> {
     let schema_err = |message: String| {
         FleetError::Store(atlas_core::StoreError::schema(
@@ -475,7 +325,8 @@ pub fn run_serve_multi_bench(config: &ServeBenchConfig) -> Result<ServeBenchRepo
     // seeded `seed + (s << 20)` so the sessions genuinely diverge.  The
     // daemon's worker pool runs the sessions concurrently; within one
     // session the stream stays serialized, so the lock-step invariant
-    // holds per thread exactly as in the single-session leg.
+    // holds per thread.  Latencies go straight into the shared log-linear
+    // histogram (ns resolution): constant memory, O(buckets) quantiles.
     let t = Instant::now();
     let replays: Vec<Result<StreamReplay, String>> = std::thread::scope(|scope| {
         let threads: Vec<_> = names
@@ -486,7 +337,7 @@ pub fn run_serve_multi_bench(config: &ServeBenchConfig) -> Result<ServeBenchRepo
                 let program = lib.program.clone();
                 let edits = config.edits;
                 let seed = config.seed + ((s as u64) << 20);
-                scope.spawn(move || replay_stream(&handle, Some(name), program, edits, seed))
+                scope.spawn(move || replay_stream(&handle, name, program, edits, seed))
             })
             .collect();
         threads
@@ -503,8 +354,7 @@ pub fn run_serve_multi_bench(config: &ServeBenchConfig) -> Result<ServeBenchRepo
     let mut finals = Vec::with_capacity(sessions);
     for name in &names {
         finals.push(
-            final_specs(&handle, Some(name))
-                .map_err(|e| schema_err(format!("session {name}: {e}")))?,
+            final_specs(&handle, name).map_err(|e| schema_err(format!("session {name}: {e}")))?,
         );
     }
     let stats = handle
@@ -660,11 +510,14 @@ mod tests {
 
     #[test]
     fn replay_report_is_equivalent_and_counts_add_up() {
+        // The default run: one named session, whose row carries the whole
+        // report's counts.
         let store = scratch("report");
         let config = ServeBenchConfig::small(store.clone());
-        let report = run_serve_bench(&config).expect("serve bench run");
+        assert_eq!(config.sessions, 1);
+        let report = run_serve_multi_bench(&config).expect("serve bench run");
         let json = &report.json;
-        assert_eq!(json.get("schema"), Some(&Json::str("atlas-serve/1")));
+        assert_eq!(json.get("schema"), Some(&Json::str("atlas-serve/2")));
         let equivalence = json.get("equivalence").expect("equivalence");
         assert_eq!(equivalence.get("identical"), Some(&Json::Bool(true)));
         assert_eq!(
@@ -678,9 +531,19 @@ mod tests {
         assert_eq!(accepted + rejected, config.edits as i64);
         assert!(accepted > 0, "the stream must accept some edits");
 
+        let executions = json.get("executions").expect("executions");
+        let row = match json.get("sessions").expect("sessions") {
+            Json::Arr(rows) if rows.len() == 1 => &rows[0],
+            other => panic!("one session row expected, got {other:?}"),
+        };
+        assert_eq!(row.get("session"), Some(&Json::str("c0")));
+        assert_eq!(row.get("accepted"), edits.get("accepted"));
+        assert_eq!(row.get("rejected"), edits.get("rejected"));
+        assert_eq!(row.get("executions"), Some(executions));
+        assert_eq!(row.get("identical"), Some(&Json::Bool(true)));
+
         // The resident engine must splice: a 24-edit stream over two
         // clusters cannot re-execute as much as 24 cold runs.
-        let executions = json.get("executions").expect("executions");
         let oracle = executions.get("oracle").and_then(Json::as_int).unwrap();
         let cold = executions
             .get("cold_baseline")
@@ -697,6 +560,7 @@ mod tests {
                 .unwrap()
                 > 0
         );
+        assert!(report.summary.contains("1 concurrent"));
         assert!(report.summary.contains("identical=true"));
         // The resolved thread-budget split travels with the report.
         let budget = json.get("budget").expect("budget");
@@ -731,7 +595,27 @@ mod tests {
         let mut fingerprints = Vec::new();
         for row in rows {
             assert_eq!(row.get("identical"), Some(&Json::Bool(true)));
-            assert!(row.get("accepted").and_then(Json::as_int).unwrap() > 0);
+            let accepted = row.get("accepted").and_then(Json::as_int).unwrap();
+            assert!(accepted > 0, "every session's stream must accept edits");
+            // The resident engine must splice: a 12-edit stream over two
+            // clusters cannot re-execute as much as 12 cold runs.
+            let executions = row.get("executions").expect("executions");
+            let oracle = executions.get("oracle").and_then(Json::as_int).unwrap();
+            let cold = executions
+                .get("cold_baseline")
+                .and_then(Json::as_int)
+                .unwrap();
+            assert!(
+                oracle < accepted * cold.max(1),
+                "resident replay re-executed like cold batch ({oracle} vs {accepted}x{cold})"
+            );
+            assert!(
+                executions
+                    .get("spliced_verdicts")
+                    .and_then(Json::as_int)
+                    .unwrap()
+                    > 0
+            );
             fingerprints.push(row.get("library_fingerprint").cloned().unwrap());
         }
         // Different seeds per stream: the sessions must end on different
@@ -745,6 +629,11 @@ mod tests {
         let rejected = edits.get("rejected").and_then(Json::as_int).unwrap();
         assert_eq!(accepted + rejected, (config.edits * config.sessions) as i64);
         assert!(report.summary.contains("2 concurrent"));
+        assert!(report.summary.contains("identical=true"));
+        // The resolved thread-budget split travels with the report.
+        let budget = json.get("budget").expect("budget");
+        assert!(budget.get("outer_workers").and_then(Json::as_int).unwrap() >= 1);
+        assert!(budget.get("inner_threads").and_then(Json::as_int).unwrap() >= 1);
         std::fs::remove_dir_all(&store).unwrap();
     }
 

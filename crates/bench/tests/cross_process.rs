@@ -17,9 +17,10 @@ use std::process::Command;
 /// Runs the `batch` binary with small budgets against `store`, returning
 /// its parsed JSON report (parsed with the same shared parser the store
 /// uses — the report schema is round-trippable by construction).
-fn run_batch_process(store: &Path, extra_args: &[&str]) -> Json {
+fn run_batch_process(store: &Path, extra_args: &[&str], extra_env: &[(&str, &str)]) -> Json {
     let output = Command::new(env!("CARGO_BIN_EXE_batch"))
         .args(extra_args)
+        .envs(extra_env.iter().copied())
         .env("ATLAS_STORE", store)
         .env("ATLAS_SAMPLES", "250")
         .env("ATLAS_APPS", "1")
@@ -42,7 +43,9 @@ fn warm_start_is_exact_across_process_boundaries() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Process 1: cold; pays for every oracle execution and fills the store.
-    let cold = run_batch_process(&dir, &[]);
+    // An empty report path means "no copy", like every other empty knob —
+    // it must not fail the finished run.
+    let cold = run_batch_process(&dir, &[], &[("ATLAS_BATCH_OUT", "")]);
     let store = cold.get("store").expect("store section");
     assert_eq!(
         store.get("warm_started_from_disk"),
@@ -68,7 +71,7 @@ fn warm_start_is_exact_across_process_boundaries() {
     // Process 2: fresh process, same store; also passes --threads (the CLI
     // override) and --expect-warm, so the binary exits nonzero unless the
     // warm-start invariants hold.
-    let warm = run_batch_process(&dir, &["--threads", "1", "--expect-warm"]);
+    let warm = run_batch_process(&dir, &["--threads", "1", "--expect-warm"], &[]);
     let store = warm.get("store").expect("store section");
     assert_eq!(store.get("warm_started_from_disk"), Some(&Json::Bool(true)));
     assert_eq!(

@@ -19,7 +19,9 @@
 //!   aliasing patterns and body shapes are drawn independently of
 //!   javalib's;
 //! * the production oracle path ([`Oracle::check_word`]) agrees with the
-//!   tree-walker on every two-step candidate over javalib;
+//!   tree-walker on every two-step candidate over javalib, and on each of
+//!   them the tree-walker, the VM harness and the compiled witness agree
+//!   on verdict and step count;
 //! * handwritten programs force the hot adjacent instruction pairs
 //!   (`Load+Branch`, `Call+RetFall`, `Const+Store`), one field site
 //!   shared by receivers of two classes, and every inline fast-body
@@ -263,7 +265,9 @@ proptest! {
 /// degenerate-word filter, [`PathSpec::new`], witness synthesis, witness
 /// lowering, and [`Vm::run_witness`] — exactly what [`Oracle::check_word`]
 /// runs — must answer what the tree-walker answers when it executes the
-/// same synthesized witness.
+/// same synthesized witness.  Every synthesizable witness also runs
+/// through [`Fixture::execute_all`]: the tree-walker, the VM harness and
+/// the compiled witness must agree on its verdict and its step count.
 #[test]
 fn oracle_verdicts_match_tree_walker_on_every_two_step_javalib_candidate() {
     let fix = javalib();
@@ -276,8 +280,7 @@ fn oracle_verdicts_match_tree_walker_on_every_two_step_javalib_candidate() {
             ..OracleConfig::default()
         },
     );
-    let mut wscratch = WitnessScratch::default();
-    let (mut witnesses, mut positives) = (0usize, 0usize);
+    let (mut witnesses, mut positives, mut steps) = (0usize, 0usize, 0usize);
     for &(entry, mid) in &fix.sources {
         for &(recv, exit) in &fix.sinks {
             let word = [entry, mid, recv, exit];
@@ -295,14 +298,14 @@ fn oracle_verdicts_match_tree_walker_on_every_two_step_javalib_candidate() {
                 })
                 .map(|witness| {
                     witnesses += 1;
-                    let mut tree = Interpreter::with_config(
-                        &fix.program,
-                        BuiltinRegistry::with_defaults(),
-                        limits,
-                    );
-                    witness
-                        .execute_with(&fix.program, &mut tree, &mut wscratch)
-                        .unwrap_or(false)
+                    let [(t, t_steps), (v, v_steps), (w, w_steps)] =
+                        fix.execute_all(&witness, limits);
+                    assert_eq!(t, v, "{word:?}: VM harness verdict");
+                    assert_eq!(t, w, "{word:?}: compiled witness verdict");
+                    assert_eq!(t_steps, v_steps, "{word:?}: VM harness steps");
+                    assert_eq!(t_steps, w_steps, "{word:?}: compiled witness steps");
+                    steps += t_steps;
+                    t.unwrap_or(false)
                 })
                 .unwrap_or(false);
             positives += usize::from(reference);
@@ -312,6 +315,7 @@ fn oracle_verdicts_match_tree_walker_on_every_two_step_javalib_candidate() {
     // Uncapped: every synthesizable candidate ran, and the sweep saw both
     // verdicts.
     assert_eq!(witnesses, 2_976);
+    assert_eq!(steps, 85_929, "tree-walker steps over the whole sweep");
     assert!(positives > 0 && positives < witnesses, "{positives}");
     assert_eq!(oracle.cache_stats().hits, 0, "memoization is off");
 }

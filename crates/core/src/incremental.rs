@@ -25,8 +25,8 @@
 //! are positional, workers share nothing), so a spliced result *is* what a
 //! full re-run would have produced: `IncrementalOutcome::spec_artifact`
 //! renders byte-identically to the spec artifact of a cold full run over
-//! the new program.  The `incremental_invalidation` integration test and
-//! the bench pipeline's `atlas-incr/1` report both assert exactly this.
+//! the new program.  This module's unit tests and the
+//! `incremental_invalidation` integration test both assert exactly this.
 
 use crate::engine::{resolve_threads, run_cluster_job, ClusterJob, ClusterRun, Engine, Session};
 use crate::inference::{ClusterOutcome, InferenceOutcome};

@@ -235,171 +235,6 @@ pub enum Instr {
     },
 }
 
-/// The shape of an instruction, without its operands — the key of the
-/// VM's dynamic per-opcode profile (see [`crate::VmProfile`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum OpKind {
-    /// See [`Instr::Move`].
-    Move,
-    /// See [`Instr::Const`].
-    Const,
-    /// See [`Instr::NewObj`].
-    NewObj,
-    /// See [`Instr::NewArr`].
-    NewArr,
-    /// See [`Instr::Load`].
-    Load,
-    /// See [`Instr::Store`].
-    Store,
-    /// See [`Instr::ArrLoad`].
-    ArrLoad,
-    /// See [`Instr::ArrStore`].
-    ArrStore,
-    /// See [`Instr::ArrLen`].
-    ArrLen,
-    /// See [`Instr::Bin`].
-    Bin,
-    /// See [`Instr::RefEq`].
-    RefEq,
-    /// See [`Instr::IsNull`].
-    IsNull,
-    /// See [`Instr::Not`].
-    Not,
-    /// See [`Instr::Call`].
-    Call,
-    /// See [`Instr::Branch`].
-    Branch,
-    /// See [`Instr::Jump`].
-    Jump,
-    /// See [`Instr::LoopEnter`].
-    LoopEnter,
-    /// See [`Instr::LoopCond`].
-    LoopCond,
-    /// See [`Instr::LoopJump`].
-    LoopJump,
-    /// See [`Instr::Ret`].
-    Ret,
-    /// See [`Instr::RetVoid`].
-    RetVoid,
-    /// See [`Instr::RetFall`].
-    RetFall,
-    /// See [`Instr::Throw`].
-    Throw,
-    /// See [`Instr::WConst`].
-    WConst,
-    /// See [`Instr::WAlloc`].
-    WAlloc,
-    /// See [`Instr::WCall`].
-    WCall,
-    /// See [`Instr::WVerdict`].
-    WVerdict,
-}
-
-impl OpKind {
-    /// Number of distinct instruction shapes.
-    pub const COUNT: usize = 27;
-
-    /// Every shape, in discriminant order.
-    pub const ALL: [OpKind; OpKind::COUNT] = [
-        OpKind::Move,
-        OpKind::Const,
-        OpKind::NewObj,
-        OpKind::NewArr,
-        OpKind::Load,
-        OpKind::Store,
-        OpKind::ArrLoad,
-        OpKind::ArrStore,
-        OpKind::ArrLen,
-        OpKind::Bin,
-        OpKind::RefEq,
-        OpKind::IsNull,
-        OpKind::Not,
-        OpKind::Call,
-        OpKind::Branch,
-        OpKind::Jump,
-        OpKind::LoopEnter,
-        OpKind::LoopCond,
-        OpKind::LoopJump,
-        OpKind::Ret,
-        OpKind::RetVoid,
-        OpKind::RetFall,
-        OpKind::Throw,
-        OpKind::WConst,
-        OpKind::WAlloc,
-        OpKind::WCall,
-        OpKind::WVerdict,
-    ];
-
-    /// The shape's stable name, as reported in profiles.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Move => "Move",
-            OpKind::Const => "Const",
-            OpKind::NewObj => "NewObj",
-            OpKind::NewArr => "NewArr",
-            OpKind::Load => "Load",
-            OpKind::Store => "Store",
-            OpKind::ArrLoad => "ArrLoad",
-            OpKind::ArrStore => "ArrStore",
-            OpKind::ArrLen => "ArrLen",
-            OpKind::Bin => "Bin",
-            OpKind::RefEq => "RefEq",
-            OpKind::IsNull => "IsNull",
-            OpKind::Not => "Not",
-            OpKind::Call => "Call",
-            OpKind::Branch => "Branch",
-            OpKind::Jump => "Jump",
-            OpKind::LoopEnter => "LoopEnter",
-            OpKind::LoopCond => "LoopCond",
-            OpKind::LoopJump => "LoopJump",
-            OpKind::Ret => "Ret",
-            OpKind::RetVoid => "RetVoid",
-            OpKind::RetFall => "RetFall",
-            OpKind::Throw => "Throw",
-            OpKind::WConst => "WConst",
-            OpKind::WAlloc => "WAlloc",
-            OpKind::WCall => "WCall",
-            OpKind::WVerdict => "WVerdict",
-        }
-    }
-}
-
-impl Instr {
-    /// The instruction's shape.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            Instr::Move { .. } => OpKind::Move,
-            Instr::Const { .. } => OpKind::Const,
-            Instr::NewObj { .. } => OpKind::NewObj,
-            Instr::NewArr { .. } => OpKind::NewArr,
-            Instr::Load { .. } => OpKind::Load,
-            Instr::Store { .. } => OpKind::Store,
-            Instr::ArrLoad { .. } => OpKind::ArrLoad,
-            Instr::ArrStore { .. } => OpKind::ArrStore,
-            Instr::ArrLen { .. } => OpKind::ArrLen,
-            Instr::Bin { .. } => OpKind::Bin,
-            Instr::RefEq { .. } => OpKind::RefEq,
-            Instr::IsNull { .. } => OpKind::IsNull,
-            Instr::Not { .. } => OpKind::Not,
-            Instr::Call(_) => OpKind::Call,
-            Instr::Branch { .. } => OpKind::Branch,
-            Instr::Jump { .. } => OpKind::Jump,
-            Instr::LoopEnter => OpKind::LoopEnter,
-            Instr::LoopCond { .. } => OpKind::LoopCond,
-            Instr::LoopJump { .. } => OpKind::LoopJump,
-            Instr::Ret { .. } => OpKind::Ret,
-            Instr::RetVoid => OpKind::RetVoid,
-            Instr::RetFall => OpKind::RetFall,
-            Instr::Throw { .. } => OpKind::Throw,
-            Instr::WConst { .. } => OpKind::WConst,
-            Instr::WAlloc { .. } => OpKind::WAlloc,
-            Instr::WCall(_) => OpKind::WCall,
-            Instr::WVerdict { .. } => OpKind::WVerdict,
-        }
-    }
-}
-
 /// How a [`FastBody`] operand resolves against the *caller's* frame: the
 /// callee's argument registers map straight onto the call site's
 /// receiver/argument registers, and every other register reads as the
@@ -637,16 +472,14 @@ impl CompiledProgram {
         self.methods.len()
     }
 
-    /// Total instruction count across all methods (reported by the
-    /// `oracle` bench alongside compile time).
+    /// Total instruction count across all methods.
     pub fn total_instructions(&self) -> usize {
         self.methods.iter().map(|m| m.code.len()).sum()
     }
 
     /// Number of methods whose body classified as an inline-executable
     /// trivial shape (the VM runs these at the call site without a frame
-    /// push; see `Vm::invoke_site`).  Reported by the `oracle` bench
-    /// alongside the compile stats.
+    /// push; see `Vm::invoke_site`).
     pub fn num_fast_bodies(&self) -> usize {
         self.methods.iter().filter(|m| m.fast.is_some()).count()
     }

@@ -95,7 +95,7 @@ pub trait Executor {
 /// match it bit for bit on outcomes, step counts, and limit errors, and
 /// the differential tests in `tests/vm_equivalence.rs` hold it to that.
 /// It is not a runtime engine — the oracle always runs the VM — so only
-/// tests, benches, and the `oracle` bench leg execute it.
+/// tests and benches execute it.
 #[derive(Debug)]
 pub struct Interpreter<'p> {
     program: &'p Program,

@@ -15,9 +15,8 @@
 //!   produced by [`CompiledProgram::compile`] with register frames and an
 //!   arena-backed heap; and
 //! * [`Interpreter`] — the tree-walking reference, which executes
-//!   [`atlas_ir::Stmt`] bodies directly.  Only tests, benches, and the
-//!   `oracle` bench leg run it, as the ground truth the VM is checked
-//!   against.
+//!   [`atlas_ir::Stmt`] bodies directly.  Only tests and benches run it,
+//!   as the ground truth the VM is checked against.
 //!
 //! The engines are interchangeable bit for bit: same outcomes, same step
 //! counts, same errors.  Both charge the shared [`StepBudget`], so an
@@ -36,9 +35,9 @@ pub mod value;
 pub mod vm;
 
 pub use builtins::BuiltinRegistry;
-pub use compile::{CompiledMethod, CompiledProgram, CompiledWitness, Instr, OpKind};
+pub use compile::{CompiledMethod, CompiledProgram, CompiledWitness, Instr};
 pub use eval::{ExecError, ExecOutcome, Executor, Interpreter};
 pub use heap::{Heap, ObjRef};
 pub use limits::{ExecLimits, StepBudget};
 pub use value::Value;
-pub use vm::{Vm, VmProfile, VmScratch};
+pub use vm::{Vm, VmScratch};

@@ -18,7 +18,7 @@
 
 use crate::builtins::BuiltinRegistry;
 use crate::compile::{
-    CompiledProgram, CompiledWitness, FastArg, FastBinOperand, FastBody, Instr, OpKind, Reg,
+    CompiledProgram, CompiledWitness, FastArg, FastBinOperand, FastBody, Instr, Reg,
 };
 use crate::eval::{eval_bin, ExecError, ExecOutcome, Executor};
 use crate::frame::FrameStack;
@@ -39,46 +39,6 @@ enum Invoked<'p> {
 /// resolve code: the dispatch loop resolves the witness slice directly).
 fn witness_frame_method() -> MethodId {
     MethodId::from_index(u32::MAX)
-}
-
-/// Per-opcode dynamic execution counts, gathered when profiling is
-/// enabled ([`VmScratch::enable_profile`]).
-///
-/// Off by default and allocated out of line (`Option<Box<VmProfile>>`),
-/// so the unprofiled dispatch loop pays one predictable branch per
-/// instruction and nothing else — recording never changes verdicts,
-/// steps, or errors.
-#[derive(Debug, Clone, Default)]
-pub struct VmProfile {
-    counts: [u64; OpKind::COUNT],
-}
-
-impl VmProfile {
-    #[inline]
-    fn record(&mut self, kind: OpKind) {
-        self.counts[kind as usize] += 1;
-    }
-
-    /// Executions of one instruction shape.
-    pub fn count(&self, kind: OpKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// Total instructions dispatched.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The nonzero counts, most-executed first.
-    pub fn histogram(&self) -> Vec<(OpKind, u64)> {
-        let mut out: Vec<(OpKind, u64)> = OpKind::ALL
-            .iter()
-            .map(|&k| (k, self.counts[k as usize]))
-            .filter(|&(_, n)| n > 0)
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
 }
 
 /// Reusable VM state: the arena heap, the register stack, and the
@@ -105,25 +65,6 @@ pub struct VmScratch {
     /// both ids are globally unique, so a match proves the resolution is
     /// still exact and native dispatch never re-hashes a method name.
     natives_key: Option<(u64, u64)>,
-    /// Dynamic opcode counts, when profiling is enabled; carried across
-    /// executions so a profiled pass accumulates session totals.
-    profile: Option<Box<VmProfile>>,
-}
-
-impl VmScratch {
-    /// Turns on per-opcode profiling for every VM built from this
-    /// scratch (see [`VmProfile`]).  Counters accumulate across
-    /// executions until taken with [`VmScratch::take_profile`].
-    pub fn enable_profile(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(Box::default());
-        }
-    }
-
-    /// Takes the accumulated profile, disabling further recording.
-    pub fn take_profile(&mut self) -> Option<Box<VmProfile>> {
-        self.profile.take()
-    }
 }
 
 /// The bytecode execution engine.
@@ -146,8 +87,6 @@ pub struct Vm<'p> {
     /// dispatch indexes this table instead of hashing the method name.
     natives: Vec<Option<crate::builtins::BuiltinFn>>,
     natives_key: Option<(u64, u64)>,
-    /// Dynamic opcode counts, when profiling is enabled.
-    profile: Option<Box<VmProfile>>,
 }
 
 impl<'p> Vm<'p> {
@@ -191,7 +130,6 @@ impl<'p> Vm<'p> {
             args: scratch.args,
             natives: scratch.natives,
             natives_key: scratch.natives_key,
-            profile: scratch.profile,
         }
     }
 
@@ -215,7 +153,6 @@ impl<'p> Vm<'p> {
             args: self.args,
             natives: self.natives,
             natives_key: self.natives_key,
-            profile: self.profile,
         }
     }
 
@@ -376,10 +313,9 @@ impl<'p> Vm<'p> {
     /// Callees classified as a [`FastBody`] execute inline without a
     /// frame push (the dominant javalib callee is one instruction plus a
     /// return); the budget still sees the same depth charge and the same
-    /// ticks in the same order.  Profiled runs take the frame path so the
-    /// per-opcode histogram counts every body instruction.
+    /// ticks in the same order.
     #[inline]
-    fn invoke_site<const PROFILE: bool>(
+    fn invoke_site(
         &mut self,
         site: &crate::compile::CallSite,
         base: usize,
@@ -410,13 +346,11 @@ impl<'p> Vm<'p> {
         } else {
             None
         };
-        if !PROFILE {
-            if let Some(fast) = cm.fast() {
-                self.budget.push_frame();
-                let out = self.fast_body(fast, site, base, recv);
-                self.budget.pop_frame();
-                return out.map(Invoked::Value);
-            }
+        if let Some(fast) = cm.fast() {
+            self.budget.push_frame();
+            let out = self.fast_body(fast, site, base, recv);
+            self.budget.pop_frame();
+            return out.map(Invoked::Value);
         }
         self.budget.push_frame();
         let callee_base = self.stack.push_from_regs(
@@ -446,34 +380,10 @@ impl<'p> Vm<'p> {
     where
         'p: 'w,
     {
-        // Monomorphize the loop on the profiling flag: the common
-        // unprofiled path carries no per-instruction recording code at
-        // all, not even the predictable branch.
-        if self.profile.is_some() {
-            self.run_loop_impl::<true>(base, code, witness)
-        } else {
-            self.run_loop_impl::<false>(base, code, witness)
-        }
-    }
-
-    fn run_loop_impl<'w, const PROFILE: bool>(
-        &mut self,
-        base: usize,
-        code: &'w [Instr],
-        witness: Option<&'w [Instr]>,
-    ) -> Result<Value, ExecError>
-    where
-        'p: 'w,
-    {
         let mut base = base;
         let mut code = code;
         let mut ip = 0usize;
         loop {
-            if PROFILE {
-                if let Some(p) = self.profile.as_deref_mut() {
-                    p.record(code[ip].kind());
-                }
-            }
             match &code[ip] {
                 Instr::Move { dst, src } => {
                     self.tick()?;
@@ -572,7 +482,7 @@ impl<'p> Vm<'p> {
                 }
                 Instr::Call(site) => {
                     self.tick()?;
-                    match self.invoke_site::<PROFILE>(site, base, ip + 1)? {
+                    match self.invoke_site(site, base, ip + 1)? {
                         Invoked::Value(v) => {
                             if let Some(d) = site.dst {
                                 self.wr(base, d, v);
@@ -650,7 +560,7 @@ impl<'p> Vm<'p> {
                 Instr::WCall(site) => {
                     // A top-level witness call: no tick for the call
                     // itself, exactly like the external harness.
-                    match self.invoke_site::<PROFILE>(site, base, ip + 1)? {
+                    match self.invoke_site(site, base, ip + 1)? {
                         Invoked::Value(v) => {
                             if let Some(d) = site.dst {
                                 self.wr(base, d, v);

@@ -282,6 +282,7 @@ impl<'p> Oracle<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlas_interp::Interpreter;
     use atlas_ir::builder::ProgramBuilder;
     use atlas_ir::Type;
 
@@ -365,6 +366,75 @@ mod tests {
             .planner()
             .cost(p.class_named("Box").unwrap())
             .is_some());
+    }
+
+    #[test]
+    fn oracle_report_shows_equivalent_engines() {
+        // The oracle runs its witnesses as compiled bytecode; the
+        // tree-walking `Interpreter` is the reference it must match.  Over
+        // every non-degenerate word of one or two steps on `Box`, each
+        // oracle verdict equals the tree-walker's on the same synthesized
+        // witness, the compiled witness charges the tree-walker's step
+        // count, and the oracle's stats report exactly those executions
+        // and positives.
+        let p = box_program();
+        let iface = LibraryInterface::from_program(&p);
+        let limits = ExecLimits::for_unit_tests();
+        let mut oracle = Oracle::new(
+            &p,
+            &iface,
+            OracleConfig {
+                memoize: false,
+                ..OracleConfig::default()
+            },
+        );
+        let compiled = CompiledProgram::compile(&p);
+        let builtins = BuiltinRegistry::with_defaults();
+        let mut scratch = WitnessScratch::default();
+        let slots = iface.slots();
+        let pairs: Vec<[ParamSlot; 2]> = slots
+            .iter()
+            .flat_map(|&a| slots.iter().filter(move |&&b| b != a).map(move |&b| [a, b]))
+            .collect();
+        let words = pairs.iter().map(|step| step.to_vec()).chain(
+            pairs
+                .iter()
+                .flat_map(|first| pairs.iter().map(move |second| [*first, *second].concat())),
+        );
+        let (mut queries, mut well_formed, mut positives, mut steps) = (0, 0, 0, 0);
+        for word in words {
+            queries += 1;
+            let Ok(spec) = PathSpec::new(word.clone()) else {
+                assert!(!oracle.check_word(&word), "{word:?}: ill-formed");
+                continue;
+            };
+            well_formed += 1;
+            let reference = oracle.witness_for(&spec).is_some_and(|witness| {
+                let mut tree = Interpreter::with_config(&p, builtins.clone(), limits);
+                let t = witness.execute_with(&p, &mut tree, &mut scratch);
+                let mut vm = Vm::new(&compiled, &builtins, limits);
+                let v = vm.run_witness(witness.compile_into(&mut scratch));
+                assert_eq!(t, v, "{word:?}: verdict");
+                assert_eq!(tree.steps(), vm.steps(), "{word:?}: steps");
+                steps += tree.steps();
+                t.unwrap_or(false)
+            });
+            positives += usize::from(reference);
+            assert_eq!(oracle.check_word(&word), reference, "{word:?}");
+        }
+        assert!(steps > 0, "the witnesses must execute");
+        assert!(
+            positives > 0 && positives < well_formed,
+            "the sweep must see both verdicts ({positives} of {well_formed})"
+        );
+        assert_eq!(
+            oracle.stats(),
+            OracleStats {
+                queries,
+                executions: well_formed,
+                positives,
+            }
+        );
     }
 
     #[test]

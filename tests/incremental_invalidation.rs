@@ -8,7 +8,9 @@
 //!   variant and random mutations, an incremental run against a seeded
 //!   store leaves every clean cluster's persisted verdicts and exported
 //!   specs **byte-identical** on disk, re-runs exactly the dirty clusters,
-//!   and reproduces the cold baseline's spec artifact byte for byte.
+//!   executes fewer unit tests than the cold baseline whenever a cluster
+//!   is clean, and reproduces the cold baseline's spec artifact byte for
+//!   byte.
 
 use atlas_apps::{generate_library, mutate_library, MutationConfig, SynthLibConfig};
 use atlas_core::{AtlasConfig, ClusterDisposition, Engine};
@@ -94,7 +96,8 @@ proptest! {
 
     /// Behavioral contract on a real library variant: clean clusters'
     /// persisted artifacts stay byte-identical, dirty clusters (and only
-    /// they) re-run, and the spliced artifact equals the cold baseline.
+    /// they) re-run, splicing saves executions whenever a cluster is
+    /// clean, and the spliced artifact equals the cold baseline.
     #[test]
     fn incremental_runs_splice_clean_clusters_byte_identically(
         kind_pick in 0usize..KINDS.len(),
@@ -178,8 +181,23 @@ proptest! {
         // Clean shards: byte-identical on disk, verdicts and specs alike.
         prop_assert_eq!(shard_bytes(&root, &clean_closures), before_bytes);
 
-        // Splice invariant: incremental == cold baseline, byte for byte.
+        // Splicing saves work exactly when some cluster is clean: fewer
+        // unit-test executions than the cold baseline, with verdicts taken
+        // from the store; with every cluster dirty, the same executions.
         let cold = Engine::new(&new_program, &new_interface, config).run();
+        if clean_closures.is_empty() {
+            prop_assert_eq!(outcome.oracle_executions, cold.oracle_executions);
+        } else {
+            prop_assert!(
+                outcome.oracle_executions < cold.oracle_executions,
+                "incremental re-executed as much as cold ({} vs {})",
+                outcome.oracle_executions,
+                cold.oracle_executions
+            );
+            prop_assert!(outcome.spliced_verdicts > 0);
+        }
+
+        // Splice invariant: incremental == cold baseline, byte for byte.
         prop_assert_eq!(
             outcome
                 .spec_artifact(&new_program)
