@@ -3,36 +3,39 @@
 //!
 //! One [`run_batch`] call:
 //!
-//! 1. runs full inference **cold**, harvests the verdict cache via
-//!    `Session::into_cache`, then re-runs **warm** via `Engine::warm_start`
-//!    — demonstrating the cache subsystem end to end (identical results,
-//!    reported hit rate, wall-clock speedup);
+//! 1. runs full inference, then a **warm** second leg that must learn the
+//!    identical artifact — demonstrating warm starts end to end (identical
+//!    results, reported executions, wall-clock speedup);
 //! 2. generates the benchmark app suite (with the diversity knobs of
 //!    `atlas-apps` opened up beyond the historical defaults);
 //! 3. analyzes every app under all three specification variants —
-//!    *inferred*, *handwritten*, *ground truth* — recording per-app
+//!    *inferred* (the fragments of the first leg's `atlas-spec/1`
+//!    artifact), *handwritten*, *ground truth* — recording per-app
 //!    timings, flow counts, non-trivial points-to edges, and
 //!    precision/recall against the constructed leaks;
 //! 4. emits a machine-readable JSON report ([`BatchReport::json`], schema
 //!    `atlas-batch/1`) plus a short human summary.
 //!
-//! With a persistent store configured (`ATLAS_STORE=dir` or
-//! [`BatchConfig::store`]), the first leg additionally reloads the
-//! registry's verdict cache — warm-starting *across processes* — persists
-//! its own verdicts back, exports the inferred specification set
-//! (`specs.json`, schema `atlas-spec/1`), and byte-compares it against the
-//! previous process's export: the report's `store` section records the
-//! reload hit rate and the `cross_process_identical` verdict that CI's
-//! warm-start smoke step asserts.
+//! Without a store, the first leg is a cold engine run and the warm leg
+//! replays it from the harvested in-memory verdict cache.  With a
+//! persistent store (`ATLAS_STORE=dir` or [`BatchConfig::store`]), both
+//! legs are the store-backed run over that closure-sharded root: an empty
+//! root fills cluster by cluster, and a root an earlier process seeded
+//! splices every cluster back without running the learner — a warm start
+//! *across processes*.  The first leg's artifact is exported to
+//! `<root>/specs.json` and byte-compared against the previous process's
+//! export; the report's `store` section records the splice counts and the
+//! `specs_identical` verdict that CI's warm-start smoke step asserts.
 //!
 //! The `batch` binary prints the JSON to stdout (and the summary to
 //! stderr): `cargo run --release -p atlas-bench --bin batch > report.json`.
 
 use crate::config::{app_count, env_parse, sample_budget, store_dir, thread_budget, trace_enabled};
-use crate::context::{EvalContext, SpecSet};
+use crate::context::{analyze_app, SpecSet};
 use crate::json::Json;
+use crate::storeleg::{export_specs, Leg};
 use atlas_apps::{generate_suite, AppConfig};
-use atlas_core::{AtlasConfig, Engine, InferenceOutcome, StoreError, VerdictCache};
+use atlas_core::{AtlasConfig, Engine, StoreError, VerdictCache};
 use atlas_ir::LibraryInterface;
 use atlas_javalib::{class_ids, library_program, CLASS_CLUSTERS};
 use atlas_obs::Recorder;
@@ -59,13 +62,13 @@ pub struct BatchConfig {
     /// diversity knobs wider than the historical suite: more patterns per
     /// app, more benign-payload sinks (precision bait), larger size spread.
     pub app_config: AppConfig,
-    /// Persistent store directory (`ATLAS_STORE`).  When set, the run
-    /// reads/writes `cache.json` (`atlas-cache/2`) and `specs.json`
-    /// (`atlas-spec/1`) in this directory: an existing cache warm-starts
-    /// the inference leg *across processes*, the run's verdicts are
-    /// persisted back (first-entry-wins merge), and the report gains a
-    /// `store` section with the reload hit rate and the cross-process
-    /// determinism verdict.
+    /// Persistent store root (`ATLAS_STORE`).  When set, both inference
+    /// legs are the store-backed run over this closure-sharded root
+    /// (`0x<closure>/{cache,specs}.json` per cluster): shards an earlier
+    /// process left splice without running the learner, missing ones are
+    /// learned and persisted.  The first leg's artifact is exported to
+    /// `specs.json` in the root, and the report gains a `store` section
+    /// with the splice counts and the cross-process determinism verdict.
     pub store: Option<PathBuf>,
     /// Record span events (`ATLAS_TRACE`).  Metrics counters are always
     /// collected; tracing additionally buffers the event stream a
@@ -194,13 +197,6 @@ pub struct BatchReport {
     pub recorder: Recorder,
 }
 
-/// Resolved store file locations inside the `ATLAS_STORE` directory.
-struct StorePaths {
-    dir: PathBuf,
-    cache: PathBuf,
-    specs: PathBuf,
-}
-
 /// Runs the full batch pipeline.  See the [module docs](self).
 ///
 /// # Errors
@@ -231,90 +227,52 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         ..AtlasConfig::default()
     };
 
-    // The persistent store: an existing cache warm-starts the first leg
-    // *across processes*; the leg's verdicts are persisted back afterwards.
-    let store = config.store.as_ref().map(|dir| StorePaths {
-        dir: dir.clone(),
-        cache: dir.join("cache.json"),
-        specs: dir.join("specs.json"),
-    });
-    let mut loaded_entries = 0usize;
-    let mut disk_cache: Option<VerdictCache> = None;
-    if let Some(paths) = &store {
-        if let Some((entries, cache)) = crate::storeleg::reload_cache(&paths.cache)? {
-            loaded_entries = entries;
-            disk_cache = Some(cache);
-        }
-    }
-    let warm_started_from_disk = disk_cache.is_some();
-
-    // 1. First inference leg, harvesting the verdict cache.  Cold — unless
-    //    the store held a cache, in which case this is a cross-process warm
-    //    run and every cached word skips its oracle execution.
-    let cold_start = Instant::now();
-    let mut engine =
+    // 1. The first inference leg: the store-backed run when a store is
+    //    configured (a seeded root splices every cluster — a warm start
+    //    across processes), a cold engine run otherwise.
+    let engine =
         Engine::new(&library, &interface, atlas_config.clone()).with_recorder(recorder.clone());
-    if let Some(cache) = disk_cache {
-        engine = engine.warm_start(cache);
-    }
-    let mut session = engine.session();
-    let cold = session.run();
-    let cold_time = cold_start.elapsed();
-    let reload_hit_rate = cold.cache_stats.warm_hit_rate();
-    let persist = match &store {
-        Some(paths) => Some(session.persist(&paths.cache)?),
-        None => None,
+    let (cold, cache) = match &config.store {
+        Some(root) => (Leg::store_backed(&engine, root)?, VerdictCache::new()),
+        None => Leg::run(&engine),
     };
-    let cache: VerdictCache = session.into_cache();
     let cache_entries = cache.len();
 
     // Export the inferred specification set.  When a previous process left
-    // one behind, byte-compare before overwriting: identical bytes mean the
-    // warm-started run inferred the *exact* same specifications — the
-    // cross-process determinism check.
-    let mut cross_process_identical = Json::Null;
-    if let Some(paths) = &store {
-        cross_process_identical = crate::storeleg::export_specs(
-            &library,
-            &interface,
-            &cold,
-            &paths.specs,
-            warm_started_from_disk,
-        )?
-        .identical;
-    }
+    // one behind, the export byte-compares against it before overwriting.
+    let specs_identical = match &config.store {
+        Some(root) => export_specs(&library, &cold.artifact, root)?,
+        None => Json::Null,
+    };
 
-    // 2. Warm re-run: same configuration, cache-fed.  Results must be
-    //    bit-identical; only executions (and wall-clock) drop.
-    let warm_start = Instant::now();
-    let warm = Engine::new(&library, &interface, atlas_config)
-        .with_recorder(recorder.with_lane_base(4096))
-        .warm_start(cache)
-        .run();
-    let warm_time = warm_start.elapsed();
-    let identical = outcomes_identical(&cold, &warm);
+    // 2. The warm leg must learn the identical artifact with no
+    //    executions: a second store-backed run over the same root (every
+    //    cluster splices), or the cold leg replayed from its verdicts.
+    let warm_engine = Engine::new(&library, &interface, atlas_config)
+        .with_recorder(recorder.with_lane_base(4096));
+    let warm = match &config.store {
+        Some(root) => Leg::store_backed(&warm_engine, root)?,
+        None => Leg::run(&warm_engine.warm_start(cache)).0,
+    };
+    let (cold_time, warm_time) = (cold.wall_time, warm.wall_time);
+    let identical = cold.artifact == warm.artifact;
 
     // Memoization already pays off within the cold run itself (sampling
     // re-draws candidates); the warm-start hit rate is reported separately.
     let cold_memo_hit_rate = cold.cache_stats.hit_rate();
 
-    // 3. The app suite, analyzed under all three variants.
+    // 3. The app suite, analyzed under all three variants; the inferred
+    //    variant reads the fragments of the first leg's artifact.
     let apps = generate_suite(&config.app_config);
-    let ctx = EvalContext {
-        library,
-        interface,
-        outcome: cold,
-        apps,
-    };
-
     let mut app_rows = Vec::new();
     let mut totals: Vec<VariantTotals> = vec![VariantTotals::default(); VARIANTS.len()];
-    for app in &ctx.apps {
-        let trivial = ctx.analyze(app, SpecSet::Empty);
+    for app in &apps {
+        let analyze = |spec_set| analyze_app(app, spec_set, |p| cold.artifact.fragments(p));
+        let trivial = analyze(SpecSet::Empty);
         let mut variants_json = Json::obj();
         for (i, (variant_name, spec_set)) in VARIANTS.iter().enumerate() {
             let t = Instant::now();
-            let analysis = ctx.analyze(app, *spec_set);
+            let analysis = analyze(*spec_set);
             let elapsed = t.elapsed();
             let found: BTreeSet<(String, String)> = analysis
                 .flows
@@ -396,10 +354,10 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         .set(
             "inference",
             Json::obj()
-                .set("clusters", ctx.outcome.clusters.len())
-                .set("positive_examples", ctx.outcome.total_positive_examples())
-                .set("oracle_queries", ctx.outcome.oracle_queries)
-                .set("cold_executions", ctx.outcome.oracle_executions)
+                .set("clusters", cold.artifact.clusters.len())
+                .set("positive_examples", cold.positive_examples)
+                .set("oracle_queries", cold.oracle_queries)
+                .set("cold_executions", cold.oracle_executions)
                 .set("warm_executions", warm.oracle_executions)
                 .set("cold_ms", cold_time.as_secs_f64() * 1e3)
                 .set("warm_ms", warm_time.as_secs_f64() * 1e3)
@@ -421,21 +379,11 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         )
         .set(
             "store",
-            match (&store, &persist) {
-                (Some(paths), Some(persisted)) => Json::obj()
-                    .set("path", paths.dir.display().to_string())
-                    .set("cache_file", paths.cache.display().to_string())
-                    .set("spec_file", paths.specs.display().to_string())
-                    .set("warm_started_from_disk", warm_started_from_disk)
-                    .set("loaded_entries", loaded_entries)
-                    .set("reload_hit_rate", reload_hit_rate)
-                    .set("persisted_entries", persisted.total_entries)
-                    .set("new_entries", persisted.new_entries)
-                    .set(
-                        "library_fingerprint",
-                        atlas_store::hex64_string(persisted.fingerprint),
-                    )
-                    .set("cross_process_identical", cross_process_identical.clone()),
+            match (&config.store, &cold.splice) {
+                (Some(root), Some(splice)) => splice.json(root, specs_identical.clone()).set(
+                    "library_fingerprint",
+                    atlas_store::hex64_string(cold.artifact.fingerprint),
+                ),
                 _ => Json::Null,
             },
         )
@@ -450,7 +398,7 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
          {:.1}% warm-hit rate, identical={identical})",
         cold_time,
         warm_time,
-        ctx.outcome.oracle_executions,
+        cold.oracle_executions,
         warm.oracle_executions,
         100.0 * cache_stats.warm_hit_rate(),
     );
@@ -459,16 +407,17 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         "cache: {cache_entries} entries, {} lookups, {} hits",
         cache_stats.lookups, cache_stats.hits
     );
-    if let (Some(paths), Some(persisted)) = (&store, &persist) {
-        if warm_started_from_disk {
+    if let (Some(root), Some(splice)) = (&config.store, &cold.splice) {
+        if splice.spliced > 0 {
             let _ = writeln!(
                 summary,
-                "store: warm-started from {} ({loaded_entries} entries, {:.1}% reload hit rate, \
-                 {} new verdicts persisted, specs identical={})",
-                paths.dir.display(),
-                100.0 * reload_hit_rate,
-                persisted.new_entries,
-                match &cross_process_identical {
+                "store: warm-started from {} ({} cluster(s) spliced, {} re-ran, {} verdicts, \
+                 specs identical={})",
+                root.display(),
+                splice.spliced,
+                splice.reran,
+                splice.spliced_verdicts,
+                match &specs_identical {
                     Json::Bool(b) => b.to_string(),
                     _ => "n/a".to_string(),
                 },
@@ -476,10 +425,9 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         } else {
             let _ = writeln!(
                 summary,
-                "store: cold run persisted {} verdicts and {} spec cluster(s) to {}",
-                persisted.total_entries,
-                ctx.outcome.clusters.len(),
-                paths.dir.display(),
+                "store: cold run persisted {} cluster shard(s) to {}",
+                splice.reran,
+                root.display(),
             );
         }
     }
@@ -500,21 +448,6 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         summary,
         recorder,
     })
-}
-
-/// Result-identity check between two inference outcomes: same automata
-/// (via extracted specs), same positives, same state counts.  Timings and
-/// execution counts are intentionally ignored — they are *supposed* to
-/// differ between cold and warm runs.
-fn outcomes_identical(a: &InferenceOutcome, b: &InferenceOutcome) -> bool {
-    a.clusters.len() == b.clusters.len()
-        && a.oracle_queries == b.oracle_queries
-        && a.state_counts() == b.state_counts()
-        && a.specs(8, 64) == b.specs(8, 64)
-        && a.clusters
-            .iter()
-            .zip(&b.clusters)
-            .all(|(x, y)| x.positives == y.positives && x.fsa == y.fsa)
 }
 
 #[cfg(test)]
@@ -572,20 +505,22 @@ mod tests {
     fn store_failures_are_positioned_errors_not_panics() {
         let dir = std::env::temp_dir().join(format!("atlas-batch-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("cache.json"), "{ not json").unwrap();
         let mut config = BatchConfig::small();
         config.samples = 50;
         config.app_config.count = 1;
         config.store = Some(dir.clone());
 
-        // A corrupt artifact surfaces as a positioned parse error carrying
-        // the offending file, before any inference runs.
+        // Seed the root, then corrupt one cluster's shard: the next run
+        // surfaces a positioned parse error carrying the offending file,
+        // before any cluster is learned.
+        run_batch(&config).expect("writable store");
+        let shard = atlas_store::list_shards(&dir).expect("seeded root")[0].clone();
+        std::fs::write(&shard.specs, "{ not json").unwrap();
         let err = run_batch(&config).unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, StoreError::Parse { .. }), "{msg}");
         assert!(
-            msg.contains("cache.json") && msg.contains("line 1"),
+            msg.contains(&shard.specs.display().to_string()) && msg.contains("line 1"),
             "{msg}"
         );
 
@@ -610,49 +545,55 @@ mod tests {
         config.samples = 250;
         config.app_config.count = 1;
         config.store = Some(dir.clone());
+        let int = |section: &Json, key: &str| section.get(key).and_then(Json::as_int);
 
-        // First run: cold, persists cache + specs.
+        // First run: the empty root fills cluster by cluster, and the
+        // in-process warm leg — a second store-backed run over the same
+        // root — splices all of it: no executions, identical artifact.
         let first = run_batch(&config).expect("writable store");
+        let inference = first.json.get("inference").expect("inference");
+        let clusters = int(inference, "clusters").expect("cluster count");
+        assert!(clusters > 0);
+        assert!(int(inference, "cold_executions").unwrap() > 0);
+        assert_eq!(int(inference, "warm_executions"), Some(0));
+        assert_eq!(inference.get("results_identical"), Some(&Json::Bool(true)));
         let store = first.json.get("store").expect("store section");
+        assert_eq!(int(store, "spliced_clusters"), Some(0));
+        assert_eq!(int(store, "reran_clusters"), Some(clusters));
+        assert_eq!(int(store, "forced_dirty"), Some(clusters));
+        assert_eq!(store.get("specs_identical"), Some(&Json::Null));
         assert_eq!(
-            store.get("warm_started_from_disk"),
-            Some(&Json::Bool(false))
+            atlas_store::list_shards(&dir).unwrap().len() as i64,
+            clusters,
+            "one shard per cluster"
         );
-        assert_eq!(store.get("loaded_entries"), Some(&Json::Int(0)));
-        assert_eq!(store.get("cross_process_identical"), Some(&Json::Null));
-        let persisted = store.get("persisted_entries").and_then(Json::as_int);
-        assert!(persisted.unwrap_or(0) > 0);
-        assert!(dir.join("cache.json").exists());
         assert!(dir.join("specs.json").exists());
         assert!(first.summary.contains("store: cold run persisted"));
 
         // Second run (fresh engine, same process — the binary-spawning
-        // cross-process variant lives in tests/cross_process.rs): reloads
-        // the registry, re-executes nothing, reproduces the spec file
-        // byte-for-byte, contributes no new entries.
+        // cross-process variant lives in tests/cross_process.rs): splices
+        // every cluster, executes nothing, reproduces the export
+        // byte-for-byte and the same app results.
         let second = run_batch(&config).expect("readable store");
         let store = second.json.get("store").expect("store section");
-        assert_eq!(store.get("warm_started_from_disk"), Some(&Json::Bool(true)));
-        assert_eq!(
-            store.get("loaded_entries").and_then(Json::as_int),
-            persisted
-        );
-        assert_eq!(
-            store.get("cross_process_identical"),
-            Some(&Json::Bool(true))
-        );
-        assert_eq!(store.get("new_entries"), Some(&Json::Int(0)));
-        let rate = store.get("reload_hit_rate").and_then(Json::as_f64).unwrap();
-        assert!(
-            rate > 0.99,
-            "every first-leg query reloads from disk: {rate}"
-        );
+        assert_eq!(int(store, "spliced_clusters"), Some(clusters));
+        assert_eq!(int(store, "reran_clusters"), Some(0));
+        assert_eq!(int(store, "forced_dirty"), Some(0));
+        assert!(int(store, "spliced_verdicts").unwrap() > 0);
+        assert_eq!(store.get("specs_identical"), Some(&Json::Bool(true)));
         let inference = second.json.get("inference").expect("inference");
         assert_eq!(
-            inference.get("cold_executions"),
-            Some(&Json::Int(0)),
-            "first leg re-executed nothing after the reload"
+            int(inference, "cold_executions"),
+            Some(0),
+            "first leg re-executed nothing after the splice"
         );
+        for section in ["apps", "totals"] {
+            assert_eq!(
+                crate::fleet::normalized(second.json.get(section).unwrap()),
+                crate::fleet::normalized(first.json.get(section).unwrap()),
+                "{section} differ between the cold and the spliced run"
+            );
+        }
         assert!(second.summary.contains("store: warm-started from"));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,7 +5,7 @@
 //! cargo run --release -p atlas-bench --bin batch > report.json
 //! # or, to also keep a copy on disk:
 //! ATLAS_BATCH_OUT=target/batch.json cargo run --release -p atlas-bench --bin batch
-//! # cross-process warm start via the persistent store:
+//! # cross-process warm start via the closure-sharded store:
 //! ATLAS_STORE=target/atlas-store cargo run --release -p atlas-bench --bin batch
 //! ATLAS_STORE=target/atlas-store cargo run --release -p atlas-bench --bin batch -- --expect-warm
 //! ```
@@ -21,16 +21,16 @@
 //! * `--threads N` — engine worker threads, overriding `ATLAS_THREADS`
 //!   (0 = one per core); CI matrices pass this instead of mutating the
 //!   environment.
-//! * `--store PATH` — persistent store directory, overriding `ATLAS_STORE`.
+//! * `--store PATH` — closure-sharded store root, overriding `ATLAS_STORE`.
 //! * `--trace` — record span events (overriding `ATLAS_TRACE`); never
 //!   changes results.
 //! * `--trace-out PATH` — write the run's Chrome trace-event JSON to
 //!   `PATH` (implies `--trace`; overrides `ATLAS_TRACE_OUT`).
 //! * `--expect-warm` — assert the cross-process warm-start invariants after
-//!   the run: the store had a cache, the reload hit rate is nonzero, the
-//!   first leg re-executed nothing, and the inferred spec set is
-//!   byte-identical to the previous process's export.  Exits `1` when any
-//!   of that fails, so CI smoke steps can rely on it.
+//!   the run: every cluster spliced from the store (none re-ran or was
+//!   forced dirty), the first leg executed no unit test, and the inferred
+//!   spec set is byte-identical to the previous process's export.  Exits
+//!   `1` when any of that fails, so CI smoke steps can rely on it.
 
 use atlas_bench::Json;
 use std::path::PathBuf;
@@ -105,13 +105,14 @@ fn main() {
 
 /// The `--expect-warm` contract: everything a cross-process warm start
 /// promises, checked from the report itself.  Failure messages name the
-/// store files involved, so a cold store is diagnosable from the CI log
-/// alone.
+/// store root and export involved, so a cold store is diagnosable from the
+/// CI log alone.
 fn verify_warm_start(report: &Json) {
     let store = report.get("store").unwrap_or(&Json::Null);
     let inference = report.get("inference").unwrap_or(&Json::Null);
-    let cache_file = store
-        .get("cache_file")
+    let int = |section: &Json, key: &str| section.get(key).and_then(Json::as_int);
+    let root = store
+        .get("root")
         .and_then(Json::as_str)
         .unwrap_or("<no store configured>");
     let spec_file = store
@@ -119,30 +120,35 @@ fn verify_warm_start(report: &Json) {
         .and_then(Json::as_str)
         .unwrap_or("<no store configured>");
     let mut failures = Vec::new();
-    if store.get("warm_started_from_disk").and_then(Json::as_bool) != Some(true) {
+    let clusters = int(inference, "clusters");
+    if clusters.unwrap_or(0) == 0 || int(store, "spliced_clusters") != clusters {
         failures.push(format!(
-            "the store held no cache to warm-start from (expected {cache_file})"
+            "not every cluster spliced from {root}: {:?} of {clusters:?}",
+            int(store, "spliced_clusters")
         ));
     }
-    match store.get("reload_hit_rate").and_then(Json::as_f64) {
-        Some(rate) if rate > 0.0 => {}
-        rate => failures.push(format!(
-            "reload hit rate from {cache_file} is not positive: {rate:?}"
-        )),
+    for key in ["reran_clusters", "forced_dirty"] {
+        match int(store, key) {
+            Some(0) => {}
+            n => failures.push(format!("{key} is not 0 despite {root}: {n:?}")),
+        }
     }
-    if store.get("cross_process_identical").and_then(Json::as_bool) != Some(true) {
+    if store.get("specs_identical").and_then(Json::as_bool) != Some(true) {
         failures.push(format!(
             "inferred spec set differs from the previous process's export at {spec_file}"
         ));
     }
-    match inference.get("cold_executions").and_then(Json::as_int) {
+    match int(inference, "cold_executions") {
         Some(0) => {}
         n => failures.push(format!(
-            "first leg re-executed unit tests despite {cache_file}: {n:?}"
+            "first leg executed unit tests despite {root}: {n:?}"
         )),
     }
     if failures.is_empty() {
-        eprintln!("batch: cross-process warm start verified (identical specs, 0 re-executions)");
+        eprintln!(
+            "batch: cross-process warm start verified (every cluster spliced, identical specs, \
+             0 re-executions)"
+        );
     } else {
         for failure in &failures {
             eprintln!("batch: --expect-warm failed: {failure}");

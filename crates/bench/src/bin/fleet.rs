@@ -1,9 +1,10 @@
 //! The multi-library fleet pipeline: concurrent inference over a registry
-//! of library variants with per-library sharded stores, one JSON report.
+//! of library variants with one closure-sharded store root per member, one
+//! JSON report.
 //!
 //! ```sh
 //! cargo run --release -p atlas-bench --bin fleet > report.json
-//! # sharded cross-process warm start:
+//! # cross-process warm start from the member roots:
 //! ATLAS_FLEET_STORE=target/atlas-fleet cargo run --release -p atlas-bench --bin fleet
 //! ATLAS_FLEET_STORE=target/atlas-fleet cargo run --release -p atlas-bench --bin fleet -- --expect-warm
 //! ```
@@ -11,7 +12,8 @@
 //! The human summary goes to stderr, the `atlas-fleet/1` JSON document to
 //! stdout (and to `ATLAS_FLEET_OUT` when set).  Budgets come from the
 //! usual knobs (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus `ATLAS_FLEET_STORE`
-//! (sharded store root), `ATLAS_FLEET_SEED` (synthetic-library seed), and
+//! (store root; member `m` keeps its closure shards under `<root>/m/`),
+//! `ATLAS_FLEET_SEED` (synthetic-library seed), and
 //! `ATLAS_FLEET_LIBS` (comma-separated member names).
 //!
 //! Flags:
@@ -22,7 +24,7 @@
 //!   (0 = one per core); bounds outer workers × per-library threads.
 //! * `--samples N` — per-cluster sampling budget, overriding
 //!   `ATLAS_SAMPLES`.
-//! * `--store ROOT` — sharded store root, overriding `ATLAS_FLEET_STORE`.
+//! * `--store ROOT` — store root, overriding `ATLAS_FLEET_STORE`.
 //! * `--normalized-out PATH` — additionally write the timing-stripped
 //!   report (see `atlas_bench::fleet::normalized`); two same-seed runs
 //!   against the same store state produce byte-identical files, which CI
@@ -31,9 +33,9 @@
 //!   changes results.
 //! * `--trace-out PATH` — write the run's Chrome trace-event JSON to
 //!   `PATH` (implies `--trace`; overrides `ATLAS_TRACE_OUT`).
-//! * `--expect-warm` — assert that *every* library warm-started from its
-//!   shard with zero re-executions and a byte-identical spec export; exits
-//!   `1` otherwise.
+//! * `--expect-warm` — assert that *every* library spliced every cluster
+//!   from its member root, with zero executions and a byte-identical spec
+//!   export; exits `1` otherwise.
 
 use atlas_bench::fleet::{self, FleetConfig};
 use atlas_bench::Json;
@@ -140,9 +142,9 @@ fn main() {
     }
 }
 
-/// The `--expect-warm` contract: every fleet member warm-started from its
-/// shard, re-executed nothing, and reproduced its spec export byte for
-/// byte.
+/// The `--expect-warm` contract: every fleet member spliced every cluster
+/// from its root, executed nothing, and reproduced its spec export byte
+/// for byte.
 fn verify_warm_start(report: &Json) {
     let mut failures = Vec::new();
     let empty = Vec::new();
@@ -153,42 +155,43 @@ fn verify_warm_start(report: &Json) {
     if libraries.is_empty() {
         failures.push("the report lists no libraries".to_string());
     }
+    let int = |section: &Json, key: &str| section.get(key).and_then(Json::as_int);
     for row in libraries {
         let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
         let store = row.get("store").unwrap_or(&Json::Null);
-        // Name the shard directory in every failure, so the CI log alone
-        // says which store location was cold.
-        let shard = store
-            .get("shard")
+        // Name the member root in every failure, so the CI log alone says
+        // which store location was cold.
+        let root = store
+            .get("root")
             .and_then(Json::as_str)
-            .unwrap_or("<no shard configured>");
-        if store.get("warm_started_from_disk").and_then(Json::as_bool) != Some(true) {
+            .unwrap_or("<no store configured>");
+        let clusters = int(row, "clusters");
+        if clusters.unwrap_or(0) == 0 || int(store, "spliced_clusters") != clusters {
             failures.push(format!(
-                "{name}: shard {shard} held no cache to warm-start from"
+                "{name}: not every cluster spliced from {root}: {:?} of {clusters:?}",
+                int(store, "spliced_clusters")
             ));
         }
-        match store.get("reload_hit_rate").and_then(Json::as_f64) {
-            Some(rate) if rate > 0.0 => {}
-            rate => failures.push(format!(
-                "{name}: reload hit rate from shard {shard} is not positive: {rate:?}"
-            )),
+        for key in ["reran_clusters", "forced_dirty"] {
+            match int(store, key) {
+                Some(0) => {}
+                n => failures.push(format!("{name}: {key} is not 0 despite {root}: {n:?}")),
+            }
         }
         if store.get("specs_identical").and_then(Json::as_bool) != Some(true) {
             failures.push(format!(
-                "{name}: inferred spec set differs from the export in shard {shard}"
+                "{name}: inferred spec set differs from the export in {root}"
             ));
         }
-        match row.get("executions").and_then(Json::as_int) {
+        match int(row, "executions") {
             Some(0) => {}
-            n => failures.push(format!(
-                "{name}: re-executed unit tests despite shard {shard}: {n:?}"
-            )),
+            n => failures.push(format!("{name}: executed unit tests despite {root}: {n:?}")),
         }
     }
     if failures.is_empty() {
         eprintln!(
-            "fleet: cross-process warm start verified for {} shard(s) \
-             (identical specs, 0 re-executions)",
+            "fleet: cross-process warm start verified for {} member(s) \
+             (every cluster spliced, identical specs, 0 re-executions)",
             libraries.len()
         );
     } else {

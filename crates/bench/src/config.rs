@@ -8,8 +8,8 @@
 //! | `ATLAS_SAMPLES` | phase-one sampling budget per class cluster | 4000 |
 //! | `ATLAS_APPS` | generated benchmark app count | 46 |
 //! | `ATLAS_THREADS` | total worker-thread budget (0 = one per core) | 0 |
-//! | `ATLAS_STORE` | persistent store directory (batch: flat layout) | unset |
-//! | `ATLAS_FLEET_STORE` | fingerprint-sharded fleet store root | unset |
+//! | `ATLAS_STORE` | batch store root: one closure shard per cluster + the `specs.json` export | unset |
+//! | `ATLAS_FLEET_STORE` | fleet store root: member `m`'s closure-sharded root is `<root>/m/` | unset |
 //! | `ATLAS_FLEET_SEED` | base seed of the synthetic fleet libraries | `0x5EED` |
 //! | `ATLAS_FLEET_LIBS` | comma-separated fleet library names | registry default |
 //! | `ATLAS_SERVE_EDITS` | serve-leg edit-stream length per session | 1000 |
@@ -50,12 +50,13 @@ pub fn app_count() -> usize {
     env_parse("ATLAS_APPS").unwrap_or(46)
 }
 
-/// Reads the batch pipeline's flat store directory from `ATLAS_STORE`.
+/// Reads the batch pipeline's closure-sharded store root from `ATLAS_STORE`.
 pub fn store_dir() -> Option<PathBuf> {
     env_path("ATLAS_STORE")
 }
 
-/// Reads the fleet pipeline's sharded store root from `ATLAS_FLEET_STORE`.
+/// Reads the fleet pipeline's store root from `ATLAS_FLEET_STORE` (one
+/// closure-sharded root per member beneath it).
 pub fn fleet_store_root() -> Option<PathBuf> {
     env_path("ATLAS_FLEET_STORE")
 }

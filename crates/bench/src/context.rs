@@ -96,40 +96,7 @@ impl EvalContext {
 
     /// Analyzes one app under the given specification set.
     pub fn analyze(&self, app: &GeneratedApp, specs: SpecSet) -> AppAnalysis {
-        let program = &app.program;
-        let options = match specs {
-            SpecSet::Empty => ExtractionOptions::empty_specs(),
-            SpecSet::Implementation => ExtractionOptions::with_implementation(),
-            SpecSet::Handwritten => {
-                // Like the inferred set, the handwritten library corpus is
-                // combined with the flow client's source-method models.
-                let mut overrides = to_overrides(handwritten_specs(program));
-                for (m, body) in android_model_specs(program) {
-                    overrides.entry(m).or_insert(body);
-                }
-                ExtractionOptions::with_specs(overrides)
-            }
-            SpecSet::GroundTruth => {
-                ExtractionOptions::with_specs(to_overrides(ground_truth_specs(program)))
-            }
-            SpecSet::Inferred => {
-                // The inferred library specifications are combined with the
-                // flow client's own source-method models (manual annotations
-                // in the paper's setup).
-                let mut overrides = self.inferred_fragments(program).to_overrides();
-                for (m, body) in android_model_specs(program) {
-                    overrides.entry(m).or_insert(body);
-                }
-                ExtractionOptions::with_specs(overrides)
-            }
-        };
-        let graph = Graph::extract(program, &options);
-        let result = Solver::new().solve(&graph);
-        let stats = PointsToStats::collect(program, &graph, &result);
-        let sources = atlas_flow::source_methods(program, SOURCE_METHODS);
-        let sinks = atlas_flow::sink_methods(program, SINK_METHODS);
-        let flows = find_flows(program, &graph, &result, &sources, &sinks);
-        AppAnalysis { stats, flows }
+        analyze_app(app, specs, |program| self.inferred_fragments(program))
     }
 
     /// Non-trivial client points-to edge count for one app under one
@@ -139,6 +106,51 @@ impl EvalContext {
         let run = self.analyze(app, specs);
         run.stats.nontrivial(&trivial.stats)
     }
+}
+
+/// Analyzes one app under the given specification set; `inferred`
+/// generates the inferred fragments against the app's program when the
+/// set is [`SpecSet::Inferred`] (from a live outcome, or from a persisted
+/// `atlas-spec/1` artifact via `SpecArtifact::fragments`).
+pub fn analyze_app(
+    app: &GeneratedApp,
+    specs: SpecSet,
+    inferred: impl FnOnce(&Program) -> CodeFragments,
+) -> AppAnalysis {
+    let program = &app.program;
+    let options = match specs {
+        SpecSet::Empty => ExtractionOptions::empty_specs(),
+        SpecSet::Implementation => ExtractionOptions::with_implementation(),
+        SpecSet::Handwritten => {
+            // Like the inferred set, the handwritten library corpus is
+            // combined with the flow client's source-method models.
+            let mut overrides = to_overrides(handwritten_specs(program));
+            for (m, body) in android_model_specs(program) {
+                overrides.entry(m).or_insert(body);
+            }
+            ExtractionOptions::with_specs(overrides)
+        }
+        SpecSet::GroundTruth => {
+            ExtractionOptions::with_specs(to_overrides(ground_truth_specs(program)))
+        }
+        SpecSet::Inferred => {
+            // The inferred library specifications are combined with the
+            // flow client's own source-method models (manual annotations
+            // in the paper's setup).
+            let mut overrides = inferred(program).to_overrides();
+            for (m, body) in android_model_specs(program) {
+                overrides.entry(m).or_insert(body);
+            }
+            ExtractionOptions::with_specs(overrides)
+        }
+    };
+    let graph = Graph::extract(program, &options);
+    let result = Solver::new().solve(&graph);
+    let stats = PointsToStats::collect(program, &graph, &result);
+    let sources = atlas_flow::source_methods(program, SOURCE_METHODS);
+    let sinks = atlas_flow::sink_methods(program, SINK_METHODS);
+    let flows = find_flows(program, &graph, &result, &sources, &sinks);
+    AppAnalysis { stats, flows }
 }
 
 fn to_overrides(

@@ -11,13 +11,16 @@
 //!   each library's [`Engine`] keeps its per-cluster parallelism; the two
 //!   levels share one [`ThreadBudget`], so `ATLAS_THREADS` bounds the
 //!   *total* worker count (`outer × inner ≤ budget`);
-//! * with a store root configured, every library warm-starts from and
-//!   persists back to its own *fingerprint-sharded* directory
-//!   (`<root>/0x<fingerprint>/cache.json` + `specs.json`, see
-//!   `atlas_store::shard_entry`) — shards never race because fleet members
-//!   are distinct library contents;
-//! * each library's inferred fragments are scored against its ground-truth
-//!   corpus (statement-level precision/recall via
+//! * with a store root configured, every library runs the store-backed
+//!   run over its own closure-sharded root `<root>/<member>/` (one
+//!   `0x<closure>/{cache,specs}.json` shard per cluster, plus the member's
+//!   `specs.json` export): an empty root fills cluster by cluster, a
+//!   seeded one splices every cluster without running the learner.  One
+//!   root per member, because two members writing one shard would merge
+//!   their caches and make its bytes depend on scheduling;
+//! * each library's inferred fragments — read from the run's
+//!   `atlas-spec/1` artifact — are scored against its ground-truth corpus
+//!   (statement-level precision/recall via
 //!   [`atlas_core::compare_fragments`]), restricted to the classes its
 //!   clusters cover;
 //! * the run emits a versioned `atlas-fleet/1` JSON report with
@@ -34,10 +37,8 @@
 
 use crate::config;
 use crate::json::Json;
-use atlas_core::{
-    compare_fragments, AtlasConfig, Engine, InferenceOutcome, PersistSummary, StoreError,
-    ThreadBudget,
-};
+use crate::storeleg::{export_specs, Leg};
+use atlas_core::{compare_fragments, AtlasConfig, Engine, StoreError, ThreadBudget};
 use atlas_ir::{ClassId, LibraryInterface, MethodId, Stmt};
 use atlas_obs::Recorder;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,8 +48,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::storeleg::{SPEC_LIMIT, SPEC_MAX_LEN};
 
 /// An error raised by a fleet (or serve) run.
 #[derive(Debug)]
@@ -110,14 +109,15 @@ pub fn build_library(name: &str, synth_seed: u64) -> Result<FleetLibrary, FleetE
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Registry names of the fleet members, in report order.  Duplicates
-    /// are dropped (they would race on the same store shard).
+    /// are dropped (they would race on the same member root).
     pub libraries: Vec<String>,
     /// Phase-one sampling budget per class cluster.
     pub samples: usize,
     /// Global worker-thread budget (`0` = one per core), split between the
     /// outer scheduler and the per-library engines.
     pub threads: usize,
-    /// Fingerprint-sharded store root (`ATLAS_FLEET_STORE`).
+    /// Store root (`ATLAS_FLEET_STORE`): member `m` keeps its
+    /// closure-sharded root at `<store_root>/m/`.
     pub store_root: Option<PathBuf>,
     /// Base seed of the synthetic libraries (`ATLAS_FLEET_SEED`).
     pub synth_seed: u64,
@@ -127,8 +127,8 @@ pub struct FleetConfig {
 }
 
 /// The default fleet: two javalib subsets and two synthetic libraries —
-/// four distinct library contents, enough to exercise the sharded store
-/// and the two-level scheduler without the full javalib's cost.
+/// four distinct library contents, enough to exercise the per-member
+/// stores and the two-level scheduler without the full javalib's cost.
 pub const DEFAULT_FLEET: &[&str] = &[
     "javalib-lang",
     "javalib-android",
@@ -198,31 +198,25 @@ pub struct FleetReport {
 /// What one worker produced for one library.
 struct LibraryRun {
     name: String,
-    fingerprint: u64,
-    outcome: InferenceOutcome,
+    leg: Leg,
     interface_methods: usize,
     num_classes: usize,
-    wall_time: Duration,
-    // Store leg (None without a store root).
-    shard_dir: Option<PathBuf>,
-    loaded_entries: usize,
-    warm_started: bool,
-    persisted: Option<PersistSummary>,
-    specs_identical: Json,
+    /// The member's store root and the spec-export verdict (None without
+    /// a store root).
+    store: Option<(PathBuf, Json)>,
     // Scoring.
     precision: f64,
     recall: f64,
     exact: usize,
     reference_methods: usize,
     inferred_methods: usize,
-    num_specs: usize,
 }
 
 use atlas_store::hex64_string as hex;
 
-/// Runs the full inference pipeline for one library: warm-start from its
-/// shard, infer, persist back, byte-compare the spec export, score against
-/// ground truth.
+/// Runs the full inference pipeline for one library: the store-backed run
+/// over its member root (or a plain run without a store), the
+/// byte-compared spec export, and scoring against ground truth.
 fn run_library(
     lib: &FleetLibrary,
     fleet: &FleetConfig,
@@ -240,46 +234,17 @@ fn run_library(
     // Library `i` records on lane stripe `i * 4096`: stripes are keyed by
     // the *configuration order*, not the worker that happened to run the
     // library, so the exported event stream is schedule-independent.
-    let mut engine = Engine::new(&lib.program, &interface, atlas_config)
+    let engine = Engine::new(&lib.program, &interface, atlas_config)
         .with_recorder(recorder.with_lane_base(index as u64 * 4096));
-    let fingerprint = engine.provenance().fingerprint;
-    let shard = fleet
-        .store_root
-        .as_ref()
-        .map(|root| atlas_store::shard_entry(root, fingerprint));
-
-    let mut loaded_entries = 0usize;
-    let mut warm_started = false;
-    if let Some(shard) = &shard {
-        if let Some((entries, cache)) = crate::storeleg::reload_cache(&shard.cache)? {
-            loaded_entries = entries;
-            engine = engine.warm_start(cache);
-            warm_started = true;
+    let (leg, store) = match &fleet.store_root {
+        Some(root) => {
+            let member = root.join(&lib.name);
+            let leg = Leg::store_backed(&engine, &member)?;
+            let identical = export_specs(&lib.program, &leg.artifact, &member)?;
+            (leg, Some((member, identical)))
         }
-    }
-
-    let wall = Instant::now();
-    let mut session = engine.session();
-    let outcome = session.run();
-    let wall_time = wall.elapsed();
-
-    let mut persisted = None;
-    let mut specs_identical = Json::Null;
-    let num_specs;
-    if let Some(shard) = &shard {
-        persisted = Some(session.persist(&shard.cache)?);
-        let export = crate::storeleg::export_specs(
-            &lib.program,
-            &interface,
-            &outcome,
-            &shard.specs,
-            warm_started,
-        )?;
-        specs_identical = export.identical;
-        num_specs = export.num_specs;
-    } else {
-        num_specs = outcome.specs(SPEC_MAX_LEN, SPEC_LIMIT).len();
-    }
+        None => (Leg::run(&engine).0, None),
+    };
 
     // Score the inferred fragments against the ground truth of the classes
     // the clusters actually cover (the corpus may describe more).
@@ -290,26 +255,20 @@ fn run_library(
         .filter(|(m, _)| cluster_classes.contains(&lib.program.method(**m).class()))
         .map(|(m, body)| (*m, body.clone()))
         .collect();
-    let comparison = compare_fragments(&lib.program, &outcome.fragments(&lib.program), &reference);
+    let fragments = leg.artifact.fragments(&lib.program);
+    let comparison = compare_fragments(&lib.program, &fragments, &reference);
 
     Ok(LibraryRun {
         name: lib.name.clone(),
-        fingerprint,
         interface_methods: interface.num_methods(),
         num_classes: lib.program.num_classes(),
-        wall_time,
-        shard_dir: shard.map(|s| s.dir),
-        loaded_entries,
-        warm_started,
-        persisted,
-        specs_identical,
+        store,
         precision: comparison.precision(),
         recall: comparison.recall(),
         exact: comparison.exact_matches(),
         reference_methods: comparison.reference_methods(),
         inferred_methods: comparison.inferred_methods(),
-        num_specs,
-        outcome,
+        leg,
     })
 }
 
@@ -387,37 +346,29 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
     let mut total_specs = 0usize;
     let mut cpu_time = Duration::ZERO;
     for run in &runs {
-        let stats = run.outcome.cache_stats;
-        total_queries += run.outcome.oracle_queries;
-        total_executions += run.outcome.oracle_executions;
+        let leg = &run.leg;
+        let stats = leg.cache_stats;
+        let num_specs = leg.artifact.num_specs();
+        total_queries += leg.oracle_queries;
+        total_executions += leg.oracle_executions;
         total_warm_hits += stats.warm_hits;
-        total_positives += run.outcome.total_positive_examples();
-        total_specs += run.num_specs;
-        cpu_time += run.outcome.phase1_time + run.outcome.phase2_time;
-        let store_json = match &run.shard_dir {
-            None => Json::Null,
-            Some(dir) => {
-                let persisted = run.persisted.as_ref().expect("persisted with a store");
-                Json::obj()
-                    .set("shard", dir.display().to_string())
-                    .set("warm_started_from_disk", run.warm_started)
-                    .set("loaded_entries", run.loaded_entries)
-                    .set("reload_hit_rate", stats.warm_hit_rate())
-                    .set("persisted_entries", persisted.total_entries)
-                    .set("new_entries", persisted.new_entries)
-                    .set("specs_identical", run.specs_identical.clone())
-            }
+        total_positives += leg.positive_examples;
+        total_specs += num_specs;
+        cpu_time += leg.phase1_time + leg.phase2_time;
+        let store_json = match (&run.store, &leg.splice) {
+            (Some((root, identical)), Some(splice)) => splice.json(root, identical.clone()),
+            _ => Json::Null,
         };
         rows.push(
             Json::obj()
                 .set("name", run.name.as_str())
-                .set("library_fingerprint", hex(run.fingerprint))
+                .set("library_fingerprint", hex(leg.artifact.fingerprint))
                 .set("classes", run.num_classes)
                 .set("interface_methods", run.interface_methods)
-                .set("clusters", run.outcome.clusters.len())
-                .set("positive_examples", run.outcome.total_positive_examples())
-                .set("oracle_queries", run.outcome.oracle_queries)
-                .set("executions", run.outcome.oracle_executions)
+                .set("clusters", leg.artifact.clusters.len())
+                .set("positive_examples", leg.positive_examples)
+                .set("oracle_queries", leg.oracle_queries)
+                .set("executions", leg.oracle_executions)
                 .set(
                     "cache",
                     Json::obj()
@@ -432,7 +383,7 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
                 .set(
                     "specs",
                     Json::obj()
-                        .set("extracted", run.num_specs)
+                        .set("extracted", num_specs)
                         .set("inferred_methods", run.inferred_methods)
                         .set("reference_methods", run.reference_methods)
                         .set("exact", run.exact)
@@ -442,28 +393,28 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
                 .set(
                     "timings",
                     Json::obj()
-                        .set("wall_ms", run.wall_time.as_secs_f64() * 1e3)
-                        .set("phase1_ms", run.outcome.phase1_time.as_secs_f64() * 1e3)
-                        .set("phase2_ms", run.outcome.phase2_time.as_secs_f64() * 1e3),
+                        .set("wall_ms", leg.wall_time.as_secs_f64() * 1e3)
+                        .set("phase1_ms", leg.phase1_time.as_secs_f64() * 1e3)
+                        .set("phase2_ms", leg.phase2_time.as_secs_f64() * 1e3),
                 ),
         );
         let _ = writeln!(
             summary,
-            "{:>18}: {} clusters, {} positives, {} specs, precision {:.2}, recall {:.2}, \
+            "{:>18}: {} clusters, {} positives, {num_specs} specs, precision {:.2}, recall {:.2}, \
              {} executions{} in {:.2?}",
             run.name,
-            run.outcome.clusters.len(),
-            run.outcome.total_positive_examples(),
-            run.num_specs,
+            leg.artifact.clusters.len(),
+            leg.positive_examples,
             run.precision,
             run.recall,
-            run.outcome.oracle_executions,
-            if run.warm_started {
-                format!(" (warm, {} reloaded)", run.loaded_entries)
-            } else {
-                String::new()
+            leg.oracle_executions,
+            match &leg.splice {
+                Some(splice) if splice.spliced > 0 => {
+                    format!(" (warm, {} cluster(s) spliced)", splice.spliced)
+                }
+                _ => String::new(),
             },
-            run.wall_time,
+            leg.wall_time,
         );
     }
 

@@ -17,24 +17,24 @@
 //!
 //! Beyond the per-figure binaries, the [`batch`] module is the
 //! machine-readable pipeline: one `batch` run performs cold + warm-started
-//! inference (exercising the verdict cache end to end) and analyzes the
-//! whole generated-app suite under the inferred, handwritten, and
-//! ground-truth specification variants, emitting a JSON report
-//! (`atlas-batch/1`) with per-app timings, cache hit rates, and
-//! precision/recall.  With `ATLAS_STORE=dir` (or `--store`), the pipeline
-//! additionally persists its verdict cache and inferred specification set
-//! through the `atlas-store` registry and warm-starts from them on the
-//! next invocation — *across processes*; `--expect-warm` turns the
-//! invariants (nonzero reload hit rate, zero re-executions, byte-identical
-//! spec export) into an exit code for CI.
+//! inference and analyzes the whole generated-app suite under the
+//! inferred, handwritten, and ground-truth specification variants,
+//! emitting a JSON report (`atlas-batch/1`) with per-app timings, cache
+//! hit rates, and precision/recall.  With `ATLAS_STORE=dir` (or
+//! `--store`), inference is the store-backed run over that closure-sharded
+//! root: the first invocation fills it with one shard per cluster, and the
+//! next — *across processes* — splices every cluster back without running
+//! the learner; `--expect-warm` turns the invariants (every cluster
+//! spliced, zero executions, byte-identical spec export) into an exit code
+//! for CI.
 //!
 //! The [`fleet`] module scales the pipeline from one library to a
 //! *population*: registered `atlas-javalib` variants plus deterministic
 //! synthetic libraries run concurrently under an outer work-stealing
 //! scheduler (two-level parallelism under one `ATLAS_THREADS` budget),
-//! each warm-starting from and persisting to its own fingerprint-sharded
-//! store directory, scored against its ground truth, and reported as one
-//! `atlas-fleet/1` document (the `fleet` binary).
+//! each running the store-backed run over its own member root
+//! (`<root>/<member>/`), scored against its ground truth, and reported as
+//! one `atlas-fleet/1` document (the `fleet` binary).
 //!
 //! The [`serve`] module drives the *resident* deployment mode: spawn an
 //! in-process `atlas-serve` daemon over a closure-sharded store, open

@@ -2,13 +2,14 @@
 //! for, proven with real process boundaries rather than in-process
 //! instances.
 //!
-//! A first `batch` invocation runs cold and persists its verdict cache and
-//! inferred specification set into an `ATLAS_STORE` directory.  A second,
-//! completely fresh invocation — new process, new program build, nothing
-//! shared but the directory — must warm-start from the files, re-execute
-//! zero unit tests, and export a byte-identical specification set.  The
-//! second invocation runs under `--expect-warm`, so the binary itself also
-//! enforces the invariants it reports.
+//! A first `batch` invocation runs cold against an empty `ATLAS_STORE`
+//! root and fills it with one closure shard per cluster plus the
+//! whole-run `specs.json` export.  A second, completely fresh invocation —
+//! new process, new program build, nothing shared but the directory —
+//! must splice every cluster from its shard, execute zero unit tests,
+//! export a byte-identical specification set and report the same app
+//! results.  The second invocation runs under `--expect-warm`, so the
+//! binary itself also enforces the invariants it reports.
 
 use atlas_bench::Json;
 use std::path::Path;
@@ -41,64 +42,76 @@ fn run_batch_process(store: &Path, extra_args: &[&str], extra_env: &[(&str, &str
 fn warm_start_is_exact_across_process_boundaries() {
     let dir = std::env::temp_dir().join(format!("atlas-cross-process-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let int = |doc: &Json, section: &str, key: &str| {
+        doc.get(section)
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("{section}.{key} missing"))
+    };
 
     // Process 1: cold; pays for every oracle execution and fills the store.
     // An empty report path means "no copy", like every other empty knob —
     // it must not fail the finished run.
     let cold = run_batch_process(&dir, &[], &[("ATLAS_BATCH_OUT", "")]);
-    let store = cold.get("store").expect("store section");
-    assert_eq!(
-        store.get("warm_started_from_disk"),
-        Some(&Json::Bool(false))
+    let clusters = int(&cold, "inference", "clusters");
+    assert!(clusters > 0);
+    assert_eq!(int(&cold, "store", "spliced_clusters"), 0);
+    assert_eq!(int(&cold, "store", "reran_clusters"), clusters);
+    assert!(
+        int(&cold, "inference", "cold_executions") > 0,
+        "the cold process actually executed"
     );
-    let persisted = store
-        .get("persisted_entries")
-        .and_then(Json::as_int)
-        .expect("persisted entry count");
-    assert!(persisted > 0, "the cold process persists its verdicts");
-    let cold_executions = cold
-        .get("inference")
-        .and_then(|i| i.get("cold_executions"))
-        .and_then(Json::as_int)
-        .expect("execution count");
-    assert!(cold_executions > 0, "the cold process actually executed");
-    let spec_file = store
-        .get("spec_file")
+    assert_eq!(
+        atlas_store::list_shards(&dir).expect("store root").len() as i64,
+        clusters,
+        "the cold process persists one shard per cluster"
+    );
+    let spec_file = cold
+        .get("store")
+        .and_then(|s| s.get("spec_file"))
         .and_then(Json::as_str)
-        .expect("spec file path");
-    let spec_bytes = std::fs::read(spec_file).expect("spec artifact exists");
+        .expect("spec file path")
+        .to_string();
+    let spec_bytes = std::fs::read(&spec_file).expect("spec artifact exists");
 
     // Process 2: fresh process, same store; also passes --threads (the CLI
     // override) and --expect-warm, so the binary exits nonzero unless the
     // warm-start invariants hold.
     let warm = run_batch_process(&dir, &["--threads", "1", "--expect-warm"], &[]);
-    let store = warm.get("store").expect("store section");
-    assert_eq!(store.get("warm_started_from_disk"), Some(&Json::Bool(true)));
     assert_eq!(
-        store.get("loaded_entries").and_then(Json::as_int),
-        Some(persisted),
-        "the fresh process reloads exactly what the first persisted"
+        int(&warm, "store", "spliced_clusters"),
+        clusters,
+        "the fresh process splices every cluster"
     );
+    assert_eq!(int(&warm, "store", "reran_clusters"), 0);
+    assert_eq!(int(&warm, "store", "forced_dirty"), 0);
+    assert!(int(&warm, "store", "spliced_verdicts") > 0);
     assert_eq!(
-        store.get("cross_process_identical"),
+        warm.get("store").and_then(|s| s.get("specs_identical")),
         Some(&Json::Bool(true)),
         "the inferred spec set is byte-identical across processes"
     );
-    assert_eq!(store.get("new_entries"), Some(&Json::Int(0)));
-    let rate = store
-        .get("reload_hit_rate")
-        .and_then(Json::as_f64)
-        .expect("reload hit rate");
-    assert!(rate > 0.99, "every query reloads from disk, got {rate}");
     assert_eq!(
-        warm.get("inference")
-            .and_then(|i| i.get("cold_executions"))
-            .and_then(Json::as_int),
-        Some(0),
-        "zero oracle re-executions for cached words"
+        (
+            int(&warm, "inference", "cold_executions"),
+            int(&warm, "inference", "warm_executions")
+        ),
+        (0, 0),
+        "zero unit tests run in the warm process"
     );
-    // The spec artifact on disk is unchanged byte-for-byte.
-    assert_eq!(std::fs::read(spec_file).expect("spec artifact"), spec_bytes);
+    // The spec artifact on disk is unchanged byte-for-byte, and the app
+    // evaluation over it reports the same results.
+    assert_eq!(
+        std::fs::read(&spec_file).expect("spec artifact"),
+        spec_bytes
+    );
+    for section in ["apps", "totals"] {
+        assert_eq!(
+            atlas_bench::fleet::normalized(warm.get(section).expect("section")),
+            atlas_bench::fleet::normalized(cold.get(section).expect("section")),
+            "{section} differ across processes"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

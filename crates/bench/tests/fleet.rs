@@ -1,7 +1,7 @@
 //! Fleet-level integration tests: cross-library cache isolation, the
-//! sharded warm-start round trip, cross-shard merge/gc, and the
-//! property that scheduling order and thread budgets never affect
-//! per-library results.
+//! per-member closure-root round trip (cold fill, full splice, shard GC
+//! and the demotion it forces), and the property that scheduling order and
+//! thread budgets never affect per-library results.
 
 use atlas_bench::fleet::{self, FleetConfig};
 use atlas_bench::Json;
@@ -86,10 +86,18 @@ fn library_rows(report: &Json) -> Vec<Json> {
         .to_vec()
 }
 
-/// End-to-end sharded store round trip: a cold fleet seeds one shard per
-/// library; a second run warm-starts every shard with zero re-executions
-/// and byte-identical spec exports; merge/gc compose across shards; and
-/// two warm runs normalize to byte-identical reports.
+fn int(section: &Json, key: &str) -> i64 {
+    section
+        .get(key)
+        .and_then(Json::as_int)
+        .unwrap_or_else(|| panic!("{key} missing: {section:?}"))
+}
+
+/// End-to-end store round trip: a cold fleet fills one closure root per
+/// member (`<root>/<member>/`, one shard per cluster); a second run splices
+/// every cluster of every member with zero executions and byte-identical
+/// spec exports; two warm runs normalize to byte-identical reports; and a
+/// shard GC'd away is relearned — alone — by the next run.
 #[test]
 fn fleet_round_trip_through_sharded_stores() {
     let scratch = Scratch::new("roundtrip");
@@ -102,50 +110,62 @@ fn fleet_round_trip_through_sharded_stores() {
         trace: false,
     };
 
-    // Cold run: every shard is created.
+    // Cold run: every member root fills, one shard per cluster.
     let cold = fleet::run_fleet(&config).expect("cold fleet");
     assert_eq!(cold.json.get("schema"), Some(&Json::str("atlas-fleet/1")));
     let rows = library_rows(&cold.json);
     assert_eq!(rows.len(), 2);
     let mut fingerprints = Vec::new();
     for row in &rows {
+        let name = row.get("name").and_then(Json::as_str).expect("name");
+        let clusters = int(row, "clusters");
         let store = row.get("store").expect("store section");
-        assert_eq!(
-            store.get("warm_started_from_disk"),
-            Some(&Json::Bool(false))
-        );
-        assert!(
-            store
-                .get("persisted_entries")
-                .and_then(Json::as_int)
-                .unwrap()
-                > 0
-        );
+        assert_eq!(int(store, "spliced_clusters"), 0);
+        assert_eq!(int(store, "reran_clusters"), clusters);
         assert_eq!(store.get("specs_identical"), Some(&Json::Null));
+        assert!(int(row, "executions") > 0);
+        let member = scratch.0.join(name);
+        assert_eq!(
+            store.get("root").and_then(Json::as_str),
+            Some(member.display().to_string().as_str())
+        );
+        assert!(member.join("specs.json").exists(), "the member's export");
         let fp = row
             .get("library_fingerprint")
             .and_then(Json::as_str)
             .expect("fingerprint");
-        fingerprints.push(atlas_store::parse_hex64(fp).expect("hex fingerprint"));
-        let shard = store.get("shard").and_then(Json::as_str).expect("shard");
-        assert!(std::path::Path::new(shard).join("cache.json").exists());
-        assert!(std::path::Path::new(shard).join("specs.json").exists());
+        let fp = atlas_store::parse_hex64(fp).expect("hex fingerprint");
+        fingerprints.push(fp);
+        // Every shard is one cluster's: keyed on its closure, attributed to
+        // its member's library.
+        let shards = atlas_store::list_shards(&member).expect("list shards");
+        assert_eq!(shards.len() as i64, clusters);
+        for shard in &shards {
+            let cache = atlas_store::load_cache(&shard.cache).expect("shard cache");
+            assert_eq!(cache.shards.len(), 1);
+            assert_eq!(cache.shards[0].provenance.closure, shard.fingerprint);
+            assert_eq!(cache.shards[0].provenance.fingerprint, fp);
+            assert!(shard.specs.exists());
+        }
     }
-    assert_ne!(fingerprints[0], fingerprints[1], "distinct shards");
-    let shards = atlas_store::list_shards(&scratch.0).expect("list shards");
-    assert_eq!(shards.len(), 2);
+    assert_ne!(fingerprints[0], fingerprints[1], "distinct libraries");
+    assert!(
+        atlas_store::list_shards(&scratch.0).unwrap().is_empty(),
+        "the fleet root holds member roots, not shards"
+    );
 
-    // Warm runs: zero executions everywhere, byte-identical spec exports,
-    // and (being same-seed, same-store) byte-identical normalized reports.
+    // Warm runs: every cluster splices, zero executions everywhere,
+    // byte-identical spec exports, and (being same-seed, same-store)
+    // byte-identical normalized reports.
     let warm1 = fleet::run_fleet(&config).expect("warm fleet");
     for row in library_rows(&warm1.json) {
         assert_eq!(row.get("executions"), Some(&Json::Int(0)));
         let store = row.get("store").expect("store section");
-        assert_eq!(store.get("warm_started_from_disk"), Some(&Json::Bool(true)));
+        assert_eq!(int(store, "spliced_clusters"), int(&row, "clusters"));
+        assert_eq!(int(store, "reran_clusters"), 0);
+        assert_eq!(int(store, "forced_dirty"), 0);
+        assert!(int(store, "spliced_verdicts") > 0);
         assert_eq!(store.get("specs_identical"), Some(&Json::Bool(true)));
-        assert_eq!(store.get("new_entries"), Some(&Json::Int(0)));
-        let rate = store.get("reload_hit_rate").and_then(Json::as_f64).unwrap();
-        assert!(rate > 0.99, "every verdict reloads from its shard: {rate}");
     }
     let warm2 = fleet::run_fleet(&config).expect("second warm fleet");
     assert_eq!(
@@ -156,50 +176,31 @@ fn fleet_round_trip_through_sharded_stores() {
 
     // The parallelism summary respects the global budget.
     let parallelism = warm1.json.get("parallelism").expect("parallelism");
-    let outer = parallelism
-        .get("outer_workers")
-        .and_then(Json::as_int)
-        .unwrap();
-    let inner = parallelism
-        .get("threads_per_library")
-        .and_then(Json::as_int)
-        .unwrap();
-    let budget = parallelism
-        .get("thread_budget")
-        .and_then(Json::as_int)
-        .unwrap();
+    let outer = int(parallelism, "outer_workers");
+    let inner = int(parallelism, "threads_per_library");
+    let budget = int(parallelism, "thread_budget");
     assert!(outer * inner <= budget, "{outer} x {inner} > {budget}");
 
-    // Cross-shard maintenance through atlas-store: merge folds both shard
-    // directories into one artifact — since the incremental refactor each
-    // library's cache carries one provenance shard per cluster closure, so
-    // the merge holds every closure of both libraries, all attributed to
-    // exactly the two library fingerprints.
-    let merged = atlas_store::merge_shards(&scratch.0).expect("merge shards");
-    assert!(merged.shards.len() >= 2, "{}", merged.shards.len());
-    let attributed: std::collections::BTreeSet<u64> = merged
-        .shards
-        .iter()
-        .map(|s| s.provenance.fingerprint)
-        .collect();
+    // Store maintenance composes with the member roots: GC one shard of
+    // the first member away, and the next run relearns exactly that
+    // cluster (a forced-dirty demotion) and still exports the same bytes.
+    let member = scratch.0.join("synth-small");
+    let shards = atlas_store::list_shards(&member).unwrap();
+    let live: Vec<u64> = shards[1..].iter().map(|s| s.fingerprint).collect();
+    let summary = atlas_store::gc_shards_with_history(&member, &live, 0).expect("gc shards");
+    assert_eq!((summary.kept, summary.removed), (live.len(), 1));
+    let healed = fleet::run_fleet(&config).expect("fleet after gc");
+    let rows = library_rows(&healed.json);
+    let store = rows[0].get("store").expect("store section");
+    assert_eq!(int(store, "reran_clusters"), 1);
+    assert_eq!(int(store, "forced_dirty"), 1);
+    assert_eq!(store.get("specs_identical"), Some(&Json::Bool(true)));
     assert_eq!(
-        attributed,
-        fingerprints.iter().copied().collect(),
-        "every closure shard is attributed to a fleet library"
+        atlas_store::list_shards(&member).unwrap().len(),
+        shards.len()
     );
-    let per_shard: usize = shards
-        .iter()
-        .map(|s| {
-            atlas_store::load_cache(&s.cache)
-                .expect("shard cache")
-                .num_entries()
-        })
-        .sum();
-    assert_eq!(merged.num_entries(), per_shard);
-    let summary = atlas_store::gc_shards(&scratch.0, &fingerprints[..1]).expect("gc shards");
-    assert_eq!(summary.kept, 1);
-    assert_eq!(summary.removed, 1);
-    assert_eq!(atlas_store::list_shards(&scratch.0).unwrap().len(), 1);
+    let untouched = rows[1].get("store").expect("store section");
+    assert_eq!(int(untouched, "reran_clusters"), 0);
 }
 
 // --- Scheduling-independence property -------------------------------------

@@ -37,8 +37,6 @@ use atlas_learn::{
     SampleResult, VerdictCache,
 };
 use atlas_obs::{ArgValue, Recorder};
-use atlas_store::{load_cache, save_cache, CacheArtifact, CacheProvenance, StoreError};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -102,14 +100,18 @@ pub struct ClusterJob {
     pub seed: u64,
     /// The cluster's identity fingerprint: its dependency-closure content
     /// hash (`atlas_ir::DepGraph::closure_fingerprint`) mixed with the
-    /// cluster's seed and its seed-class names.  This is what the
+    /// cluster's seed, its seed-class names and the learner configuration
+    /// (sample budget, sampling strategy, sampler and RPNI bounds,
+    /// initialization strategy, execution limits).  This is what the
     /// cluster's verdicts and store artifacts are keyed on.  Editing a
     /// method outside the closure leaves it unchanged — the invariant the
     /// incremental pipeline builds on — while two distinct jobs (different
-    /// classes, or the same classes at a different position, hence a
-    /// different seed) can never alias one store shard: results depend on
-    /// the seed and the interface restriction, so sharing a shard across
-    /// them would splice the wrong automaton.
+    /// classes, the same classes at a different position, or the same
+    /// cluster learned under another configuration) can never alias one
+    /// store shard: results depend on all of them, so sharing a shard
+    /// across them would splice the wrong automaton.  The flip side:
+    /// verdicts cached under one sample budget do not carry over to
+    /// another, exactly as they do not carry over between seeds.
     pub closure: u64,
 }
 
@@ -218,36 +220,6 @@ impl<'p> Engine<'p> {
         self
     }
 
-    /// Seeds the engine from a persisted `atlas-cache/2` artifact (see
-    /// `atlas-store`): the file's entries warm-start every per-cluster
-    /// oracle exactly as [`Engine::warm_start`] would with a live cache.
-    /// This is the cross-*process* half of the warm-start story — the file
-    /// may have been written by a run that exited months ago.
-    ///
-    /// Entries persisted under a different provenance (library content,
-    /// limits, strategy) are carried but can never be looked up, so a store
-    /// file shared between configurations is harmless.
-    ///
-    /// # Errors
-    /// Returns the `atlas-store` error when the file is missing, is not
-    /// valid JSON, or violates the `atlas-cache/2` schema.
-    pub fn warm_start_from_path(self, path: &Path) -> Result<Engine<'p>, StoreError> {
-        let artifact = load_cache(path)?;
-        Ok(self.warm_start(artifact.to_cache()))
-    }
-
-    /// The content provenance of this engine's oracle context — library
-    /// fingerprint, key context, strategy, limits — as persisted into and
-    /// matched against store artifacts.
-    pub fn provenance(&self) -> CacheProvenance {
-        CacheProvenance::of(
-            self.program,
-            self.interface,
-            self.config.init,
-            self.config.limits,
-        )
-    }
-
     /// The warm-start cache sessions will begin from (empty unless
     /// [`Engine::warm_start`] was called).
     pub fn warm_cache(&self) -> &VerdictCache {
@@ -283,6 +255,22 @@ impl<'p> Engine<'p> {
                     self.config.clusters.clone()
                 };
                 let dep_graph = DepGraph::build(self.program);
+                // Everything else the learned automaton depends on, hashed
+                // once: the budget, strategies, sampler and RPNI bounds and
+                // the execution limits (the seed is mixed in per job).
+                let config = &self.config;
+                let mut c = atlas_ir::hash::Fnv::new(0xc0f);
+                c.write_u64(config.samples_per_cluster as u64);
+                c.write_u64(config.sampling as u64);
+                c.write_u64(config.sampler.max_steps as u64);
+                c.write_u64(config.sampler.learning_rate.to_bits());
+                c.write_u64(config.rpni.max_check_len as u64);
+                c.write_u64(config.rpni.max_checks_per_merge as u64);
+                c.write_u64(config.init as u64);
+                c.write_u64(config.limits.max_steps as u64);
+                c.write_u64(config.limits.max_call_depth as u64);
+                c.write_u64(config.limits.max_heap_objects as u64);
+                let learner = c.finish();
                 clusters
                     .into_iter()
                     .enumerate()
@@ -290,13 +278,16 @@ impl<'p> Engine<'p> {
                         let seed = self.config.sampler.seed.wrapping_add(index as u64);
                         // The job fingerprint mixes the closure *content*
                         // hash with the cluster's own identity (seed +
-                        // seed-class names): clusters whose closures
-                        // coincide as sets (mutually referencing classes)
-                        // or whose position in the configuration changed
-                        // must not share a shard — their automata differ.
+                        // seed-class names) and the learner configuration:
+                        // clusters whose closures coincide as sets
+                        // (mutually referencing classes), whose position in
+                        // the configuration changed, or that are learned
+                        // under another budget must not share a shard —
+                        // their automata differ.
                         let mut h = atlas_ir::hash::Fnv::new(0xc1d);
                         h.write_u64(dep_graph.closure_fingerprint(&classes));
                         h.write_u64(seed);
+                        h.write_u64(learner);
                         let mut names: Vec<&str> = classes
                             .iter()
                             .map(|&id| self.program.class(id).name())
@@ -387,19 +378,6 @@ pub struct Session<'e, 'p> {
     collected: VerdictCache,
 }
 
-/// What [`Session::persist`] wrote to the store file.
-#[derive(Debug, Clone)]
-pub struct PersistSummary {
-    /// The store file written.
-    pub path: PathBuf,
-    /// Entries the file now holds (across all provenance shards).
-    pub total_entries: usize,
-    /// Entries this session contributed that the file did not already hold.
-    pub new_entries: usize,
-    /// The library fingerprint the session's entries were persisted under.
-    pub fingerprint: u64,
-}
-
 /// What one worker produces for one cluster (`None` when the cluster's
 /// interface restriction is empty and the cluster is skipped).
 pub(crate) struct ClusterRun {
@@ -414,17 +392,6 @@ impl<'e, 'p> Session<'e, 'p> {
         &self.jobs
     }
 
-    /// The engine this session belongs to.
-    pub(crate) fn engine(&self) -> &'e Engine<'p> {
-        self.engine
-    }
-
-    /// The session's verdict cache (warm-start entries plus everything the
-    /// run computed so far).
-    pub(crate) fn collected(&self) -> &VerdictCache {
-        &self.collected
-    }
-
     /// The number of worker threads this session will use.
     pub fn num_threads(&self) -> usize {
         self.num_threads
@@ -436,72 +403,6 @@ impl<'e, 'p> Session<'e, 'p> {
     /// to [`Engine::warm_start`] to skip those executions in the next run.
     pub fn into_cache(self) -> VerdictCache {
         self.collected
-    }
-
-    /// The per-cluster store provenances of this session's jobs, in
-    /// cluster order, deduplicated by key context (two clusters with
-    /// content-identical closures share one shard).
-    pub fn cluster_provenances(&self) -> Vec<CacheProvenance> {
-        let engine = self.engine;
-        let fingerprint = atlas_learn::library_fingerprint(engine.program, engine.interface);
-        let mut provenances: Vec<CacheProvenance> = Vec::new();
-        for job in &self.jobs {
-            let p = CacheProvenance::for_closure(
-                fingerprint,
-                job.closure,
-                engine.config.init,
-                engine.config.limits,
-            );
-            if !provenances.iter().any(|q| q.context == p.context) {
-                provenances.push(p);
-            }
-        }
-        provenances
-    }
-
-    /// Persists the session's verdict cache to an `atlas-cache/2` store
-    /// file (atomic write-rename; see `atlas-store`).  Call after
-    /// [`Session::run`] — a later run, *in any process*, warm-starts from
-    /// the file via [`Engine::warm_start_from_path`] and skips every
-    /// execution this session paid for.
-    ///
-    /// One provenance shard is written per cluster, keyed on the cluster's
-    /// dependency-closure fingerprint ([`ClusterJob::closure`]); only
-    /// entries matching a cluster of this session are written (foreign
-    /// entries carried in from an unrelated warm-start would be
-    /// mis-attributed).  When the file already exists it is merged
-    /// first-entry-wins: existing entries keep their position and verdict,
-    /// novel ones are appended — so *sequential* runs (any process, any
-    /// configuration) sharing one registry file only ever grow it more
-    /// complete.  The write itself is atomic, but the load-merge-write
-    /// sequence is not: persists racing on the same file resolve
-    /// last-writer-wins, so genuinely concurrent runs should persist to
-    /// per-run files and combine them afterwards with `store merge`.
-    ///
-    /// # Errors
-    /// Returns the `atlas-store` error when an existing file is unreadable
-    /// or malformed, or the atomic write fails.
-    pub fn persist(&self, path: &Path) -> Result<PersistSummary, StoreError> {
-        let provenances = self.cluster_provenances();
-        let session = CacheArtifact::from_cache_shards(&self.collected, &provenances);
-        let mut on_disk = if path.exists() {
-            load_cache(path)?
-        } else {
-            CacheArtifact::default()
-        };
-        let before = on_disk.num_entries();
-        on_disk.merge(&session);
-        let total_entries = on_disk.num_entries();
-        save_cache(path, &on_disk)?;
-        Ok(PersistSummary {
-            path: path.to_path_buf(),
-            total_entries,
-            new_entries: total_entries - before,
-            fingerprint: provenances
-                .first()
-                .map(|p| p.fingerprint)
-                .unwrap_or_default(),
-        })
     }
 
     /// Runs all cluster pipelines and merges the results in cluster order.
@@ -767,7 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn persist_then_warm_start_from_path_skips_all_executions() {
+    fn persist_then_splice_from_disk_skips_all_executions() {
         let (program, interface) = box_setup();
         let box_class = program.class_named("Box").unwrap();
         let config = AtlasConfig {
@@ -776,43 +677,57 @@ mod tests {
             num_threads: 1,
             ..AtlasConfig::default()
         };
-        let dir = std::env::temp_dir().join(format!("atlas-engine-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
+        let root =
+            std::env::temp_dir().join(format!("atlas-engine-persist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store_backed = |engine: &Engine<'_>| {
+            engine
+                .incremental_session(&engine.run_provenance())
+                .run_with_store(&root, crate::EXTRACTION)
+        };
+        let render = |artifact: crate::SpecArtifact, program: &Program| {
+            artifact.encode(program).unwrap().render()
+        };
 
-        // Cold: pay for every execution, persist the verdicts.
+        // Cold: an empty root fills shard by shard, and the run renders
+        // exactly what a plain engine run renders.
         let engine = Engine::new(&program, &interface, config.clone());
-        let mut session = engine.session();
-        let cold = session.run();
-        let summary = session.persist(&path).expect("persist");
-        assert!(summary.new_entries > 0);
-        assert_eq!(summary.total_entries, summary.new_entries);
-        assert_eq!(summary.fingerprint, engine.provenance().fingerprint);
+        let cold = store_backed(&engine).expect("cold store-backed run");
+        assert_eq!((cold.dirty_clusters, cold.forced_dirty), (1, 1));
         assert!(cold.oracle_executions > 0);
+        let (max_len, limit) = crate::EXTRACTION;
+        let plain = render(
+            engine
+                .run()
+                .spec_artifact(&program, &interface, max_len, limit),
+            &program,
+        );
+        assert_eq!(render(cold.spec_artifact(&program), &program), plain);
+        let shard = atlas_store::shard_entry(&root, engine.cluster_jobs()[0].closure);
+        assert!(shard.cache.exists() && shard.specs.exists());
 
-        // Persisting the same session again adds nothing (first-entry-wins
-        // merge with the existing file).
-        let again = session.persist(&path).expect("re-persist");
-        assert_eq!(again.new_entries, 0);
-        assert_eq!(again.total_entries, summary.total_entries);
-
-        // Warm, against a *freshly built* identical program: identical
-        // results, zero executions — the verdicts crossed via the file.
+        // Warm, against a *freshly built* identical program: the cluster
+        // splices from its shard, nothing executes, the bytes are the same.
         let (program2, interface2) = box_setup();
-        let warm = Engine::new(&program2, &interface2, config)
-            .warm_start_from_path(&path)
-            .expect("warm start from disk")
-            .run();
+        let engine2 = Engine::new(&program2, &interface2, config);
+        let warm = store_backed(&engine2).expect("warm store-backed run");
+        assert_eq!(
+            (warm.clean_clusters, warm.dirty_clusters, warm.forced_dirty),
+            (1, 0, 0)
+        );
         assert_eq!(warm.oracle_executions, 0, "everything answered from disk");
-        assert!(warm.cache_stats.warm_hits > 0);
-        assert_eq!(cold.specs(8, 64), warm.specs(8, 64));
-        assert_eq!(cold.state_counts(), warm.state_counts());
+        assert!(warm.spliced_verdicts > 0);
+        assert_eq!(render(warm.spec_artifact(&program2), &program2), plain);
 
-        // A missing file is a path-carrying error, not a panic.
-        let missing = Engine::new(&program, &interface, AtlasConfig::default())
-            .warm_start_from_path(&dir.join("nope.json"));
-        assert!(missing.is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+        // A corrupt shard is a path-carrying error, not a panic.
+        std::fs::write(&shard.specs, "{ nope").unwrap();
+        let err = store_backed(&engine2).unwrap_err();
+        assert!(matches!(err, crate::StoreError::Parse { .. }), "{err}");
+        assert!(
+            err.to_string().contains(&shard.specs.display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //!
 //! The flow (see `DESIGN.md`, "incremental invalidation"):
 //!
-//! 1. A full run over the *old* library persists one store shard per
-//!    cluster closure ([`Session::persist_shards`]):
-//!    `<root>/0x<closure>/cache.json` + `specs.json`.
+//! 1. A store-backed run over the *old* library —
+//!    `engine.incremental_session(&engine.run_provenance())` then
+//!    [`IncrementalSession::run_with_store`] — fills an empty root with
+//!    one shard per cluster closure: `<root>/0x<closure>/cache.json` +
+//!    `specs.json`.  Over a root an earlier run seeded, the same call
+//!    splices every cluster instead: this is the one store-backed run
+//!    batch, fleet and the daemon's start-up all go through.
 //! 2. The old run's identity is captured as a [`RunProvenance`] — the
 //!    library fingerprint plus each cluster's closure fingerprint
 //!    ([`Engine::run_provenance`]).
@@ -28,8 +32,8 @@
 //! the new program.  This module's unit tests and the
 //! `incremental_invalidation` integration test both assert exactly this.
 
-use crate::engine::{resolve_threads, run_cluster_job, ClusterJob, ClusterRun, Engine, Session};
-use crate::inference::{ClusterOutcome, InferenceOutcome};
+use crate::engine::{resolve_threads, run_cluster_job, ClusterJob, ClusterRun, Engine};
+use crate::inference::ClusterOutcome;
 use atlas_learn::{library_fingerprint, CacheStats, OracleStats, VerdictCache};
 use atlas_obs::ArgValue;
 use atlas_store::{
@@ -40,6 +44,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// The spec-extraction bounds `(max spec length, per-cluster spec limit)`
+/// every store-backed run uses.  A shard records the bounds it was
+/// persisted with and the splice demotes any shard whose bounds differ
+/// (see [`IncrementalSession::run_with_shards`]), so batch, fleet and the
+/// resident service all pass this one value.
+pub const EXTRACTION: (usize, usize) = (8, 64);
 
 /// The closure identity of one cluster of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,6 +201,9 @@ impl IncrementalOutcome {
 /// logic — and without being able to break the byte-identity invariant,
 /// because the splice path is shared.  [`DiskShards`] is the canonical
 /// implementation over `atlas_store::shard_entry` files.
+///
+/// Shards have one writer, [`ShardStore::persist_cluster`] (called for
+/// every re-ran cluster), and one reader, the splice.
 pub trait ShardStore {
     /// The decoded spec artifact of the shard for `closure`, or `None`
     /// when the shard has no specs yet (the cluster is then demoted to a
@@ -233,9 +247,10 @@ pub trait ShardStore {
 }
 
 /// The canonical [`ShardStore`]: closure shards as directories under a
-/// store root (`<root>/0x<closure>/{cache,specs}.json`), exactly the
-/// layout [`Session::persist_shards`] writes.  Stateless between calls;
-/// every operation goes to disk.
+/// store root (`<root>/0x<closure>/{cache,specs}.json`).  Stateless
+/// between calls; every operation goes to disk.  Batch and fleet runs use
+/// it directly; the resident service puts its in-memory `HotShards` in
+/// front of the same layout.
 pub struct DiskShards {
     root: PathBuf,
 }
@@ -288,109 +303,20 @@ impl ShardStore for DiskShards {
         specs: &SpecArtifact,
         program: &atlas_ir::Program,
     ) -> Result<usize, StoreError> {
+        // The cluster's verdicts merge first-entry-wins into whatever the
+        // shard cache already holds; the specs are replaced.
         let entry = shard_entry(&self.root, closure);
-        let new_entries = persist_shard_cache(&entry.cache, fresh, provenance)?;
-        atlas_store::save_specs(&entry.specs, specs, program)?;
-        Ok(new_entries)
-    }
-}
-
-/// What [`Session::persist_shards`] wrote.
-#[derive(Debug, Clone)]
-pub struct ShardPersistSummary {
-    /// The store root written under.
-    pub root: PathBuf,
-    /// Closure shards written (one per non-empty cluster, deduplicated by
-    /// closure fingerprint).
-    pub shards: usize,
-    /// Entries the shard caches gained that they did not already hold.
-    pub new_entries: usize,
-}
-
-impl<'e, 'p> Session<'e, 'p> {
-    /// Persists this session's results into a **closure-sharded** store
-    /// root: for every non-empty cluster, `<root>/0x<closure>/cache.json`
-    /// (that cluster's verdicts, merged first-entry-wins into whatever the
-    /// shard already holds) and `specs.json` (the cluster's automaton and
-    /// specifications, extracted with `extraction`).  Call after
-    /// [`Session::run`] with the run's outcome.
-    ///
-    /// This is the layout [`IncrementalSession`] splices from: clean
-    /// clusters find their shard by closure fingerprint alone.
-    ///
-    /// # Errors
-    /// Returns the `atlas-store` error when a shard is unreadable,
-    /// malformed, or unwritable.
-    pub fn persist_shards(
-        &self,
-        outcome: &InferenceOutcome,
-        root: &Path,
-        extraction: (usize, usize),
-    ) -> Result<ShardPersistSummary, StoreError> {
-        let engine = self.engine();
-        let library = library_fingerprint(engine.program(), engine.interface());
-        let mut summary = ShardPersistSummary {
-            root: root.to_path_buf(),
-            shards: 0,
-            new_entries: 0,
+        let mut on_disk = if entry.cache.exists() {
+            load_cache(&entry.cache)?
+        } else {
+            CacheArtifact::default()
         };
-        let mut seen = Vec::new();
-        let mut cursor = 0usize;
-        for job in self.jobs() {
-            let restricted = engine.interface().restrict_to_classes(&job.classes);
-            if restricted.slots().is_empty() {
-                continue;
-            }
-            let cluster = &outcome.clusters[cursor];
-            cursor += 1;
-            if seen.contains(&job.closure) {
-                continue;
-            }
-            seen.push(job.closure);
-            let provenance = CacheProvenance::for_closure(
-                library,
-                job.closure,
-                engine.config().init,
-                engine.config().limits,
-            );
-            let entry = shard_entry(root, job.closure);
-            summary.new_entries += persist_shard_cache(&entry.cache, self.collected(), provenance)?;
-            let spec = SpecArtifact {
-                fingerprint: job.closure,
-                extraction,
-                clusters: vec![cluster_spec(
-                    engine.program(),
-                    &job.classes,
-                    &cluster.fsa,
-                    extraction,
-                )],
-            };
-            atlas_store::save_specs(&entry.specs, &spec, engine.program())?;
-            summary.shards += 1;
-        }
-        Ok(summary)
+        let before = on_disk.num_entries();
+        on_disk.merge(&CacheArtifact::from_cache(fresh, provenance));
+        save_cache(&entry.cache, &on_disk)?;
+        atlas_store::save_specs(&entry.specs, specs, program)?;
+        Ok(on_disk.num_entries() - before)
     }
-}
-
-/// Merges one cluster's verdicts (filtered by `provenance`'s context) into
-/// a shard cache file, first-entry-wins; returns the entries the file
-/// gained.
-fn persist_shard_cache(
-    path: &Path,
-    cache: &atlas_learn::VerdictCache,
-    provenance: CacheProvenance,
-) -> Result<usize, StoreError> {
-    let session = CacheArtifact::from_cache(cache, provenance);
-    let mut on_disk = if path.exists() {
-        load_cache(path)?
-    } else {
-        CacheArtifact::default()
-    };
-    let before = on_disk.num_entries();
-    on_disk.merge(&session);
-    let new_entries = on_disk.num_entries() - before;
-    save_cache(path, &on_disk)?;
-    Ok(new_entries)
 }
 
 impl<'p> Engine<'p> {
@@ -489,8 +415,8 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
     }
 
     /// Runs the incremental pipeline against a closure-sharded store root
-    /// (as written by [`Session::persist_shards`] or a previous incremental
-    /// run): [`IncrementalSession::run_with_shards`] over a [`DiskShards`].
+    /// (empty, or written by earlier store-backed runs):
+    /// [`IncrementalSession::run_with_shards`] over a [`DiskShards`].
     ///
     /// # Errors
     /// Returns the `atlas-store` error when a shard exists but is
@@ -758,18 +684,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let extraction = (8, 64);
 
-        // Full run over the old library, persisted shard-per-closure.
+        // A store-backed run over the old library fills the empty root,
+        // one shard per cluster closure.
         let (old_program, old_interface) = setup();
         let old_engine = Engine::new(&old_program, &old_interface, config(&old_program));
-        let mut session = old_engine.session();
-        let full_old = session.run();
-        let persisted = session
-            .persist_shards(&full_old, &root, extraction)
-            .expect("persist shards");
-        assert_eq!(persisted.shards, 2);
-        assert!(persisted.new_entries > 0);
         let old_provenance = old_engine.run_provenance();
         assert_eq!(old_provenance.clusters.len(), 2);
+        let seeded = old_engine
+            .incremental_session(&old_provenance)
+            .run_with_store(&root, extraction)
+            .expect("seed shards");
+        assert_eq!((seeded.dirty_clusters, seeded.forced_dirty), (2, 2));
+        assert_eq!(atlas_store::list_shards(&root).unwrap().len(), 2);
 
         // Edit Box.set — inside the Box cluster's closure, outside Stack's.
         let (mut new_program, _) = setup();
@@ -842,6 +768,36 @@ mod tests {
                 .render(),
             incr_artifact
         );
+
+        // Another sample budget over the same root: the shards were
+        // learned at 250 samples, so none may splice into a 120-sample
+        // run — it renders the 120-sample cold artifact.
+        let other_budget = AtlasConfig {
+            samples_per_cluster: 120,
+            ..config(&new_program)
+        };
+        let cold_other = Engine::new(&new_program, &new_interface, other_budget.clone())
+            .run()
+            .spec_artifact(&new_program, &new_interface, extraction.0, extraction.1)
+            .encode(&new_program)
+            .unwrap()
+            .render();
+        assert_ne!(cold_other, incr_artifact, "the budgets learn differently");
+        let other_engine = Engine::new(&new_program, &new_interface, other_budget);
+        let other = other_engine
+            .incremental_session(&other_engine.run_provenance())
+            .run_with_store(&root, extraction)
+            .expect("store-backed run at another budget");
+        assert_eq!(
+            other
+                .spec_artifact(&new_program)
+                .encode(&new_program)
+                .unwrap()
+                .render(),
+            cold_other,
+            "a shard learned under another budget was spliced"
+        );
+        assert_eq!((other.clean_clusters, other.forced_dirty), (0, 2));
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

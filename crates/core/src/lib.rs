@@ -22,9 +22,12 @@
 //!
 //! Oracle verdicts are memoized in a content-addressed [`VerdictCache`]
 //! that can be harvested from one run ([`Session::into_cache`]) and fed to
-//! the next ([`Engine::warm_start`]), so repeated runs — config sweeps,
-//! re-inference after interface edits, the batch evaluation pipeline —
-//! skip already-proven verdicts without ever changing results.
+//! the next ([`Engine::warm_start`]), so repeated runs of one configuration
+//! — re-runs in one process, re-inference after edits elsewhere in the
+//! library — skip already-proven verdicts without ever changing results.
+//! Across processes, the store-backed run ([`incremental`]) persists each
+//! cluster's automaton and verdicts as a closure shard and splices it
+//! back without running the learner at all.
 //!
 //! [`report`] contains the machinery used by the evaluation to compare an
 //! inferred specification set against a reference corpus (handwritten or
@@ -41,10 +44,10 @@ pub mod inference;
 pub mod report;
 
 pub use budget::{BudgetSplit, ThreadBudget};
-pub use engine::{ClusterJob, Engine, PersistSummary, Session};
+pub use engine::{ClusterJob, Engine, Session};
 pub use incremental::{
     ClusterDisposition, ClusterProvenance, DiskShards, IncrementalCluster, IncrementalOutcome,
-    IncrementalSession, RunProvenance, ShardPersistSummary, ShardStore,
+    IncrementalSession, RunProvenance, ShardStore, EXTRACTION,
 };
 pub use inference::{
     infer_specifications, AtlasConfig, ClusterOutcome, InferenceOutcome, ParallelismSummary,
@@ -55,8 +58,8 @@ pub use report::{compare_fragments, MethodComparison, SpecComparison};
 // users don't need a direct `atlas-learn` dependency.
 pub use atlas_learn::{library_fingerprint, CacheKeyer, CacheStats, VerdictCache, VerdictKey};
 
-// The persistence vocabulary of the Engine API (`warm_start_from_path`,
-// `Session::persist`, `InferenceOutcome::spec_artifact`), re-exported so
-// engine users don't need a direct `atlas-store` dependency.
+// The persistence vocabulary of the Engine API (the store-backed run,
+// `InferenceOutcome::spec_artifact`), re-exported so engine users don't
+// need a direct `atlas-store` dependency.
 pub use atlas_obs::Recorder;
 pub use atlas_store::{CacheArtifact, CacheProvenance, SpecArtifact, SpecCluster, StoreError};

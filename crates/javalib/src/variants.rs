@@ -4,9 +4,8 @@
 //! Each [`LibraryVariant`] names a set of installed modules and a cluster
 //! list.  Because a variant installs a different set of classes, it has a
 //! different content fingerprint (`atlas_ir::hash::library_fingerprint`),
-//! so every variant owns its own shard in a fingerprint-sharded store and
-//! verdicts can never bleed between variants (content-addressed cache
-//! keys).
+//! so verdicts can never bleed between variants (content-addressed cache
+//! keys), and the fleet gives every variant its own store root.
 //!
 //! Module subsets must be closed under cross-module references —
 //! `ProgramBuilder::build` panics on classes that are declared (via

@@ -46,7 +46,9 @@ use crate::session::{
 use crate::shards::{HotShards, ROOT_NAMESPACE};
 use atlas_apps::RegistryError;
 use atlas_core::RunProvenance;
-use atlas_core::{AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget, VerdictCache};
+use atlas_core::{
+    AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget, VerdictCache, EXTRACTION,
+};
 use atlas_ir::{ClassId, LibraryInterface, Program};
 use atlas_obs::{ArgValue, Recorder};
 use atlas_store::{atomic_write, hex64_string, shard_entry, Json};
@@ -61,12 +63,6 @@ pub const DEFAULT_SESSION: &str = "default";
 /// overlap a few sessions, still clamped by the thread budget (a budget
 /// of 1 always yields a single /1-style FIFO worker).
 const DEFAULT_WORKERS: usize = 4;
-
-/// Spec-extraction bounds (max spec length, per-cluster spec limit).
-/// These must match the bounds the store was seeded with — the bench
-/// pipeline's `SPEC_MAX_LEN`/`SPEC_LIMIT` — or every splice would be
-/// demoted to a forced re-run.
-pub const EXTRACTION: (usize, usize) = (8, 64);
 
 /// An error raised while constructing or persisting the daemon.
 #[derive(Debug)]

@@ -52,8 +52,12 @@ pub mod service;
 mod session;
 pub mod shards;
 
+/// The spec-extraction bounds every served artifact uses: the store-backed
+/// run's, re-exported so clients comparing against a cold batch run need
+/// no `atlas-core` import.
+pub use atlas_core::EXTRACTION;
 pub use config::ServeConfig;
-pub use daemon::{Daemon, ServeError, DEFAULT_SESSION, EXTRACTION};
+pub use daemon::{Daemon, ServeError, DEFAULT_SESSION};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, parse_mutation_kind,
     read_frame, render_compact, salvage_id, salvage_session, EditRequest, Envelope, ErrorCode,

@@ -129,7 +129,7 @@ impl SessionState {
         // sessions run their clusters concurrently.
         let mut shards = SharedShards::new(Arc::clone(hot), self.ns);
         let outcome = session
-            .run_with_shards(&mut shards, crate::daemon::EXTRACTION)
+            .run_with_shards(&mut shards, atlas_core::EXTRACTION)
             .map_err(|e| {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())

@@ -22,8 +22,8 @@
 use crate::json::Json;
 use atlas_interp::ExecLimits;
 use atlas_ir::{MethodId, ParamSlot, Program, SlotKind};
-use atlas_learn::{CacheKeyer, CacheStats, VerdictCache, VerdictKey};
-use atlas_spec::{Fsa, PathSpec, StateId};
+use atlas_learn::{CacheKeyer, CacheStats, VerdictCache};
+use atlas_spec::{CodeFragments, Fsa, PathSpec, StateId};
 use atlas_synth::InitStrategy;
 use std::collections::HashSet;
 use std::fmt;
@@ -127,9 +127,9 @@ pub struct CacheProvenance {
     /// Content fingerprint of the library (`atlas_ir::hash::library_fingerprint`).
     pub fingerprint: u64,
     /// The fingerprint the entries are *keyed* on: the serving cluster's
-    /// dependency-closure fingerprint (`atlas_ir::DepGraph`), or the
-    /// library fingerprint again for whole-library (pre-incremental)
-    /// contexts.
+    /// job fingerprint (its `atlas_ir::DepGraph` closure mixed with the
+    /// cluster's identity and learner configuration), which also names the
+    /// shard directory.
     pub closure: u64,
     /// The key context every entry of the shard shares
     /// ([`CacheKeyer::context`]): the closure fingerprint mixed with
@@ -142,26 +142,6 @@ pub struct CacheProvenance {
 }
 
 impl CacheProvenance {
-    /// Computes the whole-library provenance of an oracle context, using
-    /// the same shared hashing (`atlas_ir::hash`) as the cache keys
-    /// themselves.  The closure fingerprint equals the library fingerprint
-    /// here — the compatibility path for non-incremental callers.
-    pub fn of(
-        program: &Program,
-        interface: &atlas_ir::LibraryInterface,
-        strategy: InitStrategy,
-        limits: ExecLimits,
-    ) -> CacheProvenance {
-        let fingerprint = atlas_ir::hash::library_fingerprint(program, interface);
-        CacheProvenance {
-            fingerprint,
-            closure: fingerprint,
-            context: CacheKeyer::context_of(fingerprint, strategy, limits),
-            strategy,
-            limits,
-        }
-    }
-
     /// The provenance of one cluster-scoped oracle context: entries keyed
     /// on the cluster's dependency-closure fingerprint, attributed to the
     /// library identified by `fingerprint`.
@@ -197,13 +177,6 @@ pub struct CacheShard {
     pub entries: Vec<CacheEntry>,
 }
 
-impl CacheShard {
-    /// The full [`VerdictKey`] of one entry of this shard.
-    pub fn key(&self, entry: CacheEntry) -> VerdictKey {
-        VerdictKey::from_parts(self.provenance.context, entry.0, entry.1)
-    }
-}
-
 /// What a GC pass did: how much survived, how much was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcSummary {
@@ -221,8 +194,8 @@ pub struct GcSummary {
 /// of content-addressed verdicts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CacheArtifact {
-    /// The shards, in file order.  A single-run artifact has exactly one;
-    /// merged artifacts accumulate one per distinct provenance.
+    /// The shards, in file order.  A closure shard's cache has exactly
+    /// one; merged artifacts accumulate one per distinct provenance.
     pub shards: Vec<CacheShard>,
 }
 
@@ -251,57 +224,6 @@ impl CacheArtifact {
                 entries,
             }],
         }
-    }
-
-    /// Builds a multi-shard artifact from a live cache: one shard per
-    /// provenance, in the given order, each holding the entries whose key
-    /// context matches it (in cache insertion order).  Provenances that
-    /// match no entry are skipped; the cache's activity counters are
-    /// recorded on the first emitted shard (they describe the whole
-    /// session, not one cluster).  This is how a closure-keyed session —
-    /// whose per-cluster oracles each have their own context — persists
-    /// into a single registry file.
-    pub fn from_cache_shards(
-        cache: &VerdictCache,
-        provenances: &[CacheProvenance],
-    ) -> CacheArtifact {
-        let mut shards = Vec::new();
-        for provenance in provenances {
-            let entries: Vec<CacheEntry> = cache
-                .entries()
-                .filter(|(key, _)| key.context() == provenance.context)
-                .map(|(key, verdict)| {
-                    let (word, word2) = key.word_hashes();
-                    (word, word2, verdict)
-                })
-                .collect();
-            if entries.is_empty() {
-                continue;
-            }
-            shards.push(CacheShard {
-                provenance: *provenance,
-                stats: if shards.is_empty() {
-                    cache.stats()
-                } else {
-                    CacheStats::default()
-                },
-                entries,
-            });
-        }
-        CacheArtifact { shards }
-    }
-
-    /// Reconstructs a live cache holding every shard's entries, inserted in
-    /// file order (so a duplicate across shards resolves first-entry-wins,
-    /// deterministically).  Feed the result to `Engine::warm_start`.
-    pub fn to_cache(&self) -> VerdictCache {
-        let mut cache = VerdictCache::new();
-        for shard in &self.shards {
-            for &entry in &shard.entries {
-                cache.insert(shard.key(entry), entry.2);
-            }
-        }
-        cache
     }
 
     /// Total persisted entries across all shards.
@@ -338,28 +260,11 @@ impl CacheArtifact {
         }
     }
 
-    /// Garbage-collects by library fingerprint: drops every shard whose
-    /// entries were computed against a different library content.  This is
-    /// how a long-lived store sheds verdicts orphaned by library edits.
-    pub fn retain_fingerprint(&mut self, keep: u64) -> GcSummary {
-        self.retain_shards(|shard| shard.provenance.fingerprint == keep)
-    }
-
     /// Garbage-collects by closure fingerprint: keeps exactly the shards
     /// whose closure fingerprint is in `keep` — how an incremental store
     /// sheds verdicts orphaned by dependency-closure changes.
     pub fn retain_closures(&mut self, keep: &[u64]) -> GcSummary {
         self.retain_shards(|shard| keep.contains(&shard.provenance.closure))
-    }
-
-    /// Keeps the shards matching `key` as **either** their library
-    /// fingerprint or their closure fingerprint — the predicate a sharded
-    /// store root uses when scrubbing a shard directory, which may be named
-    /// after either (fleet layout vs. incremental layout).
-    pub fn retain_matching(&mut self, key: u64) -> GcSummary {
-        self.retain_shards(|shard| {
-            shard.provenance.fingerprint == key || shard.provenance.closure == key
-        })
     }
 
     fn retain_shards(&mut self, mut keep: impl FnMut(&CacheShard) -> bool) -> GcSummary {
@@ -539,6 +444,18 @@ impl SpecArtifact {
     /// Total number of extracted specifications.
     pub fn num_specs(&self) -> usize {
         self.clusters.iter().map(|c| c.specs.len()).sum()
+    }
+
+    /// Code-fragment specifications for every cluster's learned automaton,
+    /// generated against `program` — what a client analysis consumes in
+    /// place of the library implementation, exactly as a live run's
+    /// `InferenceOutcome::fragments` would generate them.
+    pub fn fragments(&self, program: &Program) -> CodeFragments {
+        let mut all = CodeFragments::default();
+        for cluster in &self.clusters {
+            all.merge(&CodeFragments::from_fsa(program, &cluster.fsa));
+        }
+        all
     }
 
     /// Encodes the artifact as an `atlas-spec/1` document.  Method ids are
@@ -742,6 +659,7 @@ fn decode_fsa(program: &Program, doc: &Json) -> Result<Fsa, SchemaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlas_learn::VerdictKey;
 
     fn provenance(fingerprint: u64) -> CacheProvenance {
         CacheProvenance {
@@ -790,14 +708,6 @@ mod tests {
         let reparsed = Json::parse(&doc.render()).expect("renders parse");
         assert_eq!(CacheArtifact::decode(&reparsed).unwrap(), artifact);
         assert_eq!(artifact.num_entries(), 3);
-        // The live-cache view inserts in file order.
-        let cache = artifact.to_cache();
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.peek(artifact.shards[0].key((1, 2, true))), Some(true));
-        assert_eq!(
-            cache.peek(artifact.shards[0].key((3, 4, false))),
-            Some(false)
-        );
     }
 
     #[test]
@@ -855,7 +765,8 @@ mod tests {
                 shard(0x1, vec![(4, 4, false)]),
             ],
         };
-        let summary = artifact.retain_fingerprint(0x1);
+        // GC keeps the shards keyed on one closure fingerprint.
+        let summary = artifact.retain_closures(&[provenance(0x1).closure]);
         assert_eq!(summary.kept_shards, 2);
         assert_eq!(summary.kept_entries, 2);
         assert_eq!(summary.dropped_shards, 1);
@@ -918,27 +829,28 @@ mod tests {
         cache.insert(VerdictKey::from_parts(pb.context, 7, 8), false);
         cache.insert(VerdictKey::from_parts(pa.context, 1, 2), true);
         cache.insert(VerdictKey::from_parts(pb.context, 9, 10), true);
-        let artifact = CacheArtifact::from_cache_shards(&cache, &[pa, pb, empty]);
-        assert_eq!(artifact.shards.len(), 2, "empty provenances are skipped");
-        assert_eq!(artifact.shards[0].provenance, pa);
-        assert_eq!(artifact.shards[0].entries, vec![(1, 2, true)]);
-        assert_eq!(artifact.shards[1].provenance, pb);
+        // One shard per context: each cluster persists its own entries,
+        // and a context with none persists an empty shard.
+        let a = CacheArtifact::from_cache(&cache, pa);
+        let b = CacheArtifact::from_cache(&cache, pb);
+        assert_eq!(a.shards[0].entries, vec![(1, 2, true)]);
         assert_eq!(
-            artifact.shards[1].entries,
+            b.shards[0].entries,
             vec![(7, 8, false), (9, 10, true)],
             "entries stay in cache insertion order"
         );
+        assert_eq!(CacheArtifact::from_cache(&cache, empty).num_entries(), 0);
+        let mut artifact = a.clone();
+        artifact.merge(&b);
+        assert_eq!(artifact.shards.len(), 2);
+        assert_eq!(artifact.shards[0].provenance, pa);
+        assert_eq!(artifact.shards[1].provenance, pb);
         // Closure-level GC keeps exactly the named closures.
         let mut gc = artifact.clone();
         let summary = gc.retain_closures(&[0xb1]);
         assert_eq!(summary.kept_shards, 1);
         assert_eq!(summary.dropped_entries, 1);
         assert_eq!(gc.shards[0].provenance.closure, 0xb1);
-        // retain_matching accepts either attribution.
-        let mut by_library = artifact.clone();
-        assert_eq!(by_library.retain_matching(0xa).kept_shards, 2);
-        let mut by_closure = artifact.clone();
-        assert_eq!(by_closure.retain_matching(0xb1).kept_shards, 1);
     }
 
     #[test]

@@ -3,19 +3,22 @@
 //! ```text
 //! store inspect <FILE>...              summarize cache/spec artifacts
 //! store stats <PATH>...                per-shard entry counts and fingerprints
-//!                                      (cache files and sharded store roots)
+//!                                      (cache files and closure-sharded roots)
 //! store merge <OUT> <IN>...            merge cache files (first-entry-wins)
-//! store gc <FILE> --keep <0xFP> [--out <OUT>]
-//!                                      drop shards of other library fingerprints
-//! store merge-shards <ROOT> <OUT>      merge every shard cache of a
-//!                                      fingerprint-sharded root (fleet layout)
 //! store gc-shards <ROOT> --keep <0xFP> [--keep <0xFP>]... [--keep-history N]
-//!                                      remove shard dirs of departed libraries /
-//!                                      stale closures, keeping the last N
+//!                                      remove the shard dirs of stale
+//!                                      closures, keeping the last N
 //!                                      generations
 //! store export-specs <SPEC-FILE>       print the persisted specifications
 //! store diff-specs <SPEC-FILE>         coverage diff vs the handwritten corpus
 //! ```
+//!
+//! A store root holds one shard per cluster closure,
+//! `<ROOT>/0x<closure>/{cache,specs}.json`, plus the whole-run
+//! `<ROOT>/specs.json` export the batch and fleet pipelines write.  The
+//! root itself goes to `stats` and `gc-shards`, its cache files to
+//! `inspect`, `stats` and `merge`, its spec files to `inspect`,
+//! `export-specs` and `diff-specs`.
 //!
 //! `export-specs` and `diff-specs` resolve the artifact against the modeled
 //! `atlas-javalib` library (the same program every inference run uses);
@@ -41,8 +44,6 @@ usage:
   store inspect <FILE>...
   store stats <PATH>...
   store merge <OUT> <IN>...
-  store gc <FILE> --keep <0xFINGERPRINT> [--out <OUT>]
-  store merge-shards <ROOT> <OUT>
   store gc-shards <ROOT> --keep <0xFINGERPRINT> [--keep <0xFINGERPRINT>]... [--keep-history N]
   store export-specs <SPEC-FILE>
   store diff-specs <SPEC-FILE>";
@@ -60,8 +61,6 @@ fn main() -> ExitCode {
         "inspect" => inspect(rest),
         "stats" => stats(rest),
         "merge" => merge(rest),
-        "gc" => gc(rest),
-        "merge-shards" => merge_shards_cmd(rest),
         "gc-shards" => gc_shards_cmd(rest),
         "export-specs" => export_specs(rest),
         "diff-specs" => diff_specs(rest),
@@ -123,8 +122,9 @@ fn inspect(files: &[String]) -> Result<(), CliError> {
 // ---------------------------------------------------------------------------
 
 /// Per-shard composition, without hand-inspecting JSON: for a cache file,
-/// one row per provenance shard; for a sharded store root, one row per
-/// shard directory (entry counts read from each shard's cache file).
+/// one row per provenance shard; for a closure-sharded store root, one
+/// row per shard directory (entry counts read from each shard's cache
+/// file).
 fn stats(paths: &[String]) -> Result<(), CliError> {
     if paths.is_empty() {
         return Err(CliError::Usage("stats needs at least one path".into()));
@@ -244,7 +244,7 @@ fn inspect_specs(doc: &Json) {
 }
 
 // ---------------------------------------------------------------------------
-// merge / gc
+// merge
 // ---------------------------------------------------------------------------
 
 fn merge(args: &[String]) -> Result<(), CliError> {
@@ -268,64 +268,9 @@ fn merge(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn gc(args: &[String]) -> Result<(), CliError> {
-    let mut file = None;
-    let mut keep = None;
-    let mut out = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--keep" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--keep needs a fingerprint".into()))?;
-                keep = Some(parse_hex64(value).map_err(|e| CliError::Usage(e.to_string()))?);
-            }
-            "--out" => {
-                out = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError::Usage("--out needs a path".into()))?
-                        .clone(),
-                );
-            }
-            other if file.is_none() && !other.starts_with("--") => {
-                file = Some(other.to_string());
-            }
-            other => return Err(CliError::Usage(format!("unexpected argument '{other}'"))),
-        }
-    }
-    let file = file.ok_or_else(|| CliError::Usage("gc needs a cache file".into()))?;
-    let keep = keep.ok_or_else(|| CliError::Usage("gc needs --keep <0xFINGERPRINT>".into()))?;
-    let mut artifact = load_cache(Path::new(&file))?;
-    let summary = artifact.retain_fingerprint(keep);
-    let target = out.unwrap_or_else(|| file.clone());
-    save_cache(Path::new(&target), &artifact)?;
-    println!(
-        "gc {file} -> {target}: kept {} shard(s) / {} entries, dropped {} shard(s) / {} entries",
-        summary.kept_shards, summary.kept_entries, summary.dropped_shards, summary.dropped_entries
-    );
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
-// merge-shards / gc-shards (fingerprint-sharded fleet roots)
+// gc-shards (closure-sharded roots)
 // ---------------------------------------------------------------------------
-
-fn merge_shards_cmd(args: &[String]) -> Result<(), CliError> {
-    let [root, out] = args else {
-        return Err(CliError::Usage(
-            "merge-shards needs a store root and an output file".into(),
-        ));
-    };
-    let merged = atlas_store::merge_shards(Path::new(root))?;
-    save_cache(Path::new(out), &merged)?;
-    println!(
-        "merged shard root {root} into {out}: {} shard(s), {} entries",
-        merged.shards.len(),
-        merged.num_entries()
-    );
-    Ok(())
-}
 
 fn gc_shards_cmd(args: &[String]) -> Result<(), CliError> {
     let mut root = None;

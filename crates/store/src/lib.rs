@@ -8,12 +8,13 @@
 //! cost of inferring points-to specifications; the in-memory verdict cache
 //! (`atlas-learn::cache`) makes that cost amortizable within a process, and
 //! this crate makes it durable *across* processes: a cold run persists what
-//! it paid for, any later run — minutes or months later, in a different
-//! process — warm-starts from the file and re-executes nothing that is
-//! already known.  Because cache keys and fingerprints are content hashes
-//! (shared implementation in `atlas_ir::hash`), a persisted verdict means
-//! the same thing to every process that rebuilds the same library, and it
-//! can never be mistakenly applied to a different library variant.
+//! it learned, and any later run — minutes or months later, in a different
+//! process — splices it back without re-running the learner or
+//! re-executing a unit test.  Because cache keys and fingerprints are
+//! content hashes (shared implementation in `atlas_ir::hash`), a persisted
+//! verdict means the same thing to every process that rebuilds the same
+//! library, and it can never be mistakenly applied to a different library
+//! variant.
 //!
 //! The pieces:
 //!
@@ -21,18 +22,26 @@
 //!   access, so no `serde`); the parser reports 1-based error positions.
 //! * [`artifact`] — the `atlas-cache/2` ([`CacheArtifact`]) and
 //!   `atlas-spec/1` ([`SpecArtifact`]) schemas: encode/decode, first-entry-
-//!   wins [`CacheArtifact::merge`], and GC by library fingerprint
-//!   ([`CacheArtifact::retain_fingerprint`]).
+//!   wins [`CacheArtifact::merge`], and GC by closure fingerprint
+//!   ([`CacheArtifact::retain_closures`]).
 //! * [`registry`] — file operations: atomic write-rename persistence
 //!   ([`atomic_write`]), loading with path-carrying errors, multi-file
-//!   merge ([`merge_cache_files`]).
-//! * the `store` binary — `inspect`, `merge`, `gc`, `export-specs`, and
-//!   `diff-specs` against the handwritten `atlas-javalib` corpus.
+//!   merge ([`merge_cache_files`]), and the closure-sharded store root
+//!   ([`shard_entry`], [`list_shards`], [`gc_shards_with_history`]).
+//! * the `store` binary — `inspect`, `stats`, `merge`, `gc-shards`,
+//!   `export-specs`, and `diff-specs` against the handwritten
+//!   `atlas-javalib` corpus.
 //!
-//! The engine-facing entry points live in `atlas-core`
-//! (`Engine::warm_start_from_path`, `Session::persist`); the batch pipeline
-//! in `atlas-bench` drives them end to end and proves cross-process
-//! determinism (same spec set, zero re-executions) in CI.
+//! A store root has one layout: one shard per cluster,
+//! `<root>/0x<closure>/{cache,specs}.json`, plus the whole-run
+//! `specs.json` export the batch and fleet pipelines write beside them.
+//! The engine-facing side lives in `atlas-core`: the store-backed run
+//! (`Engine::incremental_session` + `IncrementalSession::run_with_store`)
+//! fills an empty root cluster by cluster and splices every cluster of a
+//! seeded one back without running the learner; the batch and fleet
+//! pipelines in `atlas-bench` and the resident service in `atlas-serve`
+//! all go through it, and CI proves cross-process determinism (same spec
+//! bytes, zero re-executions) on it.
 
 #![warn(missing_docs)]
 
@@ -46,7 +55,6 @@ pub use artifact::{
 };
 pub use json::{Json, JsonError};
 pub use registry::{
-    atomic_write, gc_shards, gc_shards_with_history, list_shards, load_cache, load_document,
-    load_specs, merge_cache_files, merge_shards, save_cache, save_specs, shard_dir, shard_entry,
-    ShardEntry, ShardGcSummary, StoreError,
+    atomic_write, gc_shards_with_history, list_shards, load_cache, load_document, load_specs,
+    merge_cache_files, save_cache, save_specs, shard_entry, ShardEntry, ShardGcSummary, StoreError,
 };

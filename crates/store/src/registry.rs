@@ -1,5 +1,5 @@
 //! File-level operations of the registry: loading, atomic persistence,
-//! multi-file merge.
+//! multi-file merge, and the closure-sharded store root.
 //!
 //! **Atomicity.**  Every write goes to a temporary file in the *same
 //! directory* as the target and is then `rename`d over it.  On POSIX,
@@ -10,8 +10,8 @@
 //!
 //! **Durability of meaning.**  Loading never mutates: `load_cache` +
 //! `save_cache` of an untouched artifact is byte-identical (deterministic
-//! encoding), which the batch pipeline uses to assert cross-process
-//! determinism.
+//! encoding), so a shard a splice reads is never rewritten and a warm run
+//! reproduces a cold run's files byte for byte.
 
 use crate::artifact::{CacheArtifact, SchemaError, SpecArtifact};
 use crate::json::{Json, JsonError};
@@ -160,14 +160,14 @@ pub fn merge_cache_files(paths: &[PathBuf]) -> Result<CacheArtifact, StoreError>
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint-sharded store roots
+// Closure-sharded store roots
 // ---------------------------------------------------------------------------
 
-/// One shard of a fingerprint-sharded store root: the artifacts of a single
-/// library content.
+/// One shard of a closure-sharded store root: the persisted result of one
+/// cluster (`<root>/0x<closure>/{cache,specs}.json`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardEntry {
-    /// The library fingerprint the shard directory is named after.
+    /// The closure fingerprint the shard directory is named after.
     pub fingerprint: u64,
     /// The shard directory (`<root>/0x<16 hex digits>`).
     pub dir: PathBuf,
@@ -177,17 +177,12 @@ pub struct ShardEntry {
     pub specs: PathBuf,
 }
 
-/// The shard directory for one library fingerprint under a store root:
-/// `<root>/0x<16 hex digits>`.  Multi-library runs give every library its
-/// own shard, so concurrent persists never race on a file and a GC pass can
-/// drop a library by removing one directory.
-pub fn shard_dir(root: &Path, fingerprint: u64) -> PathBuf {
-    root.join(crate::artifact::hex64_string(fingerprint))
-}
-
-/// The canonical artifact paths inside a shard directory.
+/// The canonical artifact paths of the shard for one closure fingerprint
+/// under a store root: `<root>/0x<16 hex digits>/{cache,specs}.json`.
+/// Every cluster writes its own shard, so concurrent persists never race
+/// on a file and a GC pass can drop a closure by removing one directory.
 pub fn shard_entry(root: &Path, fingerprint: u64) -> ShardEntry {
-    let dir = shard_dir(root, fingerprint);
+    let dir = root.join(crate::artifact::hex64_string(fingerprint));
     ShardEntry {
         fingerprint,
         cache: dir.join("cache.json"),
@@ -199,7 +194,8 @@ pub fn shard_entry(root: &Path, fingerprint: u64) -> ShardEntry {
 /// Lists the shards under a store root, sorted by fingerprint (so every
 /// consumer iterates deterministically).  Entries that are not directories
 /// or whose names are not `0x`-hex are ignored — a root may hold unrelated
-/// files.  A missing root is an empty store, not an error.
+/// files, like the whole-run `specs.json` export.  A missing root is an
+/// empty store, not an error.
 pub fn list_shards(root: &Path) -> Result<Vec<ShardEntry>, StoreError> {
     let mut shards = Vec::new();
     let entries = match fs::read_dir(root) {
@@ -231,25 +227,10 @@ pub fn list_shards(root: &Path) -> Result<Vec<ShardEntry>, StoreError> {
         });
     }
     // Tie-break equal fingerprints (a canonical and a non-canonical
-    // spelling of the same hash) by directory path, so iteration — and
-    // everything built on it, like `merge_shards` — never depends on
-    // `read_dir` order.
+    // spelling of the same hash) by directory path, so iteration never
+    // depends on `read_dir` order.
     shards.sort_by(|a, b| (a.fingerprint, &a.dir).cmp(&(b.fingerprint, &b.dir)));
     Ok(shards)
-}
-
-/// Merges every shard cache under a store root into one artifact, in
-/// fingerprint order — a pure function of the root's contents, so two
-/// machines merging the same shards produce byte-identical files.  Shards
-/// without a cache file yet are skipped.
-pub fn merge_shards(root: &Path) -> Result<CacheArtifact, StoreError> {
-    let mut merged = CacheArtifact::default();
-    for shard in list_shards(root)? {
-        if shard.cache.exists() {
-            merged.merge(&load_cache(&shard.cache)?);
-        }
-    }
-    Ok(merged)
 }
 
 /// What a cross-shard GC pass did.
@@ -258,31 +239,24 @@ pub struct ShardGcSummary {
     /// Shard directories kept.
     pub kept: usize,
     /// Shard directories removed (their fingerprint was not in the keep
-    /// set).
+    /// set, nor among the history survivors).
     pub removed: usize,
-    /// Entries dropped *inside* kept shards whose cache carried foreign
-    /// fingerprints (e.g. merged-in artifacts).
+    /// Entries dropped *inside* explicitly kept shards whose cache carried
+    /// foreign closures (e.g. merged-in artifacts).
     pub dropped_entries: usize,
 }
 
-/// Garbage-collects a sharded store root: removes every shard directory
-/// whose fingerprint is not in `keep`, and inside the kept shards drops
-/// cache shards recorded under a foreign fingerprint.  This is how a
-/// long-lived fleet store sheds libraries that left the fleet.
-pub fn gc_shards(root: &Path, keep: &[u64]) -> Result<ShardGcSummary, StoreError> {
-    gc_shards_with_history(root, keep, 0)
-}
-
-/// [`gc_shards`] with a history window: beyond the explicitly kept
-/// fingerprints, the `history` most-recently-written other shard
-/// directories survive too (recency by the shard cache's modification
-/// time, directory path as the deterministic tie-break).
+/// Garbage-collects a closure-sharded store root: removes every shard
+/// directory whose closure fingerprint is not in `keep`, except the
+/// `history` most-recently-written others (recency by the shard cache's
+/// modification time, directory path as the deterministic tie-break), and
+/// inside the explicitly kept shards drops cache shards keyed on another
+/// closure.
 ///
-/// This is the retention policy of a *delta* store, where every dependency
-/// closure owns a shard: after an edit the new closure gets a fresh shard,
-/// and `--keep-history N` keeps the last `N` generations around so
-/// reverting an edit warm-starts instantly, while truly orphaned closures
-/// eventually age out.
+/// Every dependency closure owns a shard: after an edit the new closure
+/// gets a fresh shard, and `--keep-history N` keeps the last `N`
+/// generations around so reverting an edit warm-starts instantly, while
+/// truly orphaned closures eventually age out.
 pub fn gc_shards_with_history(
     root: &Path,
     keep: &[u64],
@@ -318,10 +292,7 @@ pub fn gc_shards_with_history(
         // previous generation we keep verbatim for instant reverts.
         if explicitly_kept && shard.cache.exists() {
             let mut artifact = load_cache(&shard.cache)?;
-            // A shard directory may be named after a library fingerprint
-            // (fleet layout) or a closure fingerprint (delta layout);
-            // entries matching either attribution stay.
-            let gc = artifact.retain_matching(shard.fingerprint);
+            let gc = artifact.retain_closures(&[shard.fingerprint]);
             if gc.dropped_entries > 0 || gc.dropped_shards > 0 {
                 summary.dropped_entries += gc.dropped_entries;
                 save_cache(&shard.cache, &artifact)?;
@@ -419,6 +390,17 @@ mod tests {
         );
     }
 
+    /// Merges every listed shard cache of a root, in fingerprint order.
+    fn merge_listed(root: &Path) -> CacheArtifact {
+        let caches: Vec<PathBuf> = list_shards(root)
+            .expect("list")
+            .into_iter()
+            .map(|s| s.cache)
+            .filter(|c| c.exists())
+            .collect();
+        merge_cache_files(&caches).expect("merge")
+    }
+
     #[test]
     fn sharded_roots_list_merge_and_gc_deterministically() {
         let scratch = Scratch::new("shards");
@@ -443,18 +425,17 @@ mod tests {
         assert!(shards[0].dir.ends_with("0x000000000000000a"));
 
         // Cross-shard merge is fingerprint-ordered and deterministic.
-        let merged = merge_shards(&root).expect("merge");
+        let merged = merge_listed(&root);
         assert_eq!(merged.shards.len(), 2);
         assert_eq!(merged.num_entries(), 3);
-        let again = merge_shards(&root).expect("merge again");
-        assert_eq!(merged, again);
+        assert_eq!(merged, merge_listed(&root));
 
         // GC drops the unkept shard directory and keeps the rest intact.
-        let summary = gc_shards(&root, &[0xA]).expect("gc");
+        let summary = gc_shards_with_history(&root, &[0xA], 0).expect("gc");
         assert_eq!(summary.kept, 1);
         assert_eq!(summary.removed, 1);
         assert_eq!(summary.dropped_entries, 0);
-        assert!(!shard_dir(&root, 0xB).exists());
+        assert!(!shard_entry(&root, 0xB).dir.exists());
         assert_eq!(load_cache(&shard_entry(&root, 0xA).cache).unwrap(), a);
 
         // A non-canonically named shard dir (short/uppercase hex, e.g.
@@ -470,17 +451,17 @@ mod tests {
         let shards = list_shards(&root).expect("list with odd name");
         let odd = shards.iter().find(|s| s.fingerprint == 0xFF).unwrap();
         assert_eq!(odd.dir, odd_dir);
-        assert_eq!(merge_shards(&root).unwrap().num_entries(), 3);
-        let summary = gc_shards(&root, &[0xA]).expect("gc odd name");
+        assert_eq!(merge_listed(&root).num_entries(), 3);
+        let summary = gc_shards_with_history(&root, &[0xA], 0).expect("gc odd name");
         assert_eq!(summary.removed, 1);
         assert!(!odd_dir.exists());
 
-        // A kept shard whose cache carries foreign-fingerprint shards (a
-        // merged-in artifact) is scrubbed down to its own fingerprint.
+        // A kept shard whose cache carries shards of foreign closures (a
+        // merged-in artifact) is scrubbed down to its own closure.
         let mut polluted = a.clone();
         polluted.merge(&sample_artifact(0xDEAD, vec![(9, 9, true)]));
         save_cache(&shard_entry(&root, 0xA).cache, &polluted).unwrap();
-        let summary = gc_shards(&root, &[0xA]).expect("gc scrub");
+        let summary = gc_shards_with_history(&root, &[0xA], 0).expect("gc scrub");
         assert_eq!(summary.kept, 1);
         assert_eq!(summary.dropped_entries, 1);
         assert_eq!(load_cache(&shard_entry(&root, 0xA).cache).unwrap(), a);
@@ -491,14 +472,23 @@ mod tests {
         let scratch = Scratch::new("history");
         let root = scratch.path("delta");
         // Three closure generations written in order, plus the current one.
+        // Their modification times are set an hour apart: file timestamps
+        // tick coarsely on some kernels, so back-to-back writes can tie.
+        let epoch = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
         for (i, fp) in [0x10u64, 0x20, 0x30, 0x40].into_iter().enumerate() {
+            let cache = shard_entry(&root, fp).cache;
             save_cache(
-                &shard_entry(&root, fp).cache,
+                &cache,
                 &sample_artifact(fp, vec![(i as u64, i as u64, true)]),
             )
             .unwrap();
-            // mtime separation (nanosecond clocks can still collide).
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            fs::File::options()
+                .write(true)
+                .open(&cache)
+                .and_then(|f| {
+                    f.set_modified(epoch + std::time::Duration::from_secs(3600 * i as u64))
+                })
+                .unwrap();
         }
         // Keep the current closure explicitly and one history generation:
         // the most recent non-kept shard (0x30) survives, older ones go.
@@ -511,8 +501,8 @@ mod tests {
             .map(|s| s.fingerprint)
             .collect();
         assert_eq!(left, vec![0x30, 0x40]);
-        // History 0 with an explicit keep set is exactly the old gc_shards.
-        let summary = gc_shards(&root, &[0x40]).expect("gc");
+        // History 0 keeps exactly the explicit keep set.
+        let summary = gc_shards_with_history(&root, &[0x40], 0).expect("gc");
         assert_eq!(summary.removed, 1);
         assert_eq!(
             list_shards(&root)

@@ -1,17 +1,24 @@
-//! The `store` binary on a closure-sharded root: `stats`, then
-//! `gc-shards` with and without a history window, driven as a separate
-//! process exactly as an operator would run it.
+//! The `store` binary on closure-sharded roots, driven as a separate
+//! process exactly as an operator would run it:
 //!
-//! The root mirrors a delta store after one edit: two live closures the
-//! caller keeps by name, plus two retired generations of edited closures
-//! whose shard caches carry staggered modification times.  The newer
-//! retired generation is written first and sorts last by path, so only
-//! its modification time can make a history window keep it.
+//! * `stats`, then `gc-shards` with and without a history window, on a
+//!   hand-built root mirroring a delta store after one edit: two live
+//!   closures the caller keeps by name, plus two retired generations of
+//!   edited closures whose shard caches carry staggered modification
+//!   times.  The newer retired generation is written first and sorts last
+//!   by path, so only its modification time can make a history window
+//!   keep it.
+//! * `inspect`, `stats`, `export-specs` and `diff-specs` on a root the
+//!   store-backed run wrote (javalib-lang at a small budget), plus the
+//!   whole-run `specs.json` export beside its shards.
 
+use atlas_core::{AtlasConfig, Engine, EXTRACTION};
 use atlas_interp::ExecLimits;
+use atlas_ir::LibraryInterface;
 use atlas_learn::CacheStats;
 use atlas_store::{
-    list_shards, save_cache, shard_entry, CacheArtifact, CacheProvenance, CacheShard,
+    list_shards, load_cache, save_cache, save_specs, shard_entry, CacheArtifact, CacheProvenance,
+    CacheShard,
 };
 use atlas_synth::InitStrategy;
 use std::path::{Path, PathBuf};
@@ -138,6 +145,117 @@ fn stats_and_gc_shards_on_a_closure_root() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--keep-history"));
     assert_eq!(fingerprints(&dir), LIVE.to_vec());
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn inspect_stats_and_spec_commands_on_a_store_backed_root() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("atlas-store-cli-run-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The store-backed run fills the empty root shard by shard; the
+    // whole-run export goes beside the shards, as batch and fleet write it.
+    let variant = atlas_javalib::variant_named("javalib-lang").expect("registered variant");
+    let program = variant.build_program();
+    let interface = LibraryInterface::from_program(&program);
+    let config = AtlasConfig {
+        samples_per_cluster: 150,
+        clusters: variant.cluster_ids(&program),
+        num_threads: 1,
+        ..AtlasConfig::default()
+    };
+    let engine = Engine::new(&program, &interface, config);
+    let outcome = engine
+        .incremental_session(&engine.run_provenance())
+        .run_with_store(&dir, EXTRACTION)
+        .expect("store-backed run");
+    let artifact = outcome.spec_artifact(&program);
+    let export = dir.join("specs.json");
+    save_specs(&export, &artifact, &program).expect("whole-run export");
+    let shards = list_shards(&dir).expect("list shards");
+    assert_eq!(
+        shards.len(),
+        artifact.clusters.len(),
+        "one shard per cluster"
+    );
+    let entries: Vec<usize> = shards
+        .iter()
+        .map(|s| load_cache(&s.cache).expect("shard cache").num_entries())
+        .collect();
+    let path = |p: &Path| p.to_str().expect("utf-8 temp path").to_string();
+    let (root, export) = (path(&dir), path(&export));
+    let (shard_cache, shard_specs) = (path(&shards[0].cache), path(&shards[0].specs));
+
+    // inspect: a shard's cache and specs, and the export.
+    let out = store(&["inspect", &shard_cache, &shard_specs, &export]);
+    assert!(out.status.success(), "inspect failed: {out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("schema: atlas-cache/2"), "{text}");
+    assert!(
+        text.contains(&format!("shards: 1, entries: {}", entries[0])),
+        "{text}"
+    );
+    assert!(text.contains("schema: atlas-spec/1"), "{text}");
+    assert!(
+        text.contains("clusters: 1\n"),
+        "a shard holds one cluster: {text}"
+    );
+    assert!(
+        text.contains(&format!("clusters: {}\n", artifact.clusters.len())),
+        "{text}"
+    );
+
+    // stats: the root (one row per shard) and one shard cache file.
+    let out = store(&["stats", &root]);
+    assert!(out.status.success(), "stats failed: {out:?}");
+    let text = stdout(&out);
+    assert!(
+        text.contains(&format!(": {} shard dir(s)", shards.len())),
+        "{text}"
+    );
+    let total: usize = entries.iter().sum();
+    assert!(text.contains(&format!("total: {total} entries")), "{text}");
+    assert!(!text.contains("specs no"), "every shard has specs: {text}");
+    let out = store(&["stats", &shard_cache]);
+    assert!(out.status.success(), "stats failed: {out:?}");
+    assert!(stdout(&out).contains(&format!("1 provenance shard(s), {} entries", entries[0])));
+
+    // export-specs and diff-specs resolve the export against the modeled
+    // library; javalib-lang is a different library content, which they
+    // name in a warning but still resolve.
+    let out = store(&["export-specs", &export]);
+    assert!(out.status.success(), "export-specs failed: {out:?}");
+    let text = stdout(&out);
+    assert!(
+        text.starts_with(&format!(
+            "{} specification(s) in {} cluster(s), extracted with max_len={} limit={}",
+            artifact.num_specs(),
+            artifact.clusters.len(),
+            EXTRACTION.0,
+            EXTRACTION.1
+        )),
+        "{text}"
+    );
+    let warning = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        warning.contains(&atlas_store::hex64_string(artifact.fingerprint)),
+        "{warning}"
+    );
+    let out = store(&["diff-specs", &export]);
+    assert!(out.status.success(), "diff-specs failed: {out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("summary: "), "{text}");
+
+    // A shard of the root is not a spec export of the whole run, but it
+    // is a valid one of its cluster.
+    let out = store(&["export-specs", &shard_specs]);
+    assert!(
+        out.status.success(),
+        "export-specs on a shard failed: {out:?}"
+    );
+    assert!(stdout(&out).contains("in 1 cluster(s)"));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

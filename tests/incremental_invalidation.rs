@@ -122,14 +122,14 @@ proptest! {
             ..AtlasConfig::default()
         };
 
-        // Seed the store with a cold full run over the old content.
+        // Seed the store with a store-backed run over the old content: an
+        // empty root fills shard by shard.
         let old_engine = Engine::new(&old_program, &old_interface, config.clone());
-        let mut session = old_engine.session();
-        let old_outcome = session.run();
-        session
-            .persist_shards(&old_outcome, &root, extraction)
-            .expect("seed shards");
         let old_provenance = old_engine.run_provenance();
+        old_engine
+            .incremental_session(&old_provenance)
+            .run_with_store(&root, extraction)
+            .expect("seed shards");
 
         let Ok(mutated) = mutate_library(&old_program, &MutationConfig::new(kind, mutation_seed))
         else {

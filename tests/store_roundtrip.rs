@@ -3,14 +3,15 @@
 //! * **JSON**: `parse(render(x)) == x` for randomized value trees — the
 //!   self-contained parser and the report writer implement the same
 //!   dialect;
-//! * **cache artifacts**: a verdict cache harvested from a real inference
-//!   run survives persist → reload with identical statistics and verdicts;
+//! * **cache artifacts**: the closure shard a real store-backed run
+//!   persists holds exactly the cluster's verdict cache — identical
+//!   statistics and verdicts — and splices back with zero executions;
 //! * **spec artifacts**: a learned specification set survives encode →
 //!   render → parse → decode against a freshly built program, and
 //!   re-encoding is byte-identical (the cross-process determinism
 //!   invariant).
 
-use atlas_core::{AtlasConfig, CacheArtifact, Engine, SpecArtifact};
+use atlas_core::{AtlasConfig, Engine, SpecArtifact, EXTRACTION};
 use atlas_ir::LibraryInterface;
 use atlas_store::Json;
 use proptest::prelude::*;
@@ -114,43 +115,64 @@ fn box_config(program: &atlas_ir::Program) -> AtlasConfig {
     }
 }
 
-/// The satellite store round-trip: persist a real harvested cache, reload
-/// it, and check statistics and every verdict survive unchanged.  Since
-/// the incremental refactor, a session's entries are keyed per cluster
-/// closure, so the artifact carries one provenance shard per cluster.
+/// The store round-trip through the one writer: a store-backed run over an
+/// empty root persists the cluster's shard; reloading its cache gives back
+/// the cluster's statistics and every verdict, re-encoding is
+/// byte-identical, and a fresh engine splices the shard with nothing
+/// executed.
 #[test]
 fn cache_artifact_preserves_stats_and_verdicts() {
+    let root = std::env::temp_dir().join(format!("atlas-store-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     let (program, interface) = box_setup();
     let engine = Engine::new(&program, &interface, box_config(&program));
-    let mut session = engine.session();
-    let _ = session.run();
-    let provenances = session.cluster_provenances();
-    assert_eq!(provenances.len(), 1);
-    assert_eq!(
-        provenances[0].fingerprint,
-        engine.provenance().fingerprint,
-        "cluster shards are attributed to the library fingerprint"
-    );
-    assert_eq!(provenances[0].closure, session.jobs()[0].closure);
+    let mut session = engine.incremental_session(&engine.run_provenance());
+    let outcome = session
+        .run_with_store(&root, EXTRACTION)
+        .expect("cold root");
+    assert_eq!(outcome.dirty_clusters, 1);
     let cache = session.into_cache();
     assert!(!cache.is_empty());
 
-    let artifact = CacheArtifact::from_cache_shards(&cache, &provenances);
-    let reparsed = Json::parse(&artifact.encode().render()).expect("render parses");
-    let reloaded = CacheArtifact::decode(&reparsed).expect("decode");
-    assert_eq!(reloaded, artifact);
-
-    // Identical CacheStats...
-    assert_eq!(reloaded.shards.len(), 1);
+    let closure = engine.cluster_jobs()[0].closure;
+    let shard = atlas_store::shard_entry(&root, closure);
+    let reloaded = atlas_store::load_cache(&shard.cache).expect("shard cache");
+    assert_eq!(reloaded.shards.len(), 1, "one provenance per closure shard");
+    let provenance = reloaded.shards[0].provenance;
+    assert_eq!(provenance.closure, closure);
+    assert_eq!(
+        provenance.fingerprint, outcome.library,
+        "closure shards are attributed to the library fingerprint"
+    );
+    // Identical CacheStats: the cluster's own counters...
     assert_eq!(reloaded.shards[0].stats, cache.stats());
-    assert_eq!(reloaded.shards[0].provenance, provenances[0]);
+    assert_eq!(reloaded.shards[0].stats, outcome.cache_stats);
     // ...and identical verdicts for every key, in insertion order.
-    let original: Vec<_> = cache.entries().collect();
-    assert_eq!(reloaded.num_entries(), original.len());
-    let live = reloaded.to_cache();
-    for (key, verdict) in original {
-        assert_eq!(live.peek(key), Some(verdict), "verdict changed for {key:?}");
-    }
+    let original: Vec<(u64, u64, bool)> = cache
+        .entries()
+        .map(|(key, verdict)| {
+            assert_eq!(key.context(), provenance.context, "{key:?}");
+            let (word, word2) = key.word_hashes();
+            (word, word2, verdict)
+        })
+        .collect();
+    assert_eq!(reloaded.shards[0].entries, original);
+    // Re-encoding the reloaded artifact reproduces the file.
+    assert_eq!(
+        reloaded.encode().render(),
+        std::fs::read_to_string(&shard.cache).unwrap()
+    );
+
+    // A fresh engine over a freshly built program splices it back.
+    let (program2, interface2) = box_setup();
+    let engine2 = Engine::new(&program2, &interface2, box_config(&program2));
+    let warm = engine2
+        .incremental_session(&engine2.run_provenance())
+        .run_with_store(&root, EXTRACTION)
+        .expect("seeded root");
+    assert_eq!((warm.clean_clusters, warm.oracle_executions), (1, 0));
+    assert_eq!(warm.spliced_verdicts, reloaded.num_entries());
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Spec artifacts survive the full file cycle against a *freshly built*

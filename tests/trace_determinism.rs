@@ -102,12 +102,11 @@ fn tracing_keeps_incremental_run_and_store_bytes_identical() {
         let interface = LibraryInterface::from_program(&lib.program);
         let engine = Engine::new(&lib.program, &interface, small_config(&lib, 2))
             .with_recorder(recorder.clone());
-        let mut session = engine.session();
-        let outcome = session.run();
-        session
-            .persist_shards(&outcome, store, EXTRACTION)
-            .expect("seedable store");
         let provenance = engine.run_provenance();
+        engine
+            .incremental_session(&provenance)
+            .run_with_store(store, EXTRACTION)
+            .expect("seedable store");
 
         let mutated = atlas_apps::mutate_library(
             &lib.program,
