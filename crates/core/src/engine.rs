@@ -24,10 +24,13 @@
 //! **Warm starts.**  [`Engine::warm_start`] seeds every per-cluster oracle
 //! with a content-addressed [`VerdictCache`] from a previous run, and
 //! [`Session::into_cache`] harvests the (deterministically merged) cache
-//! after a run.  Because the oracle is a deterministic function, a warm
-//! cache changes *only* how many unit tests are re-executed — never the
-//! learned automata — so the determinism guarantee extends to any cache
-//! state: cold and warm runs are bit-identical result-for-result.
+//! after a run.  Each oracle shares its cluster's partition of the cache
+//! and writes only its own verdicts; the session folds them back in
+//! cluster order, so no cache is copied on the way.  Because the oracle
+//! is a deterministic function, a warm cache changes *only* how many unit
+//! tests are re-executed — never the learned automata — so the
+//! determinism guarantee extends to any cache state: cold and warm runs
+//! are bit-identical result-for-result.
 
 use crate::inference::{AtlasConfig, ClusterOutcome, InferenceOutcome, ParallelismSummary};
 use atlas_interp::CompiledProgram;
@@ -71,6 +74,10 @@ pub struct Engine<'p> {
     interface: &'p LibraryInterface,
     config: AtlasConfig,
     warm: VerdictCache,
+    /// The whole-library content fingerprint, computed on first use: it
+    /// pretty-prints every library method, and both the provenance and the
+    /// store-backed run need it.
+    library: std::sync::OnceLock<u64>,
     /// Resolved cluster jobs, computed on first use: building the
     /// [`DepGraph`] behind the closure fingerprints pretty-prints every
     /// method, so an engine does it once, not once per session/provenance
@@ -128,6 +135,7 @@ impl<'p> Engine<'p> {
             interface,
             config,
             warm: VerdictCache::new(),
+            library: std::sync::OnceLock::new(),
             jobs: std::sync::OnceLock::new(),
             compiled: std::sync::OnceLock::new(),
             recorder: Recorder::off(),
@@ -175,8 +183,10 @@ impl<'p> Engine<'p> {
     }
 
     /// Seeds the engine with a verdict cache from a previous run: every
-    /// per-cluster oracle starts from (a warm-marked copy of) these entries
+    /// per-cluster oracle starts from (a shared partition of) these entries
     /// and skips re-executing any unit test whose verdict is already known.
+    /// The cache's counters are dropped, so a session's harvested cache
+    /// counts only that session's activity.
     ///
     /// The cache never changes *results* — verdicts are deterministic, so a
     /// hit returns exactly what re-execution would have — only the number of
@@ -214,9 +224,9 @@ impl<'p> Engine<'p> {
     /// assert_eq!(warm.oracle_executions, 0);
     /// assert!(warm.cache_stats.warm_hits > 0);
     /// ```
-    pub fn warm_start(mut self, mut cache: VerdictCache) -> Engine<'p> {
-        cache.mark_warm();
+    pub fn warm_start(mut self, cache: VerdictCache) -> Engine<'p> {
         self.warm.merge(cache);
+        self.warm.reset_stats();
         self
     }
 
@@ -241,14 +251,26 @@ impl<'p> Engine<'p> {
         &self.config
     }
 
+    /// The whole-library content fingerprint
+    /// ([`atlas_learn::library_fingerprint`]), computed on the first call
+    /// and cached for the engine's lifetime.
+    pub(crate) fn library_fingerprint(&self) -> u64 {
+        *self
+            .library
+            .get_or_init(|| atlas_learn::library_fingerprint(self.program, self.interface))
+    }
+
     /// Resolves the configured clusters into jobs: positional seeds exactly
     /// like the historical sequential loop, plus each cluster's
     /// dependency-closure fingerprint (computed from one shared
     /// [`DepGraph`], built lazily on the first call and cached for the
-    /// engine's lifetime).
+    /// engine's lifetime).  The first call records an `engine/jobs` span
+    /// on lane 0.
     pub fn cluster_jobs(&self) -> Vec<ClusterJob> {
         self.jobs
             .get_or_init(|| {
+                let mut lane = self.recorder.lane(0);
+                let start = lane.begin();
                 let clusters: Vec<Vec<ClassId>> = if self.config.clusters.is_empty() {
                     vec![self.program.library_classes().map(|c| c.id()).collect()]
                 } else {
@@ -271,7 +293,7 @@ impl<'p> Engine<'p> {
                 c.write_u64(config.limits.max_call_depth as u64);
                 c.write_u64(config.limits.max_heap_objects as u64);
                 let learner = c.finish();
-                clusters
+                let jobs = clusters
                     .into_iter()
                     .enumerate()
                     .map(|(index, classes)| {
@@ -303,7 +325,14 @@ impl<'p> Engine<'p> {
                             classes,
                         }
                     })
-                    .collect()
+                    .collect::<Vec<_>>();
+                lane.end(
+                    start,
+                    "engine",
+                    "jobs",
+                    vec![("clusters", ArgValue::from(jobs.len()))],
+                );
+                jobs
             })
             .clone()
     }
@@ -316,7 +345,7 @@ impl<'p> Engine<'p> {
             engine: self,
             jobs,
             num_threads,
-            collected: self.warm.warm_clone(),
+            collected: self.warm.clone(),
         }
     }
 
@@ -372,9 +401,9 @@ pub struct Session<'e, 'p> {
     engine: &'e Engine<'p>,
     jobs: Vec<ClusterJob>,
     num_threads: usize,
-    /// Starts as a warm-marked copy of the engine's warm cache; after
+    /// Starts as the engine's warm cache (sharing its partitions); after
     /// [`Session::run`], additionally holds every verdict the run computed,
-    /// merged in cluster order.
+    /// folded in cluster order.
     collected: VerdictCache,
 }
 
@@ -495,15 +524,10 @@ pub(crate) fn run_cluster_job(
         fingerprint: Some(job.closure),
         ..OracleConfig::default()
     };
-    // Each cluster starts from its own copy of the session's warm cache:
-    // workers never share mutable state, so the thread count cannot
-    // change which verdicts are hits.
-    let mut oracle = Oracle::with_cache(
-        engine.program,
-        engine.interface,
-        oracle_config,
-        warm.warm_clone(),
-    );
+    // Each cluster reads its own partition of the session's warm cache
+    // and writes to a private delta: workers never share mutable state,
+    // so the thread count cannot change which verdicts are hits.
+    let mut oracle = Oracle::with_cache(engine.program, engine.interface, oracle_config, warm);
     // Oracles share the engine-wide compilation instead of each lowering
     // the program themselves.
     oracle.set_compiled_program(engine.compiled_program());

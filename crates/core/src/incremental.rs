@@ -34,7 +34,7 @@
 
 use crate::engine::{resolve_threads, run_cluster_job, ClusterJob, ClusterRun, Engine};
 use crate::inference::ClusterOutcome;
-use atlas_learn::{library_fingerprint, CacheStats, OracleStats, VerdictCache};
+use atlas_learn::{CacheStats, OracleStats, VerdictCache};
 use atlas_obs::ArgValue;
 use atlas_store::{
     load_cache, save_cache, shard_entry, CacheArtifact, CacheProvenance, SpecArtifact, SpecCluster,
@@ -324,10 +324,14 @@ impl<'p> Engine<'p> {
     /// plus each configured cluster's dependency-closure fingerprint.
     /// Capture it after a full run (it is a pure function of program and
     /// configuration) and feed it to [`Engine::incremental_session`] on an
-    /// engine over the edited program.
+    /// engine over the edited program.  Both fingerprints are cached on
+    /// the engine, so a provenance taken after a store-backed run hashes
+    /// nothing again.  Records an `engine/provenance` span on lane 0.
     pub fn run_provenance(&self) -> RunProvenance {
-        RunProvenance {
-            library: library_fingerprint(self.program(), self.interface()),
+        let mut lane = self.recorder().lane(0);
+        let start = lane.begin();
+        let provenance = RunProvenance {
+            library: self.library_fingerprint(),
             clusters: self
                 .cluster_jobs()
                 .into_iter()
@@ -341,7 +345,9 @@ impl<'p> Engine<'p> {
                     closure: job.closure,
                 })
                 .collect(),
-        }
+        };
+        lane.end(start, "engine", "provenance", Vec::new());
+        provenance
     }
 
     /// Opens an incremental session over this engine's (new) program,
@@ -361,7 +367,7 @@ impl<'p> Engine<'p> {
             num_threads: resolve_threads(self.config().num_threads, dirty_jobs),
             jobs,
             clean,
-            collected: self.warm_cache().warm_clone(),
+            collected: self.warm_cache().clone(),
         }
     }
 }
@@ -374,9 +380,9 @@ pub struct IncrementalSession<'e, 'p> {
     /// Per-job cleanliness from the closure diff.
     clean: Vec<bool>,
     num_threads: usize,
-    /// Starts as a warm-marked copy of the engine's warm cache; after
+    /// Starts as the engine's warm cache (sharing its partitions); after
     /// [`IncrementalSession::run_with_store`], additionally holds every
-    /// verdict the dirty re-runs computed, merged in cluster order.
+    /// verdict the dirty re-runs computed, folded in cluster order.
     collected: VerdictCache,
 }
 
@@ -454,7 +460,7 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
         let recorder = engine.recorder();
         let mut incr_lane = recorder.lane(0);
         let incr_start = incr_lane.begin();
-        let library = library_fingerprint(engine.program(), engine.interface());
+        let library = engine.library_fingerprint();
 
         // Pass 1 (sequential, cheap): resolve each cluster's disposition.
         // `None` marks empty clusters (skipped, like a full run).

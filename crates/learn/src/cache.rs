@@ -14,16 +14,25 @@
 //! so a cache built over one program instance warm-starts an oracle over a
 //! freshly built but identical program — and yields zero (false) hits when
 //! the library implementation differs, even if the interface looks the same
-//! ([`library_fingerprint`]).  See `DESIGN.md` for the data flow through
-//! the engine's `warm_start`/`into_cache` and the determinism invariant:
-//! a warm-started run produces bit-identical automata, it only skips
-//! re-executions.
+//! ([`library_fingerprint`]).
+//!
+//! A [`VerdictCache`] is a map from key context to an `Arc`-shared
+//! partition, so handing a session's cache to the next engine shares every
+//! verdict instead of copying it.  An oracle only ever looks up its own
+//! context: it reads that partition as a frozen base, writes its misses to
+//! a private delta, and hands back base plus delta, which the engine folds
+//! into the session cache in cluster order, first entry wins.  See
+//! `DESIGN.md` for the data flow through the engine's
+//! `warm_start`/`into_cache` and the determinism invariant: a warm-started
+//! run produces bit-identical automata, it only skips re-executions.
 
 use atlas_interp::ExecLimits;
 use atlas_ir::hash::{method_content_hash, Fnv};
 use atlas_ir::{LibraryInterface, MethodId, ParamSlot, Program, SlotKind};
 use atlas_synth::InitStrategy;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{btree_map, BTreeMap, HashMap};
+use std::sync::Arc;
 
 // The hashing primitives are shared with `atlas-store` (which persists
 // caches across processes) via `atlas_ir::hash` — one implementation, one
@@ -174,14 +183,16 @@ pub struct CacheStats {
     pub lookups: usize,
     /// Lookups answered from the cache.
     pub hits: usize,
-    /// The subset of `hits` answered by *warm* entries — verdicts absorbed
-    /// from a previous session rather than computed during this one.
+    /// The subset of `hits` answered by *warm* entries — verdicts an
+    /// oracle found in the partition it started from, rather than
+    /// computed itself.
     pub warm_hits: usize,
     /// Lookups that found nothing.
     pub misses: usize,
     /// Entries inserted.
     pub insertions: usize,
-    /// Entries evicted to respect the capacity limit.
+    /// Always `0`: the cache is unbounded and never evicts.  Kept because
+    /// persisted shard statistics and the batch report carry the field.
     pub evictions: usize,
 }
 
@@ -217,77 +228,86 @@ impl CacheStats {
     }
 }
 
-/// One cached verdict.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    verdict: bool,
-    /// `true` when the entry was absorbed from a previous session (via
-    /// [`VerdictCache::warm_clone`] or [`VerdictCache::merge`] into a fresh
-    /// cache) rather than inserted by the current owner.
-    warm: bool,
+/// The two word hashes of a [`VerdictKey`]: the key within one context.
+type WordHash = (u64, u64);
+
+/// The verdicts of one key context, in insertion order.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    verdicts: HashMap<WordHash, bool>,
+    order: Vec<(WordHash, bool)>,
 }
 
-/// A bounded, deterministic store of oracle verdicts keyed by
+impl Partition {
+    fn get(&self, word: WordHash) -> Option<bool> {
+        self.verdicts.get(&word).copied()
+    }
+
+    /// Inserts a verdict unless the word is already known (the first
+    /// entry wins); returns whether it was new.
+    fn insert(&mut self, word: WordHash, verdict: bool) -> bool {
+        match self.verdicts.entry(word) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(verdict);
+                self.order.push((word, verdict));
+                true
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+}
+
+/// An unbounded, deterministic store of oracle verdicts keyed by
 /// [`VerdictKey`].
 ///
-/// * **Deterministic.**  Eviction is FIFO over insertion order and
-///   [`merge`](VerdictCache::merge) walks the donor in its insertion order
-///   with first-entry-wins, so the cache contents are a pure function of
+/// * **Partitioned by context.**  Verdicts are grouped by the context half
+///   of their key, one `Arc`-shared partition per context.  Cloning a
+///   cache costs one reference-count bump per context, so sessions,
+///   engines and cluster runs pass caches on without copying verdicts; a
+///   partition is copied only when a shared one is written to.
+/// * **Deterministic.**  Each partition keeps its verdicts in insertion
+///   order, and [`merge`](VerdictCache::merge) walks the donor in that
+///   order with first-entry-wins, so the contents are a pure function of
 ///   the operation sequence — never of hash-map iteration order.
 /// * **Collision-free in practice.**  Keys carry 192 bits of content hash;
 ///   a collision would require ~2^96 distinct words.
 ///
 /// ```
-/// use atlas_learn::{CacheStats, VerdictCache};
-/// let mut cache = VerdictCache::with_capacity(2);
-/// let keys = VerdictCache::test_keys(3);
+/// use atlas_learn::VerdictCache;
+/// let mut cache = VerdictCache::default();
+/// let keys = VerdictCache::test_keys(2);
 /// cache.insert(keys[0], true);
-/// cache.insert(keys[1], false);
-/// cache.insert(keys[2], true); // evicts keys[0] (FIFO)
-/// assert_eq!(cache.len(), 2);
-/// assert_eq!(cache.get(keys[0]), None);
-/// assert_eq!(cache.get(keys[2]), Some(true));
-/// assert_eq!(cache.stats().evictions, 1);
+/// cache.insert(keys[0], false); // the first entry wins
+/// assert_eq!(cache.get(keys[0]), Some(true));
+/// assert_eq!(cache.get(keys[1]), None);
+/// assert_eq!(cache.len(), 1);
 /// assert_eq!(cache.stats().hit_rate(), 0.5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VerdictCache {
-    map: HashMap<VerdictKey, Entry>,
-    order: VecDeque<VerdictKey>,
-    capacity: usize,
+    /// Context → its verdicts.  Never holds an empty partition.
+    partitions: BTreeMap<u64, Arc<Partition>>,
     stats: CacheStats,
 }
 
 impl VerdictCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> VerdictCache {
-        VerdictCache::with_capacity(usize::MAX)
-    }
-
-    /// An empty cache that holds at most `capacity` entries, evicting the
-    /// oldest (FIFO) beyond that.  `0` is treated as "unbounded".
-    pub fn with_capacity(capacity: usize) -> VerdictCache {
-        VerdictCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: if capacity == 0 { usize::MAX } else { capacity },
-            stats: CacheStats::default(),
-        }
+        VerdictCache::default()
     }
 
     /// Number of cached verdicts.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.partitions.values().map(|p| p.len()).sum()
     }
 
     /// Whether the cache holds no verdicts.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The capacity limit (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.partitions.is_empty()
     }
 
     /// The activity counters accumulated so far.
@@ -295,103 +315,109 @@ impl VerdictCache {
         self.stats
     }
 
-    /// Looks up a verdict, recording a hit or miss.
-    pub fn get(&mut self, key: VerdictKey) -> Option<bool> {
-        self.stats.lookups += 1;
-        match self.map.get(&key) {
-            Some(entry) => {
-                self.stats.hits += 1;
-                if entry.warm {
-                    self.stats.warm_hits += 1;
-                }
-                Some(entry.verdict)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Looks up a verdict without touching the counters.
-    pub fn peek(&self, key: VerdictKey) -> Option<bool> {
-        self.map.get(&key).map(|e| e.verdict)
-    }
-
-    /// Inserts a verdict computed by the current session.  Existing entries
-    /// win: the oracle is deterministic, so a collision can only carry the
-    /// same value anyway.
-    pub fn insert(&mut self, key: VerdictKey, verdict: bool) {
-        self.insert_entry(
-            key,
-            Entry {
-                verdict,
-                warm: false,
-            },
-        );
-    }
-
-    fn insert_entry(&mut self, key: VerdictKey, entry: Entry) {
-        if self.map.contains_key(&key) {
-            return;
-        }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        self.map.insert(key, entry);
-        self.order.push_back(key);
-        self.stats.insertions += 1;
-    }
-
-    /// Marks every entry *warm* and zeroes the counters, turning this cache
-    /// into the starting state of a new session: statistics accumulate from
-    /// a clean slate and every hit on a pre-existing entry is attributable
-    /// as a warm hit.
-    pub fn mark_warm(&mut self) {
-        for entry in self.map.values_mut() {
-            entry.warm = true;
-        }
+    /// Zeroes the counters and keeps every verdict: the starting state of
+    /// a new session, whose statistics count only its own activity.
+    pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
-    /// A [`mark_warm`](VerdictCache::mark_warm)ed copy — what a
-    /// warm-started engine session hands to each per-cluster oracle.
-    pub fn warm_clone(&self) -> VerdictCache {
-        let mut clone = self.clone();
-        clone.mark_warm();
-        clone
+    /// Looks up a verdict, recording a hit or miss.
+    pub fn get(&mut self, key: VerdictKey) -> Option<bool> {
+        self.stats.lookups += 1;
+        let found = self
+            .partitions
+            .get(&key.context)
+            .and_then(|p| p.get((key.word, key.word2)));
+        match found {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        found
     }
 
-    /// Absorbs another cache: entries are inserted in the donor's insertion
-    /// order (first entry wins, deterministically) and the donor's counters
-    /// are folded into this cache's via [`CacheStats::merge`].
+    /// Inserts a verdict.  Existing entries win: the oracle is
+    /// deterministic, so a collision can only carry the same value anyway.
+    pub fn insert(&mut self, key: VerdictKey, verdict: bool) {
+        let partition = self.partitions.entry(key.context).or_default();
+        let word = (key.word, key.word2);
+        if partition.get(word).is_none() {
+            Arc::make_mut(partition).insert(word, verdict);
+            self.stats.insertions += 1;
+        }
+    }
+
+    /// Absorbs another cache, context by context: the donor's verdicts are
+    /// inserted in its insertion order (first entry wins,
+    /// deterministically) and its counters are folded into this cache's
+    /// via [`CacheStats::merge`].  A donor partition that extends this
+    /// cache's partition of the same context — what an oracle that started
+    /// from it hands back — is adopted whole, without copying.
     pub fn merge(&mut self, other: VerdictCache) {
-        // Adopted entries are not charged as fresh insertions here — the
-        // donor already counted them, and its history is folded in below.
-        let insertions_before = self.stats.insertions;
-        for key in &other.order {
-            if let Some(entry) = other.map.get(key) {
-                self.insert_entry(*key, *entry);
+        // A warm start into an empty engine takes the donor's map as is
+        // instead of re-inserting every context.
+        if self.partitions.is_empty() {
+            self.partitions = other.partitions;
+        } else {
+            for (context, donor) in other.partitions {
+                match self.partitions.entry(context) {
+                    btree_map::Entry::Vacant(slot) => {
+                        slot.insert(donor);
+                    }
+                    btree_map::Entry::Occupied(mut slot) => {
+                        let mine = slot.get_mut();
+                        if Arc::ptr_eq(mine, &donor) || donor.order.starts_with(&mine.order) {
+                            *mine = donor;
+                        } else {
+                            let mine = Arc::make_mut(mine);
+                            for &(word, verdict) in &donor.order {
+                                mine.insert(word, verdict);
+                            }
+                        }
+                    }
+                }
             }
         }
-        self.stats.insertions = insertions_before;
+        // Adopted entries are not charged as fresh insertions: the donor
+        // already counted them, and its history is folded in here.
         self.stats.merge(other.stats);
     }
 
-    /// The cached verdicts in insertion order — the canonical serialization
-    /// order (`atlas-store` persists entries in exactly this order, so a
-    /// persisted-and-reloaded cache evicts and merges identically to the
-    /// original).
+    /// A copy with zeroed counters that shares every partition — the same
+    /// as `clone()` followed by [`reset_stats`](VerdictCache::reset_stats).
+    /// `perfbench`'s warm replay calls it.
+    pub fn warm_clone(&self) -> VerdictCache {
+        let mut clone = self.clone();
+        clone.reset_stats();
+        clone
+    }
+
+    /// Every cached verdict: contexts in ascending order, each in insertion
+    /// order.
     pub fn entries(&self) -> impl Iterator<Item = (VerdictKey, bool)> + '_ {
-        self.order
-            .iter()
-            .filter_map(move |key| self.map.get(key).map(|entry| (*key, entry.verdict)))
+        self.partitions
+            .keys()
+            .flat_map(move |&context| self.context_entries(context))
+    }
+
+    /// The verdicts of one key context in insertion order — the canonical
+    /// serialization order (`atlas-store` persists a closure shard's
+    /// entries in exactly this order, so a persisted-and-reloaded shard
+    /// merges identically to the original).
+    pub fn context_entries(&self, context: u64) -> impl Iterator<Item = (VerdictKey, bool)> + '_ {
+        self.partitions
+            .get(&context)
+            .into_iter()
+            .flat_map(|p| p.order.iter())
+            .map(move |&((word, word2), verdict)| {
+                (
+                    VerdictKey {
+                        context,
+                        word,
+                        word2,
+                    },
+                    verdict,
+                )
+            })
     }
 
     /// Synthetic, pairwise-distinct keys for tests and doctests.
@@ -403,6 +429,83 @@ impl VerdictCache {
                 word2: !i,
             })
             .collect()
+    }
+}
+
+/// One oracle's slice of a [`VerdictCache`]: the partition of the oracle's
+/// own key context, read as a frozen base shared with the cache it came
+/// from, plus a private delta of the verdicts the oracle computes.  A hit
+/// on the base is a warm hit.
+#[derive(Debug)]
+pub(crate) struct OracleCache {
+    context: u64,
+    base: Option<Arc<Partition>>,
+    delta: Partition,
+    stats: CacheStats,
+}
+
+impl OracleCache {
+    /// The slice of `cache` an oracle keyed on `context` reads.
+    pub(crate) fn new(cache: &VerdictCache, context: u64) -> OracleCache {
+        OracleCache {
+            context,
+            base: cache.partitions.get(&context).cloned(),
+            delta: Partition::default(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Looks up a verdict of this slice's context, recording a hit (warm
+    /// when the base answers) or a miss.
+    pub(crate) fn get(&mut self, key: VerdictKey) -> Option<bool> {
+        debug_assert_eq!(key.context, self.context, "a foreign context");
+        self.stats.lookups += 1;
+        let word = (key.word, key.word2);
+        if let Some(verdict) = self.base.as_ref().and_then(|base| base.get(word)) {
+            self.stats.hits += 1;
+            self.stats.warm_hits += 1;
+            return Some(verdict);
+        }
+        let found = self.delta.get(word);
+        match found {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        found
+    }
+
+    /// Records a verdict the oracle computed after a miss.
+    pub(crate) fn insert(&mut self, key: VerdictKey, verdict: bool) {
+        debug_assert_eq!(key.context, self.context, "a foreign context");
+        if self.delta.insert((key.word, key.word2), verdict) {
+            self.stats.insertions += 1;
+        }
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// A cache holding this slice's one partition — the base followed by
+    /// the delta — and its counters.  The base is copied only when the
+    /// oracle computed something and the base is still shared.
+    pub(crate) fn into_cache(self) -> VerdictCache {
+        let partition = match self.base {
+            None if self.delta.order.is_empty() => None,
+            None => Some(Arc::new(self.delta)),
+            Some(base) if self.delta.order.is_empty() => Some(base),
+            Some(base) => {
+                let mut merged = Arc::unwrap_or_clone(base);
+                for (word, verdict) in self.delta.order {
+                    merged.insert(word, verdict);
+                }
+                Some(Arc::new(merged))
+            }
+        };
+        VerdictCache {
+            partitions: partition.map(|p| (self.context, p)).into_iter().collect(),
+            stats: self.stats,
+        }
     }
 }
 
@@ -471,51 +574,101 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_fifo_bounded_and_counts() {
+    fn default_cache_keeps_every_entry_and_counts() {
         let keys = VerdictCache::test_keys(4);
-        let mut cache = VerdictCache::with_capacity(2);
+        let mut cache = VerdictCache::default();
         assert!(cache.is_empty());
-        cache.insert(keys[0], true);
-        cache.insert(keys[1], false);
+        for (i, &key) in keys.iter().enumerate() {
+            cache.insert(key, i % 2 == 0);
+        }
         // Re-inserting is a no-op (first wins).
         cache.insert(keys[1], true);
-        assert_eq!(cache.peek(keys[1]), Some(false));
-        cache.insert(keys[2], true);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(keys[0]), None, "oldest entry evicted");
-        assert_eq!(cache.get(keys[2]), Some(true));
+        assert_eq!(cache.len(), 4, "nothing is evicted");
+        assert_eq!(cache.get(keys[0]), Some(true));
+        assert_eq!(cache.get(keys[1]), Some(false));
+        let other = VerdictKey::from_parts(1, 0, 0);
+        assert_eq!(cache.get(other), None);
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.insertions, 3);
-        assert_eq!(stats.lookups, 2);
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.insertions, 4);
+        assert_eq!(stats.lookups, 3);
+        assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 1);
-        assert_eq!(stats.warm_hits, 0);
+        assert_eq!((stats.warm_hits, stats.evictions), (0, 0));
+        assert_eq!(VerdictCache::new().len(), 0);
     }
 
     #[test]
-    fn warm_clone_marks_entries_and_merge_is_first_wins() {
+    fn merge_is_first_entry_wins_and_sums_stats() {
         let keys = VerdictCache::test_keys(3);
         let mut a = VerdictCache::new();
         a.insert(keys[0], true);
         a.insert(keys[1], false);
         let _ = a.get(keys[0]);
 
-        let mut warm = a.warm_clone();
-        assert_eq!(warm.stats(), CacheStats::default());
-        assert_eq!(warm.get(keys[0]), Some(true));
-        assert_eq!(warm.stats().warm_hits, 1);
-
         // Merge: existing entries win, donor stats fold in.
         let mut b = VerdictCache::new();
         b.insert(keys[1], true); // conflicts with a's `false` — b's wins in b
         b.merge(a.clone());
-        assert_eq!(b.peek(keys[1]), Some(true));
-        assert_eq!(b.peek(keys[0]), Some(true));
-        assert_eq!(b.len(), 2);
+        let listed: Vec<_> = b.entries().collect();
+        assert_eq!(listed, vec![(keys[1], true), (keys[0], true)]);
         let stats = b.stats();
         assert_eq!(stats.lookups, a.stats().lookups);
         assert_eq!(stats.insertions, 1 + a.stats().insertions);
+
+        // A clone shares every partition; zeroing its counters keeps the
+        // verdicts.
+        let mut warm = a.clone();
+        assert!(Arc::ptr_eq(
+            &warm.partitions[&0x7e57],
+            &a.partitions[&0x7e57]
+        ));
+        warm.reset_stats();
+        assert_eq!(warm.stats(), CacheStats::default());
+        assert_eq!(warm.len(), 2);
+    }
+
+    #[test]
+    fn oracle_slices_read_a_shared_base_and_hand_back_base_plus_delta() {
+        let keys = VerdictCache::test_keys(3);
+        let foreign = VerdictKey::from_parts(1, 7, 7);
+        let mut session = VerdictCache::new();
+        session.insert(keys[0], true);
+        session.insert(foreign, false);
+
+        // Base hits are warm hits; the oracle's own verdicts are not.
+        let mut slice = OracleCache::new(&session, 0x7e57);
+        assert_eq!(slice.get(keys[0]), Some(true));
+        assert_eq!(slice.get(keys[1]), None);
+        slice.insert(keys[1], false);
+        assert_eq!(slice.get(keys[1]), Some(false));
+        let stats = slice.stats();
+        assert_eq!((stats.lookups, stats.hits, stats.warm_hits), (3, 2, 1));
+        assert_eq!((stats.misses, stats.insertions), (1, 1));
+
+        // The slice hands back its one context, base first; the shared
+        // base in the session cache is untouched.
+        let run = slice.into_cache();
+        let listed: Vec<_> = run.entries().collect();
+        assert_eq!(listed, vec![(keys[0], true), (keys[1], false)]);
+        assert_eq!(run.stats(), stats);
+        assert_eq!(session.context_entries(0x7e57).count(), 1);
+
+        // Folding it back adopts the extended partition without a copy.
+        session.merge(run.clone());
+        assert!(Arc::ptr_eq(
+            &session.partitions[&0x7e57],
+            &run.partitions[&0x7e57]
+        ));
+        assert_eq!(session.len(), 3);
+
+        // A slice that computed nothing hands back the base itself, and
+        // an empty slice hands back an empty cache.
+        let idle = OracleCache::new(&session, 0x7e57).into_cache();
+        assert!(Arc::ptr_eq(
+            &idle.partitions[&0x7e57],
+            &session.partitions[&0x7e57]
+        ));
+        assert!(OracleCache::new(&session, 2).into_cache().is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The noisy oracle: check a candidate path specification by synthesizing a
 //! potential witness and executing it against the blackbox library.
 
-use crate::cache::{CacheKeyer, CacheStats, VerdictCache};
+use crate::cache::{CacheKeyer, CacheStats, OracleCache, VerdictCache};
 use atlas_interp::{BuiltinRegistry, CompiledProgram, ExecLimits, Vm, VmScratch};
 use atlas_ir::{LibraryInterface, ParamSlot, Program};
 use atlas_spec::PathSpec;
@@ -64,11 +64,11 @@ impl OracleStats {
 /// The noisy oracle of Section 5.1.
 ///
 /// Every verdict is memoized in a content-addressed [`VerdictCache`]
-/// (random sampling re-draws the same candidates constantly), and the cache
-/// can be moved between oracles — and across *sessions* — with
-/// [`Oracle::into_cache`] / [`Oracle::absorb_cache`].  Because the keys
-/// hash the library's content rather than in-memory ids, a cache built over
-/// one program instance warm-starts an oracle over a freshly built but
+/// (random sampling re-draws the same candidates constantly), and verdicts
+/// move between oracles — and across *sessions* — with
+/// [`Oracle::with_cache`] / [`Oracle::into_cache`].  Because the keys hash
+/// the library's content rather than in-memory ids, a cache built over one
+/// program instance warm-starts an oracle over a freshly built but
 /// identical program, while a different library variant (or different
 /// execution limits / initialization strategy) never produces a hit.
 pub struct Oracle<'p> {
@@ -77,7 +77,9 @@ pub struct Oracle<'p> {
     planner: InstantiationPlanner,
     config: OracleConfig,
     keyer: CacheKeyer,
-    cache: VerdictCache,
+    /// The partition of this oracle's key context: the warm verdicts it
+    /// started from, shared, plus the ones it computed.
+    cache: OracleCache,
     stats: OracleStats,
     /// One registry for the oracle's lifetime, borrowed by every VM.
     builtins: BuiltinRegistry,
@@ -101,23 +103,23 @@ impl<'p> Oracle<'p> {
         interface: &'p LibraryInterface,
         config: OracleConfig,
     ) -> Oracle<'p> {
-        Oracle::with_cache(program, interface, config, VerdictCache::new())
+        Oracle::with_cache(program, interface, config, &VerdictCache::new())
     }
 
-    /// Creates an oracle warm-started with the given verdict cache: its
-    /// entries are marked warm (so hits on them are attributable in
-    /// [`CacheStats::warm_hits`]) and its counters restart from zero.
+    /// Creates an oracle warm-started from the given verdict cache.  The
+    /// oracle shares the partition of its own key context — hits on it are
+    /// attributable in [`CacheStats::warm_hits`] — and its counters start
+    /// from zero.
     ///
-    /// Entries whose key context does not match this oracle's (different
-    /// library content, limits, or initialization strategy) are carried but
-    /// can never be looked up, so they are harmless.
+    /// Partitions of other contexts (different library content, limits,
+    /// or initialization strategy) could never be looked up, so the oracle
+    /// ignores them.
     pub fn with_cache(
         program: &'p Program,
         interface: &'p LibraryInterface,
         config: OracleConfig,
-        mut cache: VerdictCache,
+        cache: &VerdictCache,
     ) -> Oracle<'p> {
-        cache.mark_warm();
         let planner = InstantiationPlanner::new(program, interface);
         // No cluster scope configured → key on the whole-library
         // fingerprint (see the `CacheKeyer` docs for the trade-off).
@@ -136,8 +138,8 @@ impl<'p> Oracle<'p> {
             interface,
             planner,
             config,
+            cache: OracleCache::new(cache, keyer.context()),
             keyer,
-            cache,
             stats: OracleStats::default(),
             builtins: BuiltinRegistry::with_defaults(),
             compiled: None,
@@ -171,20 +173,14 @@ impl<'p> Oracle<'p> {
         &self.keyer
     }
 
-    /// Consumes the oracle and returns its verdict cache, so the answers
-    /// paid for in one run can warm-start another oracle — a later cluster,
-    /// a re-run after an interface edit, or a whole new session (see the
-    /// engine's `warm_start` in `atlas-core`).
+    /// Consumes the oracle and returns its verdict cache — the partition
+    /// of its key context: the verdicts it started from, then the ones it
+    /// computed — with its counters, so the answers paid for in one run
+    /// can warm-start another oracle — a later cluster, a re-run after an
+    /// interface edit, or a whole new session (see the engine's
+    /// `warm_start` in `atlas-core`).
     pub fn into_cache(self) -> VerdictCache {
-        self.cache
-    }
-
-    /// Pre-populates the verdict cache with entries from a previous oracle.
-    /// Existing entries win: the oracle is deterministic, so a collision can
-    /// only carry the same value anyway.
-    pub fn absorb_cache(&mut self, mut cache: VerdictCache) {
-        cache.mark_warm();
-        self.cache.merge(cache);
+        self.cache.into_cache()
     }
 
     /// The interface the oracle works over.
@@ -483,8 +479,7 @@ mod tests {
         assert_eq!(merged.executions, 2 * stats_a.executions);
         assert_eq!(merged.positives, 2 * stats_a.positives);
         // A warm-started oracle answers memoized words without executing.
-        let mut b = Oracle::new(&p, &iface, OracleConfig::default());
-        b.absorb_cache(a.into_cache());
+        let mut b = Oracle::with_cache(&p, &iface, OracleConfig::default(), &a.into_cache());
         assert!(b.check_word(&word));
         assert_eq!(b.stats().executions, 0);
         assert_eq!(b.stats().queries, 1);

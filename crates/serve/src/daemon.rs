@@ -15,11 +15,12 @@
 //!   `BaseState` seed set.
 //! * **`open`** registers a new session: a fresh namespace under
 //!   `<store>/sessions/<name>/` seeded with the captured base shard
-//!   bytes, plus clones of the base program, provenance, warm cache and
-//!   specs document.  A session opened at any point therefore behaves
-//!   byte-identically to the same session on a freshly-started daemon —
-//!   edits in other sessions (including the default one) can never leak
-//!   into it.
+//!   bytes, plus clones of the base program, provenance and specs
+//!   document, and the base warm cache (shared, not copied: cloning a
+//!   verdict cache bumps one reference count per context).  A session
+//!   opened at any point therefore behaves byte-identically to the same
+//!   session on a freshly-started daemon — edits in other sessions
+//!   (including the default one) can never leak into it.
 //! * **Edits** are per-session state transitions (see the `session`
 //!   module); different sessions' edits run
 //!   concurrently on the service worker pool, each with its `inner`
@@ -230,7 +231,7 @@ impl Daemon {
         let base = BaseState {
             program: lib.program.clone(),
             provenance: provenance.clone(),
-            warm: warm.warm_clone(),
+            warm: warm.clone(),
             specs_doc: specs_doc.clone(),
             fingerprint,
             seeds,
@@ -490,7 +491,7 @@ impl Daemon {
             ordinal,
             program: self.base.program.clone(),
             provenance: self.base.provenance.clone(),
-            warm: self.base.warm.warm_clone(),
+            warm: self.base.warm.clone(),
             specs_doc: self.base.specs_doc.clone(),
             fingerprint: self.base.fingerprint,
             generation: 0,

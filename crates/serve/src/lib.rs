@@ -25,8 +25,11 @@
 //! * [`daemon`] — [`Daemon`]: the internally-locked service core.  Each
 //!   edit runs `Engine::incremental_session` against its session's
 //!   previous provenance, warm-started from the session's verdict cache,
-//!   splicing clean clusters from the hot shards.  New sessions seed
-//!   from the byte-captured post-startup store.
+//!   splicing clean clusters from the hot shards.  The cache is passed
+//!   on by reference: its context partitions are `Arc`-shared, so an
+//!   edit copies no verdict it did not compute.  New sessions seed from
+//!   the byte-captured post-startup store and share the base warm
+//!   cache.
 //! * [`service`] — [`Service`]: the bounded session-aware queue
 //!   (backpressure), the worker pool (`outer` of the thread-budget
 //!   split; each in-flight edit gets the `inner` share), stream

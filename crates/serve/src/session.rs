@@ -61,7 +61,9 @@ pub(crate) struct SessionState {
     /// edit.
     pub provenance: RunProvenance,
     /// The rolling warm verdict cache: every verdict any edit in this
-    /// session has proven, fed to the next edit's engine.
+    /// session has proven, fed to the next edit's engine.  Its partitions
+    /// are `Arc`-shared, so handing it on shares them instead of copying
+    /// verdicts.
     pub warm: VerdictCache,
     /// The current `atlas-spec/1` artifact document.
     pub specs_doc: Json,
@@ -94,6 +96,12 @@ impl SessionState {
         hot: &Arc<Mutex<HotShards>>,
         recorder: &Recorder,
     ) -> Result<Json, WireError> {
+        // The edit's own steps record on the session's request lane,
+        // inside the request span the daemon opened there.
+        let mut lane = recorder
+            .with_lane_base(self.ordinal * SESSION_ORDINAL_STRIDE)
+            .lane(REQUEST_LANE);
+        let start = lane.begin();
         let mutated = mutate_library(
             &self.program,
             &MutationConfig {
@@ -108,6 +116,7 @@ impl SessionState {
         })?;
         let new_program = mutated.program;
         let new_interface = LibraryInterface::from_program(&new_program);
+        lane.end(start, "serve", "mutate", Vec::new());
         let atlas_config = AtlasConfig {
             samples_per_cluster: config.samples,
             clusters: clusters.to_vec(),
@@ -120,8 +129,10 @@ impl SessionState {
         // exported trace.
         let lane_base =
             self.ordinal * SESSION_ORDINAL_STRIDE + (self.generation + 2) * SESSION_LANE_STRIDE;
+        // Cloning the session cache shares its partitions: the engine and
+        // every cluster oracle read them in place.
         let engine = Engine::new(&new_program, &new_interface, atlas_config)
-            .warm_start(self.warm.warm_clone())
+            .warm_start(self.warm.clone())
             .with_recorder(recorder.with_lane_base(lane_base));
         let mut session = engine.incremental_session(&self.provenance);
         // The oracle work happens between `ShardStore` calls, so the hot
@@ -134,7 +145,9 @@ impl SessionState {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())
             })?;
+        // The run already hashed the library; the provenance reuses it.
         let new_provenance = engine.run_provenance();
+        let start = lane.begin();
         let specs_doc = outcome
             .spec_artifact(&new_program)
             .encode(&new_program)
@@ -142,29 +155,17 @@ impl SessionState {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())
             })?;
+        lane.end(start, "serve", "encode", Vec::new());
+
+        // Committing drops the engine, the run's outcome and the state the
+        // edit supersedes (program, specs document, cache): time of its
+        // own, so it gets a span of its own.
+        let start = lane.begin();
         let collected = session.into_cache();
         drop(engine);
-
-        self.program = new_program;
-        self.provenance = new_provenance;
-        self.warm = collected;
-        self.specs_doc = specs_doc;
-        self.fingerprint = outcome.library;
-        self.generation += 1;
-        self.stats.edits_ok += 1;
-        self.edits_since_flush += 1;
-
-        let mut flushed = Json::Null;
-        if config.flush_every == 0 || self.edits_since_flush >= config.flush_every {
-            let written = self
-                .flush(hot)
-                .map_err(|e| WireError::new(ErrorCode::Store, e.to_string()))?;
-            flushed = Json::Int(written as i64);
-        }
-
-        Ok(Json::obj()
+        let response = Json::obj()
             .set("description", mutated.outcome.description.as_str())
-            .set("library_fingerprint", hex64_string(self.fingerprint))
+            .set("library_fingerprint", hex64_string(outcome.library))
             .set(
                 "clusters",
                 Json::obj()
@@ -178,8 +179,26 @@ impl SessionState {
                 Json::obj()
                     .set("oracle", outcome.oracle_executions)
                     .set("spliced_verdicts", outcome.spliced_verdicts),
-            )
-            .set("flushed_shards", flushed))
+            );
+        self.program = new_program;
+        self.provenance = new_provenance;
+        self.warm = collected;
+        self.specs_doc = specs_doc;
+        self.fingerprint = outcome.library;
+        self.generation += 1;
+        self.stats.edits_ok += 1;
+        self.edits_since_flush += 1;
+        drop((outcome, new_interface));
+        lane.end(start, "serve", "commit", Vec::new());
+
+        let mut flushed = Json::Null;
+        if config.flush_every == 0 || self.edits_since_flush >= config.flush_every {
+            let written = self
+                .flush(hot)
+                .map_err(|e| WireError::new(ErrorCode::Store, e.to_string()))?;
+            flushed = Json::Int(written as i64);
+        }
+        Ok(response.set("flushed_shards", flushed))
     }
 
     /// Persists this session's dirty shards now and resets its

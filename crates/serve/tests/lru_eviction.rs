@@ -4,6 +4,7 @@
 //! that pins dirty shards past its budget persists exactly the store an
 //! eager-flushing daemon does.
 
+use atlas_ir::hash::Fnv;
 use atlas_serve::{Daemon, EditRequest, Envelope, Request, ServeConfig};
 use atlas_store::Json;
 use std::collections::BTreeMap;
@@ -25,6 +26,20 @@ const SCRIPT: &[&str] = &[
     "StringBuilder.append",
     "Integer.intValue",
 ];
+
+/// Per script step, the edit response's `executions.oracle` and
+/// `executions.spliced_verdicts`.
+const EDIT_WORK: [(i64, i64); 6] = [
+    (86, 155),
+    (127, 86),
+    (86, 155),
+    (127, 86),
+    (86, 155),
+    (127, 86),
+];
+/// FNV-1a over the flushed store: every file's path relative to the
+/// root, then its length and bytes, in path order.
+const STORE_HASH: &str = "0x2a8e49643da17a53";
 
 struct ScriptOutcome {
     /// One edit-response result per script step.
@@ -106,6 +121,29 @@ fn store_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
         }
     }
     files
+}
+
+/// The pinned fingerprint of a flushed store (see [`STORE_HASH`]).
+fn store_hash(root: &Path) -> String {
+    let mut h = Fnv::new(0);
+    for (path, bytes) in store_files(root) {
+        h.write_str(&path);
+        h.write_u64(bytes.len() as u64);
+        h.write(&bytes);
+    }
+    format!("{:#018x}", h.finish())
+}
+
+/// `(executions.oracle, executions.spliced_verdicts)` of one edit response.
+fn edit_work(edit: &Json) -> (i64, i64) {
+    let executions = edit.get("executions").expect("executions");
+    let count = |key: &str| {
+        executions
+            .get(key)
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("missing {key}: {edit:?}"))
+    };
+    (count("oracle"), count("spliced_verdicts"))
 }
 
 /// A budget of one shard forces an eviction-and-reload on every step of
@@ -195,6 +233,13 @@ fn pinned_dirty_shards_survive_the_budget_and_flush_identically() {
         store_files(&store_behind),
         "write-behind persisted a different store than eager flushing"
     );
+
+    // Absolute pins: the verdicts each edit re-ran and spliced, and the
+    // bytes the daemon persisted.  The comparisons above hold even when
+    // both daemons lose the same verdicts; these do not.
+    let work: Vec<(i64, i64)> = eager.edits.iter().map(edit_work).collect();
+    assert_eq!(work, EDIT_WORK);
+    assert_eq!(store_hash(&store_eager), STORE_HASH);
 
     let _ = std::fs::remove_dir_all(&store_eager);
     let _ = std::fs::remove_dir_all(&store_behind);

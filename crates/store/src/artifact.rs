@@ -204,14 +204,13 @@ impl CacheArtifact {
     /// closure fingerprint its entries are keyed on.
     pub const SCHEMA: &'static str = "atlas-cache/2";
 
-    /// Builds a single-shard artifact from a live cache, keeping only the
-    /// entries that belong to `provenance` (entries carried over from other
-    /// library variants are someone else's to persist — they would be
-    /// mis-attributed here and can never hit under this provenance anyway).
+    /// Builds a single-shard artifact from a live cache, reading only the
+    /// partition of `provenance`'s key context (entries of other contexts
+    /// are someone else's to persist — they would be mis-attributed here
+    /// and can never hit under this provenance anyway).
     pub fn from_cache(cache: &VerdictCache, provenance: CacheProvenance) -> CacheArtifact {
         let entries: Vec<CacheEntry> = cache
-            .entries()
-            .filter(|(key, _)| key.context() == provenance.context)
+            .context_entries(provenance.context)
             .map(|(key, verdict)| {
                 let (word, word2) = key.word_hashes();
                 (word, word2, verdict)

@@ -74,8 +74,12 @@ fn cache_transfers_across_identical_program_instances() {
     assert!(oracle_a.check_word(&set_get_word(&a)));
     assert!(oracle_a.stats().executions > 0);
 
-    let mut oracle_b =
-        Oracle::with_cache(&b, &iface_b, OracleConfig::default(), oracle_a.into_cache());
+    let mut oracle_b = Oracle::with_cache(
+        &b,
+        &iface_b,
+        OracleConfig::default(),
+        &oracle_a.into_cache(),
+    );
     assert!(oracle_b.check_word(&set_get_word(&b)));
     assert_eq!(oracle_b.stats().executions, 0, "verdict reused, not re-run");
     assert_eq!(oracle_b.cache_stats().warm_hits, 1);
@@ -103,7 +107,7 @@ fn library_variants_never_share_verdicts() {
         &bad,
         &iface_bad,
         OracleConfig::default(),
-        oracle_good.into_cache(),
+        &oracle_good.into_cache(),
     );
     assert!(
         !oracle_bad.check_word(&set_get_word(&bad)),
@@ -167,7 +171,7 @@ fn limits_and_strategy_are_part_of_the_key() {
             },
             ..OracleConfig::default()
         },
-        generous.into_cache(),
+        &generous.into_cache(),
     );
     assert!(!starved.check_word(&word), "starved execution must fail");
     assert_eq!(starved.cache_stats().warm_hits, 0);

@@ -14,9 +14,13 @@
 //!   never by thread identity, and the export stable-sorts by lane.
 //! * **Schedule-free counters.**  Commutative merges make the counter
 //!   map thread-count-independent too.
+//!
+//! The traced daemon run also checks the trace's structure: every served
+//! edit's request span contains a named span for each step of the edit.
 
 use atlas_core::{AtlasConfig, Engine, Recorder};
 use atlas_ir::{LibraryInterface, MutationKind};
+use atlas_obs::{ArgValue, Event};
 use atlas_serve::{Daemon, EditRequest, Envelope, Request, ServeConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -200,12 +204,49 @@ const KINDS: &[MutationKind] = &[
     MutationKind::SignatureChange,
 ];
 
+/// The named steps of one served edit, as `(cat, name)`.
+const EDIT_STEPS: &[(&str, &str)] = &[
+    ("serve", "mutate"),
+    ("engine", "jobs"),
+    ("incr", "incremental"),
+    ("engine", "provenance"),
+    ("serve", "encode"),
+    ("serve", "commit"),
+];
+
+/// Asserts that the `serve/request` span of every edit that succeeded
+/// (`edits_ok`, in request order) contains a span of each edit step.
+fn assert_edit_steps_are_spanned(events: &[Event], edits_ok: &[bool]) {
+    let mut requests: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.cat == "serve" && e.name == "request")
+        .filter(|e| e.args.contains(&("op", ArgValue::from("edit"))))
+        .collect();
+    requests.sort_by_key(|e| e.start_ns);
+    assert_eq!(requests.len(), edits_ok.len(), "one request span per edit");
+    assert!(edits_ok.contains(&true), "no edit succeeded: {edits_ok:?}");
+    for (request, _) in requests.iter().zip(edits_ok).filter(|(_, ok)| **ok) {
+        let end = request.start_ns + request.dur_ns;
+        for &(cat, name) in EDIT_STEPS {
+            assert!(
+                events.iter().any(|e| e.cat == cat
+                    && e.name == name
+                    && e.dur_ns > 0
+                    && e.start_ns >= request.start_ns
+                    && e.start_ns + e.dur_ns <= end),
+                "an edit's request span lacks a {cat}/{name} span"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// A traced daemon and an untraced daemon serve the same random edit
     /// stream against separate store roots: every `specs` response — and
-    /// every flushed store byte — must be identical.
+    /// every flushed store byte — must be identical, and the traced one
+    /// must span every step of every edit it served.
     #[test]
     fn traced_daemon_serves_identical_bytes(entropy in any::<u64>()) {
         let run = |store: PathBuf, trace: bool| -> (Vec<String>, BTreeMap<String, Vec<u8>>) {
@@ -215,14 +256,16 @@ proptest! {
             config.trace = trace;
             let daemon = Daemon::new(config).expect("daemon startup");
             let mut specs = Vec::new();
+            let mut edits_ok = Vec::new();
             for i in 0..6u64 {
                 let seed = entropy.wrapping_add(i);
                 let kind = KINDS[(seed % KINDS.len() as u64) as usize];
-                let _ = daemon.handle(&Envelope::of(Request::Edit(EditRequest {
+                let edit = daemon.handle(&Envelope::of(Request::Edit(EditRequest {
                     kind,
                     seed,
                     target: None,
                 })));
+                edits_ok.push(edit.outcome.is_ok());
                 let response = daemon.handle(&Envelope::of(Request::Specs));
                 specs.push(match response.outcome {
                     Ok(json) => json.render(),
@@ -230,6 +273,9 @@ proptest! {
                 });
             }
             let _ = daemon.handle(&Envelope::of(Request::Shutdown));
+            if trace {
+                assert_edit_steps_are_spanned(&daemon.recorder().events(), &edits_ok);
+            }
             drop(daemon);
             let bytes = dir_bytes(&store);
             let _ = std::fs::remove_dir_all(&store);
