@@ -79,9 +79,7 @@ impl Leg {
     /// unreadable or corrupt, or the root is unwritable.
     pub fn store_backed(engine: &Engine<'_>, root: &Path) -> Result<Leg, StoreError> {
         let wall = Instant::now();
-        let outcome = engine
-            .incremental_session(&engine.run_provenance())
-            .run_with_store(root, EXTRACTION)?;
+        let outcome = engine.run_with_store(&engine.run_provenance(), root, EXTRACTION)?;
         let wall_time = wall.elapsed();
         let reran = || {
             outcome

@@ -439,26 +439,8 @@ impl<'e, 'p> Session<'e, 'p> {
         let wall = Instant::now();
         let mut session_lane = self.engine.recorder.lane(0);
         let session_start = session_lane.begin();
-        let this: &Session<'_, '_> = self;
-        let slots: Vec<Option<ClusterRun>> = if this.num_threads <= 1 {
-            // Inline fast path: no thread spawn, identical pipeline.
-            this.jobs.iter().map(|job| this.run_cluster(job)).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results: Mutex<Vec<Option<ClusterRun>>> =
-                Mutex::new((0..this.jobs.len()).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for _ in 0..this.num_threads {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = this.jobs.get(i) else { break };
-                        let run = this.run_cluster(job);
-                        results.lock().expect("result lock poisoned")[i] = run;
-                    });
-                }
-            });
-            results.into_inner().expect("result lock poisoned")
-        };
+        let jobs: Vec<&ClusterJob> = self.jobs.iter().collect();
+        let slots = run_queue(self.engine, &jobs, self.num_threads, &self.collected);
 
         let mut outcome = InferenceOutcome {
             clusters: Vec::new(),
@@ -495,18 +477,46 @@ impl<'e, 'p> Session<'e, 'p> {
         );
         outcome
     }
+}
 
-    /// Runs the two-phase pipeline for one cluster.
-    fn run_cluster(&self, job: &ClusterJob) -> Option<ClusterRun> {
-        run_cluster_job(self.engine, job, &self.collected)
+/// The work queue both run shapes share — [`Session::run`] over every
+/// job, the store-backed run over its dirty ones: `num_threads` scoped
+/// workers pull jobs off an atomic cursor and run [`run_cluster_job`],
+/// each result landing in its job's slot, so the slots come back in job
+/// order whatever the scheduling.  One worker runs inline, spawning
+/// nothing.
+pub(crate) fn run_queue(
+    engine: &Engine<'_>,
+    jobs: &[&ClusterJob],
+    num_threads: usize,
+    warm: &VerdictCache,
+) -> Vec<Option<ClusterRun>> {
+    if num_threads <= 1 {
+        return jobs
+            .iter()
+            .map(|job| run_cluster_job(engine, job, warm))
+            .collect();
     }
+    let cursor = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<ClusterRun>>> =
+        Mutex::new((0..jobs.len()).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..num_threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let run = run_cluster_job(engine, job, warm);
+                results.lock().expect("result lock poisoned")[i] = run;
+            });
+        }
+    });
+    results.into_inner().expect("result lock poisoned")
 }
 
 /// Runs the two-phase pipeline for one cluster.  This is *the*
 /// deterministic unit of work: everything it reads is immutable shared
-/// state or derived from the job's seed.  Shared between [`Session::run`]
-/// and the incremental session (which runs it only for dirty clusters).
-pub(crate) fn run_cluster_job(
+/// state or derived from the job's seed.
+fn run_cluster_job(
     engine: &Engine<'_>,
     job: &ClusterJob,
     warm: &VerdictCache,
@@ -522,7 +532,6 @@ pub(crate) fn run_cluster_job(
         // Verdicts are keyed on the cluster's dependency-closure
         // fingerprint, so they survive edits outside the closure.
         fingerprint: Some(job.closure),
-        ..OracleConfig::default()
     };
     // Each cluster reads its own partition of the session's warm cache
     // and writes to a private delta: workers never share mutable state,
@@ -705,9 +714,7 @@ mod tests {
             std::env::temp_dir().join(format!("atlas-engine-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store_backed = |engine: &Engine<'_>| {
-            engine
-                .incremental_session(&engine.run_provenance())
-                .run_with_store(&root, crate::EXTRACTION)
+            engine.run_with_store(&engine.run_provenance(), &root, crate::EXTRACTION)
         };
         let render = |artifact: crate::SpecArtifact, program: &Program| {
             artifact.encode(program).unwrap().render()

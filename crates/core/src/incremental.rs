@@ -5,23 +5,23 @@
 //! The flow (see `DESIGN.md`, "incremental invalidation"):
 //!
 //! 1. A store-backed run over the *old* library —
-//!    `engine.incremental_session(&engine.run_provenance())` then
-//!    [`IncrementalSession::run_with_store`] — fills an empty root with
-//!    one shard per cluster closure: `<root>/0x<closure>/cache.json` +
+//!    `engine.run_with_store(&engine.run_provenance(), root, EXTRACTION)`
+//!    ([`Engine::run_with_store`]) — fills an empty root with one shard
+//!    per cluster closure: `<root>/0x<closure>/cache.json` +
 //!    `specs.json`.  Over a root an earlier run seeded, the same call
 //!    splices every cluster instead: this is the one store-backed run
 //!    batch, fleet and the daemon's start-up all go through.
 //! 2. The old run's identity is captured as a [`RunProvenance`] — the
 //!    library fingerprint plus each cluster's closure fingerprint
 //!    ([`Engine::run_provenance`]).
-//! 3. After an edit, an engine over the *new* program opens an
-//!    [`IncrementalSession`] against the old provenance
-//!    ([`Engine::incremental_session`]): clusters whose closure fingerprint
-//!    survives the edit are **clean**, the rest are **dirty**.
-//! 4. [`IncrementalSession::run_with_store`] re-runs the two-phase pipeline
-//!    for dirty clusters only (persisting their new shards), and splices
-//!    every clean cluster's learned automaton, path specifications, and
-//!    verdicts from its shard — byte-identically, because shard files are
+//! 3. After an edit, an engine over the *new* program diffs against the
+//!    old provenance: clusters whose closure fingerprint survives the
+//!    edit are **clean**, the rest are **dirty**.
+//! 4. [`Engine::run_with_store`] (or [`Engine::run_with_shards`] over any
+//!    [`ShardStore`]) re-runs the two-phase pipeline for dirty clusters
+//!    only (persisting their new shards), and splices every clean
+//!    cluster's learned automaton, path specifications, and verdicts from
+//!    its shard — byte-identically, because shard files are
 //!    content-addressed by closure fingerprint and never rewritten by a
 //!    splice.
 //!
@@ -32,41 +32,34 @@
 //! the new program.  This module's unit tests and the
 //! `incremental_invalidation` integration test both assert exactly this.
 
-use crate::engine::{resolve_threads, run_cluster_job, ClusterJob, ClusterRun, Engine};
-use crate::inference::ClusterOutcome;
-use atlas_learn::{CacheStats, OracleStats, VerdictCache};
+use crate::engine::{resolve_threads, run_queue, ClusterJob, Engine};
+use crate::inference::{cluster_spec, ClusterOutcome};
+use atlas_learn::{CacheStats, OracleStats};
 use atlas_obs::ArgValue;
 use atlas_store::{
     load_cache, save_cache, shard_entry, CacheArtifact, CacheProvenance, SpecArtifact, SpecCluster,
     StoreError,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The spec-extraction bounds `(max spec length, per-cluster spec limit)`
 /// every store-backed run uses.  A shard records the bounds it was
 /// persisted with and the splice demotes any shard whose bounds differ
-/// (see [`IncrementalSession::run_with_shards`]), so batch, fleet and the
+/// (see [`Engine::run_with_shards`]), so batch, fleet and the
 /// resident service all pass this one value.
 pub const EXTRACTION: (usize, usize) = (8, 64);
 
 /// The closure identity of one cluster of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterProvenance {
-    /// Position of the cluster in the configuration.
-    pub index: usize,
-    /// Names of the cluster's classes (names, not ids, so provenances
-    /// compare across independently built programs).
-    pub classes: Vec<String>,
     /// The cluster's dependency-closure fingerprint.
     pub closure: u64,
 }
 
 /// The content identity of a whole run: the library fingerprint plus every
-/// cluster's closure fingerprint.  This is what an incremental session
-/// diffs a new program against.
+/// cluster's closure fingerprint.  This is what a store-backed run diffs a
+/// new program against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunProvenance {
     /// The whole-library content fingerprint.
@@ -146,27 +139,6 @@ pub struct IncrementalOutcome {
     pub num_threads: usize,
 }
 
-/// One cluster's persistable result: class names resolved against
-/// `program`, specs extracted from `fsa` with `extraction`.  The one
-/// construction shared by shard persistence, dirty re-runs, and artifact
-/// assembly — so the byte-identical splice invariant cannot be broken by
-/// the three drifting apart.
-fn cluster_spec(
-    program: &atlas_ir::Program,
-    classes: &[atlas_ir::ClassId],
-    fsa: &atlas_spec::Fsa,
-    extraction: (usize, usize),
-) -> SpecCluster {
-    SpecCluster {
-        classes: classes
-            .iter()
-            .map(|&id| program.class(id).name().to_string())
-            .collect(),
-        specs: fsa.accepted_specs(extraction.0, extraction.1),
-        fsa: fsa.clone(),
-    }
-}
-
 impl IncrementalOutcome {
     /// Assembles the run's specification artifact — spliced and re-ran
     /// clusters interleaved in configuration order, stamped with the new
@@ -194,8 +166,8 @@ impl IncrementalOutcome {
 /// Where an incremental run loads clean-cluster shards from and persists
 /// dirty-cluster shards to.
 ///
-/// [`IncrementalSession::run_with_store`] always spoke to a closure-sharded
-/// directory on disk; this trait is that conversation made explicit, so a
+/// [`Engine::run_with_store`] always spoke to a closure-sharded directory
+/// on disk; this trait is that conversation made explicit, so a
 /// resident service can interpose an in-memory hot cache (LRU over decoded
 /// shards, write-behind persistence) without re-implementing the splice
 /// logic — and without being able to break the byte-identity invariant,
@@ -323,8 +295,8 @@ impl<'p> Engine<'p> {
     /// The closure identity of this engine's run — the library fingerprint
     /// plus each configured cluster's dependency-closure fingerprint.
     /// Capture it after a full run (it is a pure function of program and
-    /// configuration) and feed it to [`Engine::incremental_session`] on an
-    /// engine over the edited program.  Both fingerprints are cached on
+    /// configuration) and diff an engine over the edited program against
+    /// it with [`Engine::run_with_store`].  Both fingerprints are cached on
     /// the engine, so a provenance taken after a store-backed run hashes
     /// nothing again.  Records an `engine/provenance` span on lane 0.
     pub fn run_provenance(&self) -> RunProvenance {
@@ -336,12 +308,6 @@ impl<'p> Engine<'p> {
                 .cluster_jobs()
                 .into_iter()
                 .map(|job| ClusterProvenance {
-                    index: job.index,
-                    classes: job
-                        .classes
-                        .iter()
-                        .map(|&id| self.program().class(id).name().to_string())
-                        .collect(),
                     closure: job.closure,
                 })
                 .collect(),
@@ -350,97 +316,31 @@ impl<'p> Engine<'p> {
         provenance
     }
 
-    /// Opens an incremental session over this engine's (new) program,
-    /// diffed against the provenance of a previous run: clusters whose
-    /// dependency-closure fingerprint appears in `old` are **clean** and
-    /// will be spliced from the store; the rest are **dirty** and will
-    /// re-run.
-    pub fn incremental_session(&self, old: &RunProvenance) -> IncrementalSession<'_, 'p> {
-        let jobs = self.cluster_jobs();
-        let clean: Vec<bool> = jobs
-            .iter()
-            .map(|job| old.knows_closure(job.closure))
-            .collect();
-        let dirty_jobs = clean.iter().filter(|c| !**c).count();
-        IncrementalSession {
-            engine: self,
-            num_threads: resolve_threads(self.config().num_threads, dirty_jobs),
-            jobs,
-            clean,
-            collected: self.warm_cache().clone(),
-        }
-    }
-}
-
-/// A prepared incremental run: the diffed cluster partition of an engine
-/// over an edited program.  See the [module docs](self).
-pub struct IncrementalSession<'e, 'p> {
-    engine: &'e Engine<'p>,
-    jobs: Vec<ClusterJob>,
-    /// Per-job cleanliness from the closure diff.
-    clean: Vec<bool>,
-    num_threads: usize,
-    /// Starts as the engine's warm cache (sharing its partitions); after
-    /// [`IncrementalSession::run_with_store`], additionally holds every
-    /// verdict the dirty re-runs computed, folded in cluster order.
-    collected: VerdictCache,
-}
-
-impl<'e, 'p> IncrementalSession<'e, 'p> {
-    /// The resolved cluster jobs, in configuration order.
-    pub fn jobs(&self) -> &[ClusterJob] {
-        &self.jobs
-    }
-
-    /// Indices of the clusters the closure diff marked dirty.
-    pub fn dirty_indices(&self) -> Vec<usize> {
-        (0..self.jobs.len()).filter(|&i| !self.clean[i]).collect()
-    }
-
-    /// Indices of the clusters the closure diff marked clean.
-    pub fn clean_indices(&self) -> Vec<usize> {
-        (0..self.jobs.len()).filter(|&i| self.clean[i]).collect()
-    }
-
-    /// The number of worker threads the dirty re-runs will use — an
-    /// estimate from the closure diff until
-    /// [`IncrementalSession::run_with_store`] re-resolves it against the
-    /// actual re-run set (forced-dirty demotions can grow it).
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Consumes the session and returns its verdict cache: the warm-start
-    /// entries plus — once the session has run — every verdict the dirty
-    /// re-runs computed, merged deterministically in cluster order.  A
-    /// resident service feeds this to the next edit's engine
-    /// ([`Engine::warm_start`]) so consecutive edits share verdicts
-    /// without round-tripping through the store.
-    pub fn into_cache(self) -> VerdictCache {
-        self.collected
-    }
-
-    /// Runs the incremental pipeline against a closure-sharded store root
-    /// (empty, or written by earlier store-backed runs):
-    /// [`IncrementalSession::run_with_shards`] over a [`DiskShards`].
+    /// The store-backed run against a closure-sharded store root (empty,
+    /// or written by earlier store-backed runs):
+    /// [`Engine::run_with_shards`] over a [`DiskShards`].
     ///
     /// # Errors
     /// Returns the `atlas-store` error when a shard exists but is
     /// unreadable or malformed, or when persisting a dirty shard fails.
     pub fn run_with_store(
-        &mut self,
+        &self,
+        old: &RunProvenance,
         root: &Path,
         extraction: (usize, usize),
     ) -> Result<IncrementalOutcome, StoreError> {
-        self.run_with_shards(&mut DiskShards::new(root), extraction)
+        self.run_with_shards(old, &mut DiskShards::new(root), extraction)
     }
 
-    /// Runs the incremental pipeline against an arbitrary [`ShardStore`]:
-    /// dirty clusters re-run (and persist their new shards through the
-    /// store), clean clusters splice their automaton, specs, and verdicts
-    /// from it.  `extraction` bounds the spec extraction of re-ran
-    /// clusters — pass the same bounds the store was persisted with, or
-    /// spliced and re-ran specs would not be comparable.
+    /// The store-backed run against an arbitrary [`ShardStore`], diffed
+    /// against the provenance of a previous run: clusters whose
+    /// dependency-closure fingerprint appears in `old` are **clean** and
+    /// splice their automaton, specs, and verdicts from the store; the
+    /// rest are **dirty**, re-run (through the same work queue as
+    /// [`Session::run`](crate::Session::run)) and persist their new shards
+    /// through the store.  `extraction` bounds the spec extraction of
+    /// re-ran clusters — pass the same bounds the store was persisted
+    /// with, or spliced and re-ran specs would not be comparable.
     ///
     /// A clean cluster whose shard is missing (e.g. after an over-eager
     /// GC) or was persisted under different extraction bounds is demoted
@@ -451,33 +351,36 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
     /// Returns the `atlas-store` error when a shard exists but is
     /// unreadable or malformed, or when persisting a dirty shard fails.
     pub fn run_with_shards(
-        &mut self,
+        &self,
+        old: &RunProvenance,
         shards: &mut dyn ShardStore,
         extraction: (usize, usize),
     ) -> Result<IncrementalOutcome, StoreError> {
+        // Resolve the jobs before the run's span opens: on a fresh engine
+        // this records `engine/jobs`, a sibling of `incr/incremental`.
+        let jobs = self.cluster_jobs();
         let wall = Instant::now();
-        let engine = self.engine;
-        let recorder = engine.recorder();
+        let recorder = self.recorder();
         let mut incr_lane = recorder.lane(0);
         let incr_start = incr_lane.begin();
-        let library = engine.library_fingerprint();
+        let library = self.library_fingerprint();
 
         // Pass 1 (sequential, cheap): resolve each cluster's disposition.
-        // `None` marks empty clusters (skipped, like a full run).
+        // `Skip` marks empty clusters (skipped, like a full run).
         enum Plan {
             Skip,
             Splice { spec: SpecCluster, verdicts: usize },
             Run,
         }
-        let mut plans: Vec<Plan> = Vec::with_capacity(self.jobs.len());
+        let mut plans: Vec<Plan> = Vec::with_capacity(jobs.len());
         let mut forced_dirty = 0usize;
-        for (i, job) in self.jobs.iter().enumerate() {
-            let restricted = engine.interface().restrict_to_classes(&job.classes);
+        for job in &jobs {
+            let restricted = self.interface().restrict_to_classes(&job.classes);
             if restricted.slots().is_empty() {
                 plans.push(Plan::Skip);
                 continue;
             }
-            if !self.clean[i] {
+            if !old.knows_closure(job.closure) {
                 plans.push(Plan::Run);
                 continue;
             }
@@ -496,7 +399,7 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
                 );
                 Plan::Run
             };
-            let Some(artifact) = shards.load_specs(job.closure, engine.program())? else {
+            let Some(artifact) = shards.load_specs(job.closure, self.program())? else {
                 plans.push(demote("missing-shard"));
                 continue;
             };
@@ -514,46 +417,24 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
             let provenance = CacheProvenance::for_closure(
                 library,
                 job.closure,
-                engine.config().init,
-                engine.config().limits,
+                self.config().init,
+                self.config().limits,
             );
             let verdicts = shards.count_verdicts(job.closure, provenance.context)?;
             plans.push(Plan::Splice { spec, verdicts });
         }
 
         // Pass 2 (parallel): re-run the dirty clusters, exactly like a
-        // full session would have — same seeds, same pipeline.
-        let dirty: Vec<usize> = plans
+        // full session would have — same seeds, same pipeline.  The worker
+        // count follows the re-run set, forced-dirty demotions included.
+        let dirty: Vec<&ClusterJob> = jobs
             .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Run))
-            .map(|(i, _)| i)
+            .zip(&plans)
+            .filter(|(_, plan)| matches!(plan, Plan::Run))
+            .map(|(job, _)| job)
             .collect();
-        // Re-resolve the worker count against the *actual* re-run set:
-        // forced-dirty demotions (missing shards, foreign bounds) can grow
-        // it well past the closure-diff estimate.
-        self.num_threads = resolve_threads(engine.config().num_threads, dirty.len());
-        let slots: Vec<Option<ClusterRun>> = if self.num_threads <= 1 {
-            dirty
-                .iter()
-                .map(|&i| run_cluster_job(engine, &self.jobs[i], engine.warm_cache()))
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results: Mutex<Vec<Option<ClusterRun>>> =
-                Mutex::new((0..dirty.len()).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for _ in 0..self.num_threads {
-                    scope.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = dirty.get(k) else { break };
-                        let run = run_cluster_job(engine, &self.jobs[i], engine.warm_cache());
-                        results.lock().expect("result lock poisoned")[k] = run;
-                    });
-                }
-            });
-            results.into_inner().expect("result lock poisoned")
-        };
+        let num_threads = resolve_threads(self.config().num_threads, dirty.len());
+        let mut runs = run_queue(self, &dirty, num_threads, self.warm_cache()).into_iter();
 
         // Pass 3 (sequential, in cluster order): persist dirty shards and
         // assemble the outcome.
@@ -569,12 +450,10 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
             cache_stats: CacheStats::default(),
             spliced_verdicts: 0,
             wall_time: Duration::ZERO,
-            num_threads: self.num_threads,
+            num_threads,
         };
         let mut stats = OracleStats::default();
-        let mut runs = dirty.iter().zip(slots);
-        for (i, plan) in plans.into_iter().enumerate() {
-            let job = &self.jobs[i];
+        for (job, plan) in jobs.iter().zip(plans) {
             match plan {
                 Plan::Skip => {}
                 Plan::Splice { spec, verdicts } => {
@@ -595,8 +474,10 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
                     });
                 }
                 Plan::Run => {
-                    let (_, run) = runs.next().expect("one slot per dirty cluster");
-                    let run = run.expect("non-empty cluster produces a run");
+                    let run = runs
+                        .next()
+                        .flatten()
+                        .expect("one run per non-empty dirty cluster");
                     outcome.dirty_clusters += 1;
                     stats.merge(run.stats);
                     outcome.cache_stats.merge(run.cache.stats());
@@ -604,14 +485,14 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
                     let provenance = CacheProvenance::for_closure(
                         library,
                         job.closure,
-                        engine.config().init,
-                        engine.config().limits,
+                        self.config().init,
+                        self.config().limits,
                     );
                     let spec = SpecArtifact {
                         fingerprint: job.closure,
                         extraction,
                         clusters: vec![cluster_spec(
-                            engine.program(),
+                            self.program(),
                             &run.outcome.classes,
                             &run.outcome.fsa,
                             extraction,
@@ -622,9 +503,8 @@ impl<'e, 'p> IncrementalSession<'e, 'p> {
                         &run.cache,
                         provenance,
                         &spec,
-                        engine.program(),
+                        self.program(),
                     )?;
-                    self.collected.merge(run.cache);
                     outcome.clusters.push(IncrementalCluster {
                         index: job.index,
                         closure: job.closure,
@@ -697,8 +577,7 @@ mod tests {
         let old_provenance = old_engine.run_provenance();
         assert_eq!(old_provenance.clusters.len(), 2);
         let seeded = old_engine
-            .incremental_session(&old_provenance)
-            .run_with_store(&root, extraction)
+            .run_with_store(&old_provenance, &root, extraction)
             .expect("seed shards");
         assert_eq!((seeded.dirty_clusters, seeded.forced_dirty), (2, 2));
         assert_eq!(atlas_store::list_shards(&root).unwrap().len(), 2);
@@ -710,15 +589,19 @@ mod tests {
         let new_interface = LibraryInterface::from_program(&new_program);
         let new_engine = Engine::new(&new_program, &new_interface, config(&new_program));
 
-        let mut incr = new_engine.incremental_session(&old_provenance);
-        assert_eq!(incr.dirty_indices(), vec![0], "only the Box cluster");
-        assert_eq!(incr.clean_indices(), vec![1]);
-        let stack_shard_bytes = {
-            let job = &incr.jobs()[1];
-            std::fs::read(shard_entry(&root, job.closure).specs).expect("stack shard persisted")
-        };
+        // The closure diff: only the Box cluster is dirty.
+        let jobs = new_engine.cluster_jobs();
+        let clean: Vec<bool> = jobs
+            .iter()
+            .map(|job| old_provenance.knows_closure(job.closure))
+            .collect();
+        assert_eq!(clean, vec![false, true], "only the Box cluster");
+        let stack_shard_bytes = std::fs::read(shard_entry(&root, jobs[1].closure).specs)
+            .expect("stack shard persisted");
 
-        let outcome = incr.run_with_store(&root, extraction).expect("incremental");
+        let outcome = new_engine
+            .run_with_store(&old_provenance, &root, extraction)
+            .expect("incremental");
         assert_eq!(outcome.dirty_clusters, 1);
         assert_eq!(outcome.clean_clusters, 1);
         assert_eq!(outcome.forced_dirty, 0);
@@ -749,9 +632,8 @@ mod tests {
         assert_eq!(incr_artifact, full_artifact, "splice invariant");
 
         // The clean cluster's shard file was not rewritten.
-        let job = &new_engine.cluster_jobs()[1];
         assert_eq!(
-            std::fs::read(shard_entry(&root, job.closure).specs).unwrap(),
+            std::fs::read(shard_entry(&root, jobs[1].closure).specs).unwrap(),
             stack_shard_bytes,
             "clean shards stay byte-identical on disk"
         );
@@ -760,8 +642,7 @@ mod tests {
         // clean: nothing executes, everything splices.
         let new_provenance = new_engine.run_provenance();
         let again = new_engine
-            .incremental_session(&new_provenance)
-            .run_with_store(&root, extraction)
+            .run_with_store(&new_provenance, &root, extraction)
             .expect("clean incremental");
         assert_eq!(again.dirty_clusters, 0);
         assert_eq!(again.clean_clusters, 2);
@@ -791,8 +672,7 @@ mod tests {
         assert_ne!(cold_other, incr_artifact, "the budgets learn differently");
         let other_engine = Engine::new(&new_program, &new_interface, other_budget);
         let other = other_engine
-            .incremental_session(&other_engine.run_provenance())
-            .run_with_store(&root, extraction)
+            .run_with_store(&other_engine.run_provenance(), &root, extraction)
             .expect("store-backed run at another budget");
         assert_eq!(
             other

@@ -136,6 +136,28 @@ pub struct InferenceOutcome {
     pub num_threads: usize,
 }
 
+/// One cluster's persistable result: class names resolved against
+/// `program`, specs extracted from `fsa` with `extraction`.  The one
+/// construction shared by [`InferenceOutcome::spec_artifact`], shard
+/// persistence, and the store-backed run's artifact assembly — so the
+/// byte-identical splice invariant cannot be broken by them drifting
+/// apart.
+pub(crate) fn cluster_spec(
+    program: &Program,
+    classes: &[ClassId],
+    fsa: &Fsa,
+    extraction: (usize, usize),
+) -> SpecCluster {
+    SpecCluster {
+        classes: classes
+            .iter()
+            .map(|&id| program.class(id).name().to_string())
+            .collect(),
+        specs: fsa.accepted_specs(extraction.0, extraction.1),
+        fsa: fsa.clone(),
+    }
+}
+
 impl InferenceOutcome {
     /// Generates code-fragment specifications for all learned automata
     /// against the given program (which must contain the same library
@@ -174,21 +196,14 @@ impl InferenceOutcome {
         max_len: usize,
         limit_per_cluster: usize,
     ) -> SpecArtifact {
+        let extraction = (max_len, limit_per_cluster);
         SpecArtifact {
             fingerprint: library_fingerprint(program, interface),
-            extraction: (max_len, limit_per_cluster),
+            extraction,
             clusters: self
                 .clusters
                 .iter()
-                .map(|cluster| SpecCluster {
-                    classes: cluster
-                        .classes
-                        .iter()
-                        .map(|&id| program.class(id).name().to_string())
-                        .collect(),
-                    specs: cluster.fsa.accepted_specs(max_len, limit_per_cluster),
-                    fsa: cluster.fsa.clone(),
-                })
+                .map(|cluster| cluster_spec(program, &cluster.classes, &cluster.fsa, extraction))
                 .collect(),
         }
     }

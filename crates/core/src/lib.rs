@@ -22,12 +22,13 @@
 //!
 //! Oracle verdicts are memoized in a content-addressed [`VerdictCache`]
 //! that can be harvested from one run ([`Session::into_cache`]) and fed to
-//! the next ([`Engine::warm_start`]), so repeated runs of one configuration
-//! — re-runs in one process, re-inference after edits elsewhere in the
-//! library — skip already-proven verdicts without ever changing results.
-//! Across processes, the store-backed run ([`incremental`]) persists each
-//! cluster's automaton and verdicts as a closure shard and splices it
-//! back without running the learner at all.
+//! the next ([`Engine::warm_start`]), so repeated in-process runs of one
+//! configuration skip already-proven verdicts without ever changing
+//! results.  The store-backed run ([`Engine::run_with_store`], see
+//! [`incremental`]) hands no cache back: it persists each re-run
+//! cluster's automaton and verdicts as a closure shard and splices clean
+//! clusters back without running the learner at all — across processes,
+//! and across a resident service's edits.
 //!
 //! [`report`] contains the machinery used by the evaluation to compare an
 //! inferred specification set against a reference corpus (handwritten or
@@ -47,7 +48,7 @@ pub use budget::{BudgetSplit, ThreadBudget};
 pub use engine::{ClusterJob, Engine, Session};
 pub use incremental::{
     ClusterDisposition, ClusterProvenance, DiskShards, IncrementalCluster, IncrementalOutcome,
-    IncrementalSession, RunProvenance, ShardStore, EXTRACTION,
+    RunProvenance, ShardStore, EXTRACTION,
 };
 pub use inference::{
     infer_specifications, AtlasConfig, ClusterOutcome, InferenceOutcome, ParallelismSummary,

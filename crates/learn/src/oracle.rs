@@ -17,9 +17,6 @@ pub struct OracleConfig {
     pub strategy: InitStrategy,
     /// Execution limits for each unit test.
     pub limits: ExecLimits,
-    /// Whether to memoize query results (recommended; random sampling
-    /// re-draws the same candidates frequently).
-    pub memoize: bool,
     /// Content fingerprint for cache keying.  `None` keys on the whole
     /// library (the historical behavior); the incremental engine passes the
     /// serving cluster's dependency-closure fingerprint
@@ -33,7 +30,6 @@ impl Default for OracleConfig {
         OracleConfig {
             strategy: InitStrategy::Instantiate,
             limits: ExecLimits::for_unit_tests(),
-            memoize: true,
             fingerprint: None,
         }
     }
@@ -209,18 +205,14 @@ impl<'p> Oracle<'p> {
             return hit;
         }
         if word.chunks(2).any(|c| c.len() == 2 && c[0] == c[1]) {
-            if self.config.memoize {
-                self.cache.insert(key, false);
-            }
+            self.cache.insert(key, false);
             return false;
         }
         let result = match PathSpec::new(word.to_vec()) {
             Ok(spec) => self.run_witness(&spec),
             Err(_) => false,
         };
-        if self.config.memoize {
-            self.cache.insert(key, result);
-        }
+        self.cache.insert(key, result);
         if result {
             self.stats.positives += 1;
         }
@@ -345,10 +337,13 @@ mod tests {
         ];
         assert!(oracle.check_word(&good));
         assert!(!oracle.check_word(&bad));
-        // Ill-formed words are rejected without execution.
-        assert!(!oracle.check_word(&good[..1]));
-        // Memoization: re-querying does not re-execute.
+        // Ill-formed words are rejected without execution, and so are
+        // degenerate ones (the same slot as both entry and exit of a step).
         let execs = oracle.stats().executions;
+        assert!(!oracle.check_word(&good[..1]));
+        assert!(!oracle.check_word(&[good[0], good[0]]));
+        assert_eq!(oracle.stats().executions, execs);
+        // Memoization: re-querying does not re-execute.
         assert!(oracle.check_word(&good));
         assert_eq!(oracle.stats().executions, execs);
         assert!(oracle.stats().queries >= 4);
@@ -376,14 +371,9 @@ mod tests {
         let p = box_program();
         let iface = LibraryInterface::from_program(&p);
         let limits = ExecLimits::for_unit_tests();
-        let mut oracle = Oracle::new(
-            &p,
-            &iface,
-            OracleConfig {
-                memoize: false,
-                ..OracleConfig::default()
-            },
-        );
+        // Every word of the sweep is asked once, so the memo never
+        // answers: each well-formed word executes.
+        let mut oracle = Oracle::new(&p, &iface, OracleConfig::default());
         let compiled = CompiledProgram::compile(&p);
         let builtins = BuiltinRegistry::with_defaults();
         let mut scratch = WitnessScratch::default();
@@ -431,29 +421,6 @@ mod tests {
                 positives,
             }
         );
-    }
-
-    #[test]
-    fn degenerate_words_are_not_memoized_when_memoize_is_off() {
-        let p = box_program();
-        let iface = LibraryInterface::from_program(&p);
-        let set = p.method_qualified("Box.set").unwrap();
-        let mut oracle = Oracle::new(
-            &p,
-            &iface,
-            OracleConfig {
-                memoize: false,
-                ..OracleConfig::default()
-            },
-        );
-        // The same slot as both entry and exit of one step.
-        let degenerate = vec![ParamSlot::param(set, 0), ParamSlot::param(set, 0)];
-        assert!(!oracle.check_word(&degenerate));
-        assert!(!oracle.check_word(&degenerate));
-        assert_eq!(oracle.cache_stats().hits, 0);
-        assert_eq!(oracle.stats().queries, 2);
-        assert_eq!(oracle.stats().executions, 0);
-        assert!(oracle.into_cache().is_empty());
     }
 
     #[test]

@@ -6,21 +6,21 @@
 //! reserved **default session** when the field is absent, which is how
 //! unmodified `atlas-serve/1` clients keep working unchanged:
 //!
-//! * **Startup** builds the configured library and runs one incremental
-//!   session against its own provenance in the store's *root namespace*.
-//!   Over a warm store every cluster splices (zero executions); over a
-//!   cold store every cluster is forced-dirty, runs, and seeds the store
-//!   — so a restart is exactly a cache-warming, never a semantic event.
+//! * **Startup** builds the configured library and runs the store-backed
+//!   run (`Engine::run_with_shards`) against its own provenance in the
+//!   store's *root namespace*.  Over a warm store every cluster splices
+//!   (zero executions); over a cold store every cluster is forced-dirty,
+//!   runs, and seeds the store — so a restart is exactly a cache-warming,
+//!   never a semantic event.
 //!   The post-flush shard files are captured byte-for-byte as the
 //!   `BaseState` seed set.
 //! * **`open`** registers a new session: a fresh namespace under
 //!   `<store>/sessions/<name>/` seeded with the captured base shard
 //!   bytes, plus clones of the base program, provenance and specs
-//!   document, and the base warm cache (shared, not copied: cloning a
-//!   verdict cache bumps one reference count per context).  A session
-//!   opened at any point therefore behaves byte-identically to the same
-//!   session on a freshly-started daemon — edits in other sessions
-//!   (including the default one) can never leak into it.
+//!   document.  A session opened at any point therefore behaves
+//!   byte-identically to the same session on a freshly-started daemon —
+//!   edits in other sessions (including the default one) can never leak
+//!   into it.
 //! * **Edits** are per-session state transitions (see the `session`
 //!   module); different sessions' edits run
 //!   concurrently on the service worker pool, each with its `inner`
@@ -47,9 +47,7 @@ use crate::session::{
 use crate::shards::{HotShards, ROOT_NAMESPACE};
 use atlas_apps::RegistryError;
 use atlas_core::RunProvenance;
-use atlas_core::{
-    AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget, VerdictCache, EXTRACTION,
-};
+use atlas_core::{AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget, EXTRACTION};
 use atlas_ir::{ClassId, LibraryInterface, Program};
 use atlas_obs::{ArgValue, Recorder};
 use atlas_store::{atomic_write, hex64_string, shard_entry, Json};
@@ -101,9 +99,7 @@ impl From<StoreError> for ServeError {
 struct BaseState {
     program: Program,
     provenance: RunProvenance,
-    warm: VerdictCache,
     specs_doc: Json,
-    fingerprint: u64,
     /// The raw shard *file bytes* captured after the startup flush, one
     /// `(closure, cache file, specs file)` triple per cluster.  Seeding
     /// a namespace from bytes (not from live state) guarantees a fresh
@@ -158,10 +154,10 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Builds the configured library and warms up: one incremental
-    /// session against the daemon's own provenance, in the root
-    /// namespace.  A warm store splices every cluster without executing
-    /// anything; a cold store runs the full pipeline once and seeds it.
+    /// Builds the configured library and warms up: one store-backed run
+    /// against the daemon's own provenance, in the root namespace.  A
+    /// warm store splices every cluster without executing anything; a
+    /// cold store runs the full pipeline once and seeds it.
     /// Either way the store is flushed — and its shard bytes captured as
     /// the session seed set — before the daemon accepts requests.
     ///
@@ -202,14 +198,11 @@ impl Daemon {
         let engine = Engine::new(&lib.program, &interface, atlas_config)
             .with_recorder(recorder.with_lane_base(SESSION_LANE_STRIDE));
         let provenance = engine.run_provenance();
-        let mut session = engine.incremental_session(&provenance);
-        let outcome = session.run_with_shards(&mut hot, EXTRACTION)?;
+        let outcome = engine.run_with_shards(&provenance, &mut hot, EXTRACTION)?;
         let specs_doc = outcome
             .spec_artifact(&lib.program)
             .encode(&lib.program)
             .map_err(|e| StoreError::schema(&config.store, e))?;
-        let warm = session.into_cache();
-        let fingerprint = outcome.library;
         drop(engine);
         hot.flush()?;
         // Capture the post-startup shard bytes: the seed set of every
@@ -231,9 +224,7 @@ impl Daemon {
         let base = BaseState {
             program: lib.program.clone(),
             provenance: provenance.clone(),
-            warm: warm.clone(),
             specs_doc: specs_doc.clone(),
-            fingerprint,
             seeds,
         };
         let default_session = SessionState {
@@ -242,9 +233,7 @@ impl Daemon {
             ordinal: 0,
             program: lib.program,
             provenance,
-            warm,
             specs_doc,
-            fingerprint,
             generation: 0,
             edits_since_flush: 0,
             stats: SessionStats::default(),
@@ -281,7 +270,7 @@ impl Daemon {
 
     /// The default session's current library fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        self.with_default(|s| s.fingerprint)
+        self.with_default(|s| s.provenance.library)
     }
 
     /// The configuration the daemon was built with.
@@ -401,12 +390,18 @@ impl Daemon {
             Request::Specs => {
                 session.stats.queries += 1;
                 Ok(Json::obj()
-                    .set("library_fingerprint", hex64_string(session.fingerprint))
+                    .set(
+                        "library_fingerprint",
+                        hex64_string(session.provenance.library),
+                    )
                     .set("artifact", session.specs_doc.clone()))
             }
             Request::Fingerprint => {
                 session.stats.queries += 1;
-                Ok(Json::obj().set("library_fingerprint", hex64_string(session.fingerprint)))
+                Ok(Json::obj().set(
+                    "library_fingerprint",
+                    hex64_string(session.provenance.library),
+                ))
             }
             Request::Stats => Ok(self.stats_json(&session)),
             Request::Flush => session
@@ -491,9 +486,7 @@ impl Daemon {
             ordinal,
             program: self.base.program.clone(),
             provenance: self.base.provenance.clone(),
-            warm: self.base.warm.clone(),
             specs_doc: self.base.specs_doc.clone(),
-            fingerprint: self.base.fingerprint,
             generation: 0,
             edits_since_flush: 0,
             stats: SessionStats::default(),
@@ -503,7 +496,10 @@ impl Daemon {
             .push((name.clone(), Arc::new(Mutex::new(state))));
         let body = Json::obj()
             .set("session", name.as_str())
-            .set("library_fingerprint", hex64_string(self.base.fingerprint))
+            .set(
+                "library_fingerprint",
+                hex64_string(self.base.provenance.library),
+            )
             .set("generation", 0_i64)
             .set("seeded_shards", self.base.seeds.len());
         Ok((name, body))
@@ -558,7 +554,10 @@ impl Daemon {
             .set("default_session", DEFAULT_SESSION)
             .set("session", session.name.as_str())
             .set("library", self.config.library.as_str())
-            .set("library_fingerprint", hex64_string(session.fingerprint))
+            .set(
+                "library_fingerprint",
+                hex64_string(session.provenance.library),
+            )
             .set("generation", session.generation as i64)
             .set("clusters", self.clusters.len())
             .set("threads", self.budget_total)
@@ -611,7 +610,6 @@ impl Daemon {
             .set("edits_ok", session.stats.edits_ok as i64)
             .set("edits_failed", session.stats.edits_failed as i64)
             .set("queries", session.stats.queries as i64)
-            .set("warm_verdicts", session.warm.len())
             .set(
                 "sessions",
                 Json::obj()

@@ -21,15 +21,13 @@
 //!   write-behind flushing (atomic renames via `atlas-store`), and one
 //!   *namespace* per session sharing a single LRU budget.
 //! * `session` — the per-session state: program, provenance chain,
-//!   rolling warm verdict cache, current spec artifact, namespace.
+//!   current spec artifact, namespace.
 //! * [`daemon`] — [`Daemon`]: the internally-locked service core.  Each
-//!   edit runs `Engine::incremental_session` against its session's
-//!   previous provenance, warm-started from the session's verdict cache,
-//!   splicing clean clusters from the hot shards.  The cache is passed
-//!   on by reference: its context partitions are `Arc`-shared, so an
-//!   edit copies no verdict it did not compute.  New sessions seed from
-//!   the byte-captured post-startup store and share the base warm
-//!   cache.
+//!   edit runs `Engine::run_with_shards` against its session's previous
+//!   provenance, splicing clean clusters from the hot shards; a re-run
+//!   cluster's verdicts persist into its shard, so the shards are the
+//!   only verdict store a session has.  New sessions seed from the
+//!   byte-captured post-startup store.
 //! * [`service`] — [`Service`]: the bounded session-aware queue
 //!   (backpressure), the worker pool (`outer` of the thread-budget
 //!   split; each in-flight edit gets the `inner` share), stream
@@ -67,4 +65,4 @@ pub use proto::{
     Frame, Request, Response, WireError, WIRE_SCHEMA, WIRE_SCHEMA_V2,
 };
 pub use service::{ServeHandle, Service};
-pub use shards::{HotShards, NamespaceShards, ShardCacheStats, SharedShards, ROOT_NAMESPACE};
+pub use shards::{HotShards, ShardCacheStats, SharedShards, ROOT_NAMESPACE};

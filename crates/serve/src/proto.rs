@@ -22,8 +22,8 @@
 //!
 //! **Sessions and negotiation.**  `atlas-serve/2` adds the `open`/`close`
 //! ops and an optional `"session"` string on every session-scoped
-//! request; each open session owns an independent store namespace,
-//! provenance chain, and warm verdict cache.  A frame *without* a
+//! request; each open session owns an independent store namespace and
+//! provenance chain.  A frame *without* a
 //! `"session"` field addresses the daemon's **default session** — which
 //! is exactly the `atlas-serve/1` protocol, so a /1 client needs no
 //! changes: its requests land on the default session and its responses

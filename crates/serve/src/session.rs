@@ -1,11 +1,13 @@
-//! Per-session daemon state: one library under edit, a rolling warm
-//! verdict cache, and the current spec artifact.
+//! Per-session daemon state: one library under edit, its provenance, and
+//! the current spec artifact.
 //!
 //! `atlas-serve/2` makes sessions first-class: every open session owns
 //! the full mutable state the /1 daemon kept globally — program,
-//! provenance chain, warm verdict cache, specs document, fingerprint,
-//! generation — plus a shard-store *namespace* of its own, so edits in
-//! one session can never alias another session's persisted clusters.
+//! provenance chain, specs document, generation — plus a shard-store
+//! *namespace* of its own, so edits in one session can never alias
+//! another session's persisted clusters.  A session keeps no verdicts of
+//! its own: each re-run cluster's verdicts persist into its shard, the
+//! only place a later edit can splice them from.
 //! The daemon serializes requests per session (the service scheduler
 //! guarantees at most one in-flight request per session), so a
 //! [`SessionState`] is locked for the duration of exactly one request
@@ -15,7 +17,7 @@ use crate::config::ServeConfig;
 use crate::proto::{EditRequest, ErrorCode, WireError};
 use crate::shards::{HotShards, SharedShards};
 use atlas_apps::{mutate_library, MutationConfig};
-use atlas_core::{AtlasConfig, Engine, RunProvenance, StoreError, VerdictCache};
+use atlas_core::{AtlasConfig, Engine, RunProvenance, StoreError};
 use atlas_ir::ClassId;
 use atlas_ir::LibraryInterface;
 use atlas_ir::Program;
@@ -57,18 +59,11 @@ pub(crate) struct SessionState {
     pub ordinal: u64,
     /// The library content after every edit applied so far.
     pub program: Program,
-    /// The previous run's closure identity; the diff basis of the next
-    /// edit.
+    /// The previous run's closure identity — the diff basis of the next
+    /// edit — whose `library` is the current library fingerprint.
     pub provenance: RunProvenance,
-    /// The rolling warm verdict cache: every verdict any edit in this
-    /// session has proven, fed to the next edit's engine.  Its partitions
-    /// are `Arc`-shared, so handing it on shares them instead of copying
-    /// verdicts.
-    pub warm: VerdictCache,
     /// The current `atlas-spec/1` artifact document.
     pub specs_doc: Json,
-    /// The current library fingerprint.
-    pub fingerprint: u64,
     /// Edits applied since the session opened.
     pub generation: u64,
     /// Edits since the last write-behind flush of this session.
@@ -129,18 +124,14 @@ impl SessionState {
         // exported trace.
         let lane_base =
             self.ordinal * SESSION_ORDINAL_STRIDE + (self.generation + 2) * SESSION_LANE_STRIDE;
-        // Cloning the session cache shares its partitions: the engine and
-        // every cluster oracle read them in place.
         let engine = Engine::new(&new_program, &new_interface, atlas_config)
-            .warm_start(self.warm.clone())
             .with_recorder(recorder.with_lane_base(lane_base));
-        let mut session = engine.incremental_session(&self.provenance);
         // The oracle work happens between `ShardStore` calls, so the hot
         // cache's lock is only held for splice/persist bookkeeping —
         // sessions run their clusters concurrently.
         let mut shards = SharedShards::new(Arc::clone(hot), self.ns);
-        let outcome = session
-            .run_with_shards(&mut shards, atlas_core::EXTRACTION)
+        let outcome = engine
+            .run_with_shards(&self.provenance, &mut shards, atlas_core::EXTRACTION)
             .map_err(|e| {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())
@@ -158,10 +149,9 @@ impl SessionState {
         lane.end(start, "serve", "encode", Vec::new());
 
         // Committing drops the engine, the run's outcome and the state the
-        // edit supersedes (program, specs document, cache): time of its
-        // own, so it gets a span of its own.
+        // edit supersedes (program, specs document): time of its own, so it
+        // gets a span of its own.
         let start = lane.begin();
-        let collected = session.into_cache();
         drop(engine);
         let response = Json::obj()
             .set("description", mutated.outcome.description.as_str())
@@ -182,9 +172,7 @@ impl SessionState {
             );
         self.program = new_program;
         self.provenance = new_provenance;
-        self.warm = collected;
         self.specs_doc = specs_doc;
-        self.fingerprint = outcome.library;
         self.generation += 1;
         self.stats.edits_ok += 1;
         self.edits_since_flush += 1;

@@ -3,10 +3,10 @@
 //! one budget.
 //!
 //! [`HotShards`] implements `atlas_core::ShardStore` (for its root
-//! namespace; session namespaces go through [`NamespaceShards`] /
-//! [`SharedShards`]), so an incremental session splices from and persists
-//! to *memory*; disk is only touched on a cache miss (shard load) and on
-//! [`HotShards::flush`] (write-behind).  The invariants:
+//! namespace; session namespaces go through [`SharedShards`]), so a
+//! store-backed run splices from and persists to *memory*; disk is only
+//! touched on a cache miss (shard load) and on [`HotShards::flush`]
+//! (write-behind).  The invariants:
 //!
 //! * **Transparency.**  Because the daemon is the store root's sole owner
 //!   while resident, the in-memory merge performed by
@@ -135,7 +135,7 @@ impl HotShards {
 
     /// Registers a new namespace over `dir` and returns its stable id.
     /// The directory is owned by one session; the returned id is what the
-    /// session passes to [`NamespaceShards`] / [`SharedShards`].
+    /// session passes to [`SharedShards`].
     pub fn add_namespace(&mut self, dir: PathBuf) -> usize {
         self.namespaces.push(Namespace {
             dir,
@@ -398,46 +398,6 @@ impl ShardStore for HotShards {
         program: &atlas_ir::Program,
     ) -> Result<usize, StoreError> {
         self.persist_cluster_in(ROOT_NAMESPACE, closure, fresh, provenance, specs, program)
-    }
-}
-
-/// A `ShardStore` view of one namespace of an exclusively borrowed
-/// [`HotShards`] — the single-threaded counterpart of [`SharedShards`].
-pub struct NamespaceShards<'a> {
-    hot: &'a mut HotShards,
-    ns: usize,
-}
-
-impl<'a> NamespaceShards<'a> {
-    /// A view of `hot` restricted to namespace `ns`.
-    pub fn new(hot: &'a mut HotShards, ns: usize) -> NamespaceShards<'a> {
-        NamespaceShards { hot, ns }
-    }
-}
-
-impl ShardStore for NamespaceShards<'_> {
-    fn load_specs(
-        &mut self,
-        closure: u64,
-        program: &atlas_ir::Program,
-    ) -> Result<Option<SpecArtifact>, StoreError> {
-        self.hot.load_specs_in(self.ns, closure, program)
-    }
-
-    fn count_verdicts(&mut self, closure: u64, context: u64) -> Result<usize, StoreError> {
-        self.hot.count_verdicts_in(self.ns, closure, context)
-    }
-
-    fn persist_cluster(
-        &mut self,
-        closure: u64,
-        fresh: &VerdictCache,
-        provenance: CacheProvenance,
-        specs: &SpecArtifact,
-        program: &atlas_ir::Program,
-    ) -> Result<usize, StoreError> {
-        self.hot
-            .persist_cluster_in(self.ns, closure, fresh, provenance, specs, program)
     }
 }
 

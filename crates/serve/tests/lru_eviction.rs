@@ -1,12 +1,15 @@
 //! Hot-shard cache transparency: a daemon squeezed into a one-shard LRU
 //! budget — evicting and reloading shards mid-stream — answers every edit
-//! exactly like a daemon that never evicts, and a write-behind daemon
-//! that pins dirty shards past its budget persists exactly the store an
-//! eager-flushing daemon does.
+//! exactly like a daemon that never evicts, a write-behind daemon that
+//! pins dirty shards past its budget persists exactly the store an
+//! eager-flushing daemon does, and a shard lost from disk is re-learned,
+//! not answered from memory.
 
+use atlas_core::{AtlasConfig, Engine};
 use atlas_ir::hash::Fnv;
+use atlas_ir::LibraryInterface;
 use atlas_serve::{Daemon, EditRequest, Envelope, Request, ServeConfig};
-use atlas_store::Json;
+use atlas_store::{shard_entry, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -243,4 +246,78 @@ fn pinned_dirty_shards_survive_the_budget_and_flush_identically() {
 
     let _ = std::fs::remove_dir_all(&store_eager);
     let _ = std::fs::remove_dir_all(&store_behind);
+}
+
+/// A lost shard is re-learned: after start-up (which flushes), the shard
+/// directory of the StringBuilder cluster — evicted from the one-shard
+/// cache, and clean under an `Integer.intValue` edit — is deleted.  The
+/// edit must demote that cluster to a re-run (`forced_dirty: 1`) that
+/// executes its unit tests again, because a daemon keeps no verdicts
+/// outside its shards, and must serve the specs an undamaged daemon
+/// serves after the same edit.
+#[test]
+fn a_lost_shard_is_relearned_and_serves_identical_specs() {
+    let start = |store: &Path| {
+        let mut config = ServeConfig::small(store.to_path_buf());
+        config.shard_budget = 1;
+        Daemon::new(config).expect("daemon startup")
+    };
+    let edit = |daemon: &Daemon| -> (Json, String) {
+        let envelope = Envelope::of(Request::Edit(EditRequest {
+            kind: atlas_ir::MutationKind::BodyEdit,
+            target: Some("Integer.intValue".to_string()),
+            seed: 1000,
+        }));
+        let response = daemon.handle(&envelope).outcome.expect("edit");
+        let specs = daemon
+            .handle(&Envelope::of(Request::Specs))
+            .outcome
+            .expect("specs")
+            .get("artifact")
+            .expect("artifact payload")
+            .render();
+        (response, specs)
+    };
+    let forced_dirty = |response: &Json| {
+        response
+            .get("clusters")
+            .and_then(|c| c.get("forced_dirty"))
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("missing clusters.forced_dirty: {response:?}"))
+    };
+
+    let store_intact = scratch("intact");
+    let (intact, intact_specs) = edit(&start(&store_intact));
+    assert_eq!(forced_dirty(&intact), 0, "{intact:?}");
+
+    // The StringBuilder cluster's closure, computed as the daemon does.
+    let config = ServeConfig::small(PathBuf::new());
+    let lib = atlas_apps::build_library(&config.library, config.synth_seed).expect("library");
+    let interface = LibraryInterface::from_program(&lib.program);
+    let atlas_config = AtlasConfig {
+        samples_per_cluster: config.samples,
+        clusters: lib.clusters.clone(),
+        ..AtlasConfig::default()
+    };
+    let closure = Engine::new(&lib.program, &interface, atlas_config)
+        .run_provenance()
+        .clusters[0]
+        .closure;
+
+    let store_damaged = scratch("damaged");
+    let daemon = start(&store_damaged);
+    std::fs::remove_dir_all(shard_entry(&store_damaged, closure).dir)
+        .expect("start-up flushed the StringBuilder shard");
+    let (damaged, damaged_specs) = edit(&daemon);
+    assert_eq!(forced_dirty(&damaged), 1, "{damaged:?}");
+    let (oracle, _) = edit_work(&damaged);
+    assert!(
+        oracle > edit_work(&intact).0,
+        "the lost cluster must execute its unit tests again: {damaged:?}"
+    );
+    assert_eq!(damaged_specs, intact_specs, "recovery changed the specs");
+
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&store_intact);
+    let _ = std::fs::remove_dir_all(&store_damaged);
 }

@@ -36,7 +36,7 @@
 //! `<root>/0x<closure>/{cache,specs}.json`, plus the whole-run
 //! `specs.json` export the batch and fleet pipelines write beside them.
 //! The engine-facing side lives in `atlas-core`: the store-backed run
-//! (`Engine::incremental_session` + `IncrementalSession::run_with_store`)
+//! (`engine.run_with_store(&engine.run_provenance(), root, EXTRACTION)`)
 //! fills an empty root cluster by cluster and splices every cluster of a
 //! seeded one back without running the learner; the batch and fleet
 //! pipelines in `atlas-bench` and the resident service in `atlas-serve`

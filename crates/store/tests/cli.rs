@@ -168,8 +168,7 @@ fn inspect_stats_and_spec_commands_on_a_store_backed_root() {
     };
     let engine = Engine::new(&program, &interface, config);
     let outcome = engine
-        .incremental_session(&engine.run_provenance())
-        .run_with_store(&dir, EXTRACTION)
+        .run_with_store(&engine.run_provenance(), &dir, EXTRACTION)
         .expect("store-backed run");
     let artifact = outcome.spec_artifact(&program);
     let export = dir.join("specs.json");

@@ -127,8 +127,7 @@ proptest! {
         let old_engine = Engine::new(&old_program, &old_interface, config.clone());
         let old_provenance = old_engine.run_provenance();
         old_engine
-            .incremental_session(&old_provenance)
-            .run_with_store(&root, extraction)
+            .run_with_store(&old_provenance, &root, extraction)
             .expect("seed shards");
 
         let Ok(mutated) = mutate_library(&old_program, &MutationConfig::new(kind, mutation_seed))
@@ -139,7 +138,6 @@ proptest! {
         let new_program = mutated.program;
         let new_interface = LibraryInterface::from_program(&new_program);
         let new_engine = Engine::new(&new_program, &new_interface, config.clone());
-        let mut incr = new_engine.incremental_session(&old_provenance);
 
         // Expected dirty set: exactly the clusters whose closure contains
         // the mutated method.
@@ -150,21 +148,23 @@ proptest! {
             .filter(|(_, c)| new_graph.closure_of(c).contains_method(mutated.outcome.method))
             .map(|(i, _)| i)
             .collect();
-        // The diff partition must match closure membership.
+        // The closure diff must match closure membership.
+        let jobs = new_engine.cluster_jobs();
+        let (clean_jobs, dirty_jobs): (Vec<_>, Vec<_>) = jobs
+            .iter()
+            .partition(|job| old_provenance.knows_closure(job.closure));
         prop_assert_eq!(
-            incr.dirty_indices().into_iter().collect::<BTreeSet<_>>(),
+            dirty_jobs.iter().map(|job| job.index).collect::<BTreeSet<_>>(),
             expected_dirty.clone()
         );
 
         // Snapshot the clean shards before the incremental run.
-        let clean_closures: Vec<u64> = incr
-            .clean_indices()
-            .iter()
-            .map(|&i| incr.jobs()[i].closure)
-            .collect();
+        let clean_closures: Vec<u64> = clean_jobs.iter().map(|job| job.closure).collect();
         let before_bytes = shard_bytes(&root, &clean_closures);
 
-        let outcome = incr.run_with_store(&root, extraction).expect("incremental");
+        let outcome = new_engine
+            .run_with_store(&old_provenance, &root, extraction)
+            .expect("incremental");
         prop_assert_eq!(outcome.forced_dirty, 0);
         prop_assert_eq!(outcome.dirty_clusters, expected_dirty.len());
         // The dirty clusters reran; the clean clusters spliced.

@@ -251,18 +251,18 @@ proptest! {
     }
 
     /// The oracle is deterministic: asking the same question twice gives the
-    /// same answer (memoized or not).
+    /// same answer, memoized or from a fresh oracle each time.
     #[test]
     fn oracle_is_deterministic(word in valid_word(&LibraryInterface::from_program(&library()), 2)) {
         let library = library();
         let interface = LibraryInterface::from_program(&library);
         prop_assume!(word.chunks(2).all(|c| interface.slots_of(c[0].method).contains(&c[1])));
         let mut memoized = Oracle::new(&library, &interface, OracleConfig::default());
-        let mut fresh = Oracle::new(&library, &interface, OracleConfig { memoize: false, ..OracleConfig::default() });
+        let fresh = || Oracle::new(&library, &interface, OracleConfig::default()).check_word(&word);
         let a1 = memoized.check_word(&word);
         let a2 = memoized.check_word(&word);
-        let b1 = fresh.check_word(&word);
-        let b2 = fresh.check_word(&word);
+        let b1 = fresh();
+        let b2 = fresh();
         prop_assert_eq!(a1, a2);
         prop_assert_eq!(b1, b2);
         prop_assert_eq!(a1, b1);

@@ -117,8 +117,9 @@ fn box_config(program: &atlas_ir::Program) -> AtlasConfig {
 
 /// The store round-trip through the one writer: a store-backed run over an
 /// empty root persists the cluster's shard; reloading its cache gives back
-/// the cluster's statistics and every verdict, re-encoding is
-/// byte-identical, and a fresh engine splices the shard with nothing
+/// the statistics and every verdict of the cluster's run (a plain session
+/// over the same engine learns it again, deterministically), re-encoding
+/// is byte-identical, and a fresh engine splices the shard with nothing
 /// executed.
 #[test]
 fn cache_artifact_preserves_stats_and_verdicts() {
@@ -126,11 +127,12 @@ fn cache_artifact_preserves_stats_and_verdicts() {
     let _ = std::fs::remove_dir_all(&root);
     let (program, interface) = box_setup();
     let engine = Engine::new(&program, &interface, box_config(&program));
-    let mut session = engine.incremental_session(&engine.run_provenance());
-    let outcome = session
-        .run_with_store(&root, EXTRACTION)
+    let outcome = engine
+        .run_with_store(&engine.run_provenance(), &root, EXTRACTION)
         .expect("cold root");
     assert_eq!(outcome.dirty_clusters, 1);
+    let mut session = engine.session();
+    session.run();
     let cache = session.into_cache();
     assert!(!cache.is_empty());
 
@@ -167,8 +169,7 @@ fn cache_artifact_preserves_stats_and_verdicts() {
     let (program2, interface2) = box_setup();
     let engine2 = Engine::new(&program2, &interface2, box_config(&program2));
     let warm = engine2
-        .incremental_session(&engine2.run_provenance())
-        .run_with_store(&root, EXTRACTION)
+        .run_with_store(&engine2.run_provenance(), &root, EXTRACTION)
         .expect("seeded root");
     assert_eq!((warm.clean_clusters, warm.oracle_executions), (1, 0));
     assert_eq!(warm.spliced_verdicts, reloaded.num_entries());

@@ -108,8 +108,7 @@ fn tracing_keeps_incremental_run_and_store_bytes_identical() {
             .with_recorder(recorder.clone());
         let provenance = engine.run_provenance();
         engine
-            .incremental_session(&provenance)
-            .run_with_store(store, EXTRACTION)
+            .run_with_store(&provenance, store, EXTRACTION)
             .expect("seedable store");
 
         let mutated = atlas_apps::mutate_library(
@@ -131,9 +130,8 @@ fn tracing_keeps_incremental_run_and_store_bytes_identical() {
         };
         let engine = Engine::new(&new_program, &new_interface, config)
             .with_recorder(recorder.with_lane_base(4096));
-        let mut incr = engine.incremental_session(&provenance);
-        let outcome = incr
-            .run_with_store(store, EXTRACTION)
+        let outcome = engine
+            .run_with_store(&provenance, store, EXTRACTION)
             .expect("incremental run");
         outcome
             .spec_artifact(&new_program)
