@@ -17,13 +17,13 @@
 //! 3. After an edit, an engine over the *new* program diffs against the
 //!    old provenance: clusters whose closure fingerprint survives the
 //!    edit are **clean**, the rest are **dirty**.
-//! 4. [`Engine::run_with_store`] (or [`Engine::run_with_shards`] over any
-//!    [`ShardStore`]) re-runs the two-phase pipeline for dirty clusters
-//!    only (persisting their new shards), and splices every clean
-//!    cluster's learned automaton, path specifications, and verdicts from
-//!    its shard — byte-identically, because shard files are
-//!    content-addressed by closure fingerprint and never rewritten by a
-//!    splice.
+//! 4. [`Engine::run_with_store`] (or [`Engine::run_with_shards`] over a
+//!    namespace of a shared [`HotShards`]) re-runs the two-phase pipeline
+//!    for dirty clusters only (each re-run's verdicts and specs replace
+//!    its shard's), and splices every clean cluster's learned automaton,
+//!    path specifications, and verdicts from its shard —
+//!    byte-identically, because shard files are content-addressed by
+//!    closure fingerprint and never rewritten by a splice.
 //!
 //! **Splice invariant.**  The engine is deterministic per cluster (seeds
 //! are positional, workers share nothing), so a spliced result *is* what a
@@ -34,13 +34,12 @@
 
 use crate::engine::{resolve_threads, run_queue, ClusterJob, Engine};
 use crate::inference::{cluster_spec, ClusterOutcome};
+use crate::shards::{HotShards, ROOT_NAMESPACE};
 use atlas_learn::{CacheStats, OracleStats};
 use atlas_obs::ArgValue;
-use atlas_store::{
-    load_cache, save_cache, shard_entry, CacheArtifact, CacheProvenance, SpecArtifact, SpecCluster,
-    StoreError,
-};
-use std::path::{Path, PathBuf};
+use atlas_store::{CacheProvenance, SpecArtifact, SpecCluster, StoreError};
+use std::path::Path;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The spec-extraction bounds `(max spec length, per-cluster spec limit)`
@@ -163,134 +162,6 @@ impl IncrementalOutcome {
     }
 }
 
-/// Where an incremental run loads clean-cluster shards from and persists
-/// dirty-cluster shards to.
-///
-/// [`Engine::run_with_store`] always spoke to a closure-sharded directory
-/// on disk; this trait is that conversation made explicit, so a
-/// resident service can interpose an in-memory hot cache (LRU over decoded
-/// shards, write-behind persistence) without re-implementing the splice
-/// logic — and without being able to break the byte-identity invariant,
-/// because the splice path is shared.  [`DiskShards`] is the canonical
-/// implementation over `atlas_store::shard_entry` files.
-///
-/// Shards have one writer, [`ShardStore::persist_cluster`] (called for
-/// every re-ran cluster), and one reader, the splice.
-pub trait ShardStore {
-    /// The decoded spec artifact of the shard for `closure`, or `None`
-    /// when the shard has no specs yet (the cluster is then demoted to a
-    /// re-run).  Method symbols are resolved against `program`.
-    ///
-    /// # Errors
-    /// Returns the `atlas-store` error when the shard exists but is
-    /// unreadable or malformed.
-    fn load_specs(
-        &mut self,
-        closure: u64,
-        program: &atlas_ir::Program,
-    ) -> Result<Option<SpecArtifact>, StoreError>;
-
-    /// How many verdicts the shard for `closure` holds under the given key
-    /// context (`CacheProvenance::context`) — the count reported as
-    /// "spliced verdicts" for a clean cluster.  A missing shard holds `0`.
-    ///
-    /// # Errors
-    /// Returns the `atlas-store` error when the shard cache exists but is
-    /// unreadable or malformed.
-    fn count_verdicts(&mut self, closure: u64, context: u64) -> Result<usize, StoreError>;
-
-    /// Persists one re-ran cluster: merges `fresh`'s verdicts (filtered by
-    /// `provenance`'s context, first-entry-wins against whatever the shard
-    /// already holds) into the shard cache for `closure` and replaces the
-    /// shard's spec artifact with `specs`.  Returns the number of cache
-    /// entries the shard gained.
-    ///
-    /// # Errors
-    /// Returns the `atlas-store` error when the shard cannot be read back
-    /// or written.
-    fn persist_cluster(
-        &mut self,
-        closure: u64,
-        fresh: &atlas_learn::VerdictCache,
-        provenance: CacheProvenance,
-        specs: &SpecArtifact,
-        program: &atlas_ir::Program,
-    ) -> Result<usize, StoreError>;
-}
-
-/// The canonical [`ShardStore`]: closure shards as directories under a
-/// store root (`<root>/0x<closure>/{cache,specs}.json`).  Stateless
-/// between calls; every operation goes to disk.  Batch and fleet runs use
-/// it directly; the resident service puts its in-memory `HotShards` in
-/// front of the same layout.
-pub struct DiskShards {
-    root: PathBuf,
-}
-
-impl DiskShards {
-    /// A disk-backed shard store rooted at `root`.
-    pub fn new(root: &Path) -> DiskShards {
-        DiskShards {
-            root: root.to_path_buf(),
-        }
-    }
-
-    /// The store root this instance reads and writes.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-}
-
-impl ShardStore for DiskShards {
-    fn load_specs(
-        &mut self,
-        closure: u64,
-        program: &atlas_ir::Program,
-    ) -> Result<Option<SpecArtifact>, StoreError> {
-        let entry = shard_entry(&self.root, closure);
-        if !entry.specs.exists() {
-            return Ok(None);
-        }
-        atlas_store::load_specs(&entry.specs, program).map(Some)
-    }
-
-    fn count_verdicts(&mut self, closure: u64, context: u64) -> Result<usize, StoreError> {
-        let entry = shard_entry(&self.root, closure);
-        if !entry.cache.exists() {
-            return Ok(0);
-        }
-        Ok(load_cache(&entry.cache)?
-            .shards
-            .iter()
-            .filter(|s| s.provenance.context == context)
-            .map(|s| s.entries.len())
-            .sum())
-    }
-
-    fn persist_cluster(
-        &mut self,
-        closure: u64,
-        fresh: &atlas_learn::VerdictCache,
-        provenance: CacheProvenance,
-        specs: &SpecArtifact,
-        program: &atlas_ir::Program,
-    ) -> Result<usize, StoreError> {
-        // The cluster's verdicts merge first-entry-wins into whatever the
-        // shard cache already holds; the specs are replaced.
-        let entry = shard_entry(&self.root, closure);
-        let mut on_disk = if entry.cache.exists() {
-            load_cache(&entry.cache)?
-        } else {
-            CacheArtifact::default()
-        };
-        let before = on_disk.num_entries();
-        on_disk.merge(&CacheArtifact::from_cache(fresh, provenance));
-        save_cache(&entry.cache, &on_disk)?;
-        atlas_store::save_specs(&entry.specs, specs, program)?;
-        Ok(on_disk.num_entries() - before)
-    }
-}
-
 impl<'p> Engine<'p> {
     /// The closure identity of this engine's run — the library fingerprint
     /// plus each configured cluster's dependency-closure fingerprint.
@@ -318,44 +189,58 @@ impl<'p> Engine<'p> {
 
     /// The store-backed run against a closure-sharded store root (empty,
     /// or written by earlier store-backed runs):
-    /// [`Engine::run_with_shards`] over a [`DiskShards`].
+    /// [`Engine::run_with_shards`] over a private, unbounded
+    /// [`HotShards`] on `root`, flushed before the run returns.
     ///
     /// # Errors
     /// Returns the `atlas-store` error when a shard exists but is
-    /// unreadable or malformed, or when persisting a dirty shard fails.
+    /// unreadable or malformed, or when writing a dirty shard fails.
     pub fn run_with_store(
         &self,
         old: &RunProvenance,
         root: &Path,
         extraction: (usize, usize),
     ) -> Result<IncrementalOutcome, StoreError> {
-        self.run_with_shards(old, &mut DiskShards::new(root), extraction)
+        let shards = Mutex::new(HotShards::new(root, usize::MAX));
+        let outcome = self.run_with_shards(old, &shards, ROOT_NAMESPACE, extraction)?;
+        shards
+            .into_inner()
+            .expect("hot shard cache lock poisoned")
+            .flush()?;
+        Ok(outcome)
     }
 
-    /// The store-backed run against an arbitrary [`ShardStore`], diffed
-    /// against the provenance of a previous run: clusters whose
-    /// dependency-closure fingerprint appears in `old` are **clean** and
-    /// splice their automaton, specs, and verdicts from the store; the
-    /// rest are **dirty**, re-run (through the same work queue as
-    /// [`Session::run`](crate::Session::run)) and persist their new shards
-    /// through the store.  `extraction` bounds the spec extraction of
-    /// re-ran clusters — pass the same bounds the store was persisted
-    /// with, or spliced and re-ran specs would not be comparable.
+    /// The store-backed run against namespace `ns` of a shared
+    /// [`HotShards`], diffed against the provenance of a previous run:
+    /// clusters whose dependency-closure fingerprint appears in `old` are
+    /// **clean** and splice their automaton, specs, and verdicts from the
+    /// store; the rest are **dirty**, re-run (through the same work queue
+    /// as [`Session::run`](crate::Session::run)) and persist their new
+    /// shards into it — flushing is the caller's.  `extraction` bounds the
+    /// spec extraction of re-ran clusters — pass the same bounds the store
+    /// was persisted with, or spliced and re-ran specs would not be
+    /// comparable.
+    ///
+    /// The cache is locked per shard operation, never while clusters
+    /// learn, so runs over different namespaces of one cache proceed
+    /// concurrently.
     ///
     /// A clean cluster whose shard is missing (e.g. after an over-eager
-    /// GC) or was persisted under different extraction bounds is demoted
-    /// to dirty rather than failing the run; the outcome's `forced_dirty`
-    /// counts such demotions.
+    /// GC), empty, or was persisted under different extraction bounds is
+    /// demoted to dirty rather than failing the run; the outcome's
+    /// `forced_dirty` counts such demotions.
     ///
     /// # Errors
     /// Returns the `atlas-store` error when a shard exists but is
-    /// unreadable or malformed, or when persisting a dirty shard fails.
+    /// unreadable or malformed, or when encoding a dirty shard fails.
     pub fn run_with_shards(
         &self,
         old: &RunProvenance,
-        shards: &mut dyn ShardStore,
+        shards: &Mutex<HotShards>,
+        ns: usize,
         extraction: (usize, usize),
     ) -> Result<IncrementalOutcome, StoreError> {
+        let lock = || shards.lock().expect("hot shard cache lock poisoned");
         // Resolve the jobs before the run's span opens: on a fresh engine
         // this records `engine/jobs`, a sibling of `incr/incremental`.
         let jobs = self.cluster_jobs();
@@ -399,7 +284,7 @@ impl<'p> Engine<'p> {
                 );
                 Plan::Run
             };
-            let Some(artifact) = shards.load_specs(job.closure, self.program())? else {
+            let Some(artifact) = lock().load_specs(ns, job.closure, self.program())? else {
                 plans.push(demote("missing-shard"));
                 continue;
             };
@@ -420,7 +305,7 @@ impl<'p> Engine<'p> {
                 self.config().init,
                 self.config().limits,
             );
-            let verdicts = shards.count_verdicts(job.closure, provenance.context)?;
+            let verdicts = lock().count_verdicts(ns, job.closure, provenance.context)?;
             plans.push(Plan::Splice { spec, verdicts });
         }
 
@@ -498,7 +383,8 @@ impl<'p> Engine<'p> {
                             extraction,
                         )],
                     };
-                    shards.persist_cluster(
+                    lock().persist_cluster(
+                        ns,
                         job.closure,
                         &run.cache,
                         provenance,
@@ -542,6 +428,7 @@ mod tests {
     use super::*;
     use crate::inference::AtlasConfig;
     use atlas_ir::LibraryInterface;
+    use atlas_store::shard_entry;
 
     fn setup() -> (atlas_ir::Program, LibraryInterface) {
         let mut pb = atlas_ir::builder::ProgramBuilder::new();
@@ -685,5 +572,130 @@ mod tests {
         );
         assert_eq!((other.clean_clusters, other.forced_dirty), (0, 2));
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The `reason` of every forced-dirty demotion `recorder` saw, in
+    /// cluster order.
+    fn demotions(recorder: &atlas_obs::Recorder) -> Vec<String> {
+        recorder
+            .events()
+            .into_iter()
+            .filter(|event| event.name == "forced-dirty")
+            .map(
+                |event| match event.args.into_iter().find(|(k, _)| *k == "reason") {
+                    Some((_, ArgValue::Text(reason))) => reason,
+                    other => panic!("a demotion without a reason: {other:?}"),
+                },
+            )
+            .collect()
+    }
+
+    /// Whatever demotes a clean-by-closure cluster, its re-run writes the
+    /// shard a freshly filled root holds: the repair renders the cold
+    /// artifact, leaves `cache.json` byte-identical, and a later run
+    /// splices each verdict once.
+    #[test]
+    fn a_demoted_shard_is_rewritten_as_a_fresh_root_holds_it() {
+        let scratch = |tag: &str| {
+            let root = std::env::temp_dir()
+                .join(format!("atlas-incr-repair-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            root
+        };
+        let extraction = (8, 64);
+        let (program, interface) = setup();
+        let engine = Engine::new(&program, &interface, config(&program));
+        let provenance = engine.run_provenance();
+        let closures: Vec<u64> = engine.cluster_jobs().iter().map(|j| j.closure).collect();
+        let stack = closures[1];
+        let render = |artifact: SpecArtifact| artifact.encode(&program).unwrap().render();
+        let cold = render(engine.run().spec_artifact(
+            &program,
+            &interface,
+            extraction.0,
+            extraction.1,
+        ));
+        let seed = |tag: &str, bounds: (usize, usize)| {
+            let root = scratch(tag);
+            engine
+                .run_with_store(&provenance, &root, bounds)
+                .expect("seed the root");
+            root
+        };
+        let fresh = seed("fresh", extraction);
+        let caches = |root: &Path| -> Vec<Vec<u8>> {
+            closures
+                .iter()
+                .map(|&c| std::fs::read(shard_entry(root, c).cache).expect("shard cache"))
+                .collect()
+        };
+        let fresh_caches = caches(&fresh);
+
+        // Re-runs the unedited program over `root`: exactly the clusters
+        // demoted for `reasons` re-run, and the root ends up as fresh.
+        let repair = |root: &Path, reasons: &[&str]| {
+            let recorder = atlas_obs::Recorder::tracing();
+            let outcome = Engine::new(&program, &interface, config(&program))
+                .with_recorder(recorder.clone())
+                .run_with_store(&provenance, root, extraction)
+                .expect("repair run");
+            assert_eq!(demotions(&recorder), reasons);
+            assert_eq!(
+                (outcome.dirty_clusters, outcome.forced_dirty),
+                (reasons.len(), reasons.len())
+            );
+            assert_eq!(render(outcome.spec_artifact(&program)), cold);
+            assert!(
+                caches(root) == fresh_caches,
+                "a repaired shard cache differs from a fresh root's"
+            );
+        };
+
+        // (a) The specs of the Stack shard are lost, its cache is not.
+        let lost = seed("lost", extraction);
+        std::fs::remove_file(shard_entry(&lost, stack).specs).unwrap();
+        repair(&lost, &["missing-shard"]);
+
+        // (b) Every shard was persisted under other extraction bounds.
+        let foreign = seed("foreign", (4, 16));
+        repair(&foreign, &["foreign-extraction", "foreign-extraction"]);
+
+        // (c) The Stack shard's specs hold no cluster.
+        let empty = seed("empty", extraction);
+        let hollow = SpecArtifact {
+            fingerprint: stack,
+            extraction,
+            clusters: Vec::new(),
+        };
+        atlas_store::save_specs(&shard_entry(&empty, stack).specs, &hollow, &program).unwrap();
+        repair(&empty, &["empty-shard"]);
+
+        // (a) again, repaired by an edit outside the Stack cluster: the run
+        // after it splices as many verdicts as it does over a fresh root.
+        std::fs::remove_file(shard_entry(&lost, stack).specs).unwrap();
+        let (mut edited, _) = setup();
+        let set = edited.method_qualified("Box.set").unwrap();
+        atlas_ir::mutate::edit_body(&mut edited, set, 1);
+        let edited_interface = LibraryInterface::from_program(&edited);
+        let next_spliced = |root: &Path, forced_dirty: usize| {
+            let engine = Engine::new(&edited, &edited_interface, config(&edited));
+            let edit = engine
+                .run_with_store(&provenance, root, extraction)
+                .expect("edit run");
+            assert_eq!(
+                (edit.dirty_clusters, edit.forced_dirty),
+                (1 + forced_dirty, forced_dirty)
+            );
+            let next = engine
+                .run_with_store(&engine.run_provenance(), root, extraction)
+                .expect("next run");
+            assert_eq!(next.dirty_clusters, 0);
+            next.spliced_verdicts
+        };
+        assert_eq!(next_spliced(&lost, 1), next_spliced(&fresh, 0));
+
+        for root in [fresh, lost, foreign, empty] {
+            std::fs::remove_dir_all(root).unwrap();
+        }
     }
 }

@@ -28,7 +28,10 @@
 //! [`incremental`]) hands no cache back: it persists each re-run
 //! cluster's automaton and verdicts as a closure shard and splices clean
 //! clusters back without running the learner at all — across processes,
-//! and across a resident service's edits.
+//! and across a resident service's edits.  Every store-backed run reads
+//! and writes its shards through one store, the [`HotShards`] cache of
+//! [`shards`]: `run_with_store` over a private cache it flushes before
+//! returning, the resident service over one cache its sessions share.
 //!
 //! [`report`] contains the machinery used by the evaluation to compare an
 //! inferred specification set against a reference corpus (handwritten or
@@ -43,17 +46,19 @@ pub mod env;
 pub mod incremental;
 pub mod inference;
 pub mod report;
+pub mod shards;
 
 pub use budget::{BudgetSplit, ThreadBudget};
 pub use engine::{ClusterJob, Engine, Session};
 pub use incremental::{
-    ClusterDisposition, ClusterProvenance, DiskShards, IncrementalCluster, IncrementalOutcome,
-    RunProvenance, ShardStore, EXTRACTION,
+    ClusterDisposition, ClusterProvenance, IncrementalCluster, IncrementalOutcome, RunProvenance,
+    EXTRACTION,
 };
 pub use inference::{
     infer_specifications, AtlasConfig, ClusterOutcome, InferenceOutcome, ParallelismSummary,
 };
 pub use report::{compare_fragments, MethodComparison, SpecComparison};
+pub use shards::{HotShards, ROOT_NAMESPACE};
 
 // The verdict-cache vocabulary of the Engine API, re-exported so engine
 // users don't need a direct `atlas-learn` dependency.
@@ -63,4 +68,4 @@ pub use atlas_learn::{library_fingerprint, CacheKeyer, CacheStats, VerdictCache,
 // `InferenceOutcome::spec_artifact`), re-exported so engine users don't
 // need a direct `atlas-store` dependency.
 pub use atlas_obs::Recorder;
-pub use atlas_store::{CacheArtifact, CacheProvenance, SpecArtifact, SpecCluster, StoreError};
+pub use atlas_store::{SpecArtifact, SpecCluster, StoreError};

@@ -1,18 +1,21 @@
-//! The hot shard cache: an LRU of decoded closure shards with dirty-shard
+//! The shard store: an LRU of decoded closure shards with dirty-shard
 //! pinning, write-behind persistence, and per-session namespaces sharing
 //! one budget.
 //!
-//! [`HotShards`] implements `atlas_core::ShardStore` (for its root
-//! namespace; session namespaces go through [`SharedShards`]), so a
-//! store-backed run splices from and persists to *memory*; disk is only
-//! touched on a cache miss (shard load) and on [`HotShards::flush`]
-//! (write-behind).  The invariants:
+//! [`HotShards`] is the one store the store-backed run
+//! ([`Engine::run_with_shards`](crate::Engine::run_with_shards)) splices
+//! from and persists to, in *memory*; disk is only touched on a cache miss
+//! (shard load) and on [`HotShards::flush`] (write-behind).
+//! [`Engine::run_with_store`](crate::Engine::run_with_store) runs over a
+//! private cache on its root and flushes it before returning; the resident
+//! service shares one cache across its start-up and every session's edits.
+//! The invariants:
 //!
-//! * **Transparency.**  Because the daemon is the store root's sole owner
-//!   while resident, the in-memory merge performed by
-//!   [`ShardStore::persist_cluster`] equals the read-merge-write
-//!   `DiskShards` would have performed — a flush at any point leaves the
-//!   root byte-identical to what an all-disk run would have written.
+//! * **Transparency.**  Every store-backed run persists through this one
+//!   store, and a persist *replaces* the shard's verdicts and specs with
+//!   the re-run's (an unchanged closure recomputes the same verdicts), so
+//!   a flush at any point leaves a root byte-identical to what any other
+//!   deployment writes for the same runs — whatever a damaged shard held.
 //! * **Pinning.**  A *dirty* shard (persisted to but not yet flushed) is
 //!   never evicted — eviction would lose verdicts and specs.  When every
 //!   resident shard is dirty the cache overflows its budget instead
@@ -33,19 +36,21 @@
 //! program, and the daemon's program changes on every edit.  Decoding per
 //! splice (cheap) keeps the cache program-independent.
 
-use atlas_core::{CacheArtifact, CacheProvenance, ShardStore, SpecArtifact, StoreError};
 use atlas_learn::VerdictCache;
 use atlas_obs::{ArgValue, Recorder};
-use atlas_store::{atomic_write, load_cache, load_document, save_cache, shard_entry, Json};
+use atlas_store::{
+    atomic_write, load_cache, load_document, save_cache, shard_entry, CacheArtifact,
+    CacheProvenance, Json, SpecArtifact, StoreError,
+};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// The observability lane all hot-shard events drain to (the daemon's
 /// "shards" track; lane 1 is the service request track).
 const SHARDS_LANE: u64 = 2;
 
-/// The root namespace: the store root itself, owned by the default
-/// session.  Always registered, never retired.
+/// The root namespace: the store root itself — the daemon's default
+/// session, and the only namespace of `run_with_store`'s private cache.
+/// Always registered, never retired.
 pub const ROOT_NAMESPACE: usize = 0;
 
 /// Counters of the hot shard cache (shared across all namespaces).
@@ -81,19 +86,13 @@ struct HotEntry {
     dirty: bool,
 }
 
-/// One registered namespace: a directory the cache fronts.
-struct Namespace {
-    dir: PathBuf,
-    /// Retired namespaces (closed sessions) keep their slot — entry `ns`
-    /// indices stay stable — but hold no entries and accept no new ones.
-    retired: bool,
-}
-
 /// An LRU cache of closure shards over a store root and its session
 /// namespaces.  See the [module docs](self) for the invariants.
 pub struct HotShards {
-    /// Namespace registry; index 0 is always the store root.
-    namespaces: Vec<Namespace>,
+    /// The directory each namespace fronts, by id; id 0 is always the
+    /// store root.  Retired namespaces (closed sessions) keep their slot,
+    /// so ids never shift.
+    namespaces: Vec<PathBuf>,
     budget: usize,
     /// LRU order: least-recently used first, most-recently used last.
     entries: Vec<HotEntry>,
@@ -109,10 +108,7 @@ impl HotShards {
     /// cache always holds the shard it is actively serving).
     pub fn new(root: &Path, budget: usize) -> HotShards {
         HotShards {
-            namespaces: vec![Namespace {
-                dir: root.to_path_buf(),
-                retired: false,
-            }],
+            namespaces: vec![root.to_path_buf()],
             budget: budget.max(1),
             entries: Vec::new(),
             stats: ShardCacheStats::default(),
@@ -128,19 +124,11 @@ impl HotShards {
         self
     }
 
-    /// The store root this cache fronts (the root namespace's directory).
-    pub fn root(&self) -> &Path {
-        &self.namespaces[ROOT_NAMESPACE].dir
-    }
-
     /// Registers a new namespace over `dir` and returns its stable id.
     /// The directory is owned by one session; the returned id is what the
-    /// session passes to [`SharedShards`].
+    /// session passes to [`Engine::run_with_shards`](crate::Engine::run_with_shards).
     pub fn add_namespace(&mut self, dir: PathBuf) -> usize {
-        self.namespaces.push(Namespace {
-            dir,
-            retired: false,
-        });
+        self.namespaces.push(dir);
         self.namespaces.len() - 1
     }
 
@@ -149,11 +137,9 @@ impl HotShards {
     /// allocated so other namespaces' ids never shift.  The root
     /// namespace cannot be retired.
     pub fn retire_namespace(&mut self, ns: usize) {
-        if ns == ROOT_NAMESPACE || ns >= self.namespaces.len() {
-            return;
+        if ns != ROOT_NAMESPACE {
+            self.entries.retain(|e| e.ns != ns);
         }
-        self.namespaces[ns].retired = true;
-        self.entries.retain(|e| e.ns != ns);
     }
 
     /// The cache counters so far.
@@ -190,7 +176,7 @@ impl HotShards {
         self.recorder.count("shards.misses", 1);
         let mut lane = self.recorder.lane(SHARDS_LANE);
         let load_start = lane.begin();
-        let paths = shard_entry(&self.namespaces[ns].dir, closure);
+        let paths = shard_entry(&self.namespaces[ns], closure);
         let specs = if paths.specs.exists() {
             Some(load_document(&paths.specs)?)
         } else {
@@ -286,7 +272,7 @@ impl HotShards {
         let mut written = 0usize;
         for i in dirty {
             let entry = &self.entries[i];
-            let paths = shard_entry(&self.namespaces[entry.ns].dir, entry.closure);
+            let paths = shard_entry(&self.namespaces[entry.ns], entry.closure);
             if let Some(cache) = &entry.cache {
                 save_cache(&paths.cache, cache)?;
             }
@@ -309,7 +295,11 @@ impl HotShards {
         Ok(written)
     }
 
-    fn load_specs_in(
+    /// The decoded spec artifact of the shard for `closure` in namespace
+    /// `ns`, or `None` when the shard has no specs yet (the cluster is
+    /// then demoted to a re-run).  Method symbols are resolved against
+    /// `program`.
+    pub(crate) fn load_specs(
         &mut self,
         ns: usize,
         closure: u64,
@@ -319,13 +309,17 @@ impl HotShards {
         let Some(doc) = &self.entries[i].specs else {
             return Ok(None);
         };
-        let paths = shard_entry(&self.namespaces[ns].dir, closure);
+        let paths = shard_entry(&self.namespaces[ns], closure);
         SpecArtifact::decode(doc, program)
             .map(Some)
             .map_err(|e| StoreError::schema(&paths.specs, e))
     }
 
-    fn count_verdicts_in(
+    /// How many verdicts the shard for `closure` in namespace `ns` holds
+    /// under the key context `context` (`CacheProvenance::context`) — the
+    /// count reported as "spliced verdicts" for a clean cluster.  A
+    /// missing shard holds `0`.
+    pub(crate) fn count_verdicts(
         &mut self,
         ns: usize,
         closure: u64,
@@ -346,7 +340,11 @@ impl HotShards {
             .unwrap_or(0))
     }
 
-    fn persist_cluster_in(
+    /// Persists one re-ran cluster into the shard for `closure` in
+    /// namespace `ns`: its verdicts (`fresh`, filtered by `provenance`'s
+    /// context) and `specs` replace whatever the shard held, and the shard
+    /// stays dirty until the next flush.
+    pub(crate) fn persist_cluster(
         &mut self,
         ns: usize,
         closure: u64,
@@ -354,103 +352,17 @@ impl HotShards {
         provenance: CacheProvenance,
         specs: &SpecArtifact,
         program: &atlas_ir::Program,
-    ) -> Result<usize, StoreError> {
+    ) -> Result<(), StoreError> {
         let i = self.ensure(ns, closure)?;
-        let paths = shard_entry(&self.namespaces[ns].dir, closure);
-        let session = CacheArtifact::from_cache(fresh, provenance);
-        let mut resident = self.entries[i].cache.take().unwrap_or_default();
-        let before = resident.num_entries();
-        resident.merge(&session);
-        let new_entries = resident.num_entries() - before;
+        let paths = shard_entry(&self.namespaces[ns], closure);
         let doc = specs
             .encode(program)
             .map_err(|e| StoreError::schema(&paths.specs, e))?;
         let entry = &mut self.entries[i];
-        entry.cache = Some(resident);
+        entry.cache = Some(CacheArtifact::from_cache(fresh, provenance));
         entry.specs = Some(doc);
         entry.dirty = true;
-        Ok(new_entries)
-    }
-}
-
-/// The root-namespace view: [`HotShards`] itself keeps implementing
-/// `ShardStore` over the store root, so single-session callers (and the
-/// pre-session test suite) need no adapter.
-impl ShardStore for HotShards {
-    fn load_specs(
-        &mut self,
-        closure: u64,
-        program: &atlas_ir::Program,
-    ) -> Result<Option<SpecArtifact>, StoreError> {
-        self.load_specs_in(ROOT_NAMESPACE, closure, program)
-    }
-
-    fn count_verdicts(&mut self, closure: u64, context: u64) -> Result<usize, StoreError> {
-        self.count_verdicts_in(ROOT_NAMESPACE, closure, context)
-    }
-
-    fn persist_cluster(
-        &mut self,
-        closure: u64,
-        fresh: &VerdictCache,
-        provenance: CacheProvenance,
-        specs: &SpecArtifact,
-        program: &atlas_ir::Program,
-    ) -> Result<usize, StoreError> {
-        self.persist_cluster_in(ROOT_NAMESPACE, closure, fresh, provenance, specs, program)
-    }
-}
-
-/// A `ShardStore` view of one namespace of a *shared* [`HotShards`],
-/// locking per call — the concurrency seam of the worker pool.  Sessions
-/// never share a namespace, so concurrent edits only contend on the LRU
-/// structure itself, never on a shard's content; the lock is held for
-/// splice/persist bookkeeping, not for oracle execution, which happens
-/// between `ShardStore` calls.  Cross-session eviction between two calls
-/// is harmless: every call re-ensures residency, and eviction only drops
-/// clean shards whose bytes are on disk (the determinism invariant).
-pub struct SharedShards {
-    hot: Arc<Mutex<HotShards>>,
-    ns: usize,
-}
-
-impl SharedShards {
-    /// A locking view of `hot` restricted to namespace `ns`.
-    pub fn new(hot: Arc<Mutex<HotShards>>, ns: usize) -> SharedShards {
-        SharedShards { hot, ns }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HotShards> {
-        self.hot.lock().expect("hot shard cache lock poisoned")
-    }
-}
-
-impl ShardStore for SharedShards {
-    fn load_specs(
-        &mut self,
-        closure: u64,
-        program: &atlas_ir::Program,
-    ) -> Result<Option<SpecArtifact>, StoreError> {
-        let ns = self.ns;
-        self.lock().load_specs_in(ns, closure, program)
-    }
-
-    fn count_verdicts(&mut self, closure: u64, context: u64) -> Result<usize, StoreError> {
-        let ns = self.ns;
-        self.lock().count_verdicts_in(ns, closure, context)
-    }
-
-    fn persist_cluster(
-        &mut self,
-        closure: u64,
-        fresh: &VerdictCache,
-        provenance: CacheProvenance,
-        specs: &SpecArtifact,
-        program: &atlas_ir::Program,
-    ) -> Result<usize, StoreError> {
-        let ns = self.ns;
-        self.lock()
-            .persist_cluster_in(ns, closure, fresh, provenance, specs, program)
+        Ok(())
     }
 }
 
@@ -468,11 +380,11 @@ mod tests {
     fn missing_shards_resolve_to_empty_without_touching_disk_layout() {
         let root = scratch("missing");
         let mut hot = HotShards::new(&root, 2);
-        assert_eq!(hot.count_verdicts(7, 1).unwrap(), 0);
+        assert_eq!(hot.count_verdicts(ROOT_NAMESPACE, 7, 1).unwrap(), 0);
         assert_eq!(hot.resident(), 1);
         assert_eq!(hot.stats().misses, 1);
         // The second lookup is a hit.
-        assert_eq!(hot.count_verdicts(7, 1).unwrap(), 0);
+        assert_eq!(hot.count_verdicts(ROOT_NAMESPACE, 7, 1).unwrap(), 0);
         assert_eq!(hot.stats().hits, 1);
         assert!(!root.exists(), "reads must not create the store root");
         let _ = std::fs::remove_dir_all(&root);
@@ -482,15 +394,15 @@ mod tests {
     fn clean_shards_evict_in_lru_order() {
         let root = scratch("lru");
         let mut hot = HotShards::new(&root, 2);
-        hot.count_verdicts(1, 0).unwrap();
-        hot.count_verdicts(2, 0).unwrap();
-        hot.count_verdicts(1, 0).unwrap(); // touch 1: now 2 is the LRU
-        hot.count_verdicts(3, 0).unwrap(); // evicts 2
+        hot.count_verdicts(ROOT_NAMESPACE, 1, 0).unwrap();
+        hot.count_verdicts(ROOT_NAMESPACE, 2, 0).unwrap();
+        hot.count_verdicts(ROOT_NAMESPACE, 1, 0).unwrap(); // touch 1: now 2 is the LRU
+        hot.count_verdicts(ROOT_NAMESPACE, 3, 0).unwrap(); // evicts 2
         assert_eq!(hot.resident(), 2);
         assert_eq!(hot.stats().evictions, 1);
-        hot.count_verdicts(1, 0).unwrap(); // still resident: a hit
+        hot.count_verdicts(ROOT_NAMESPACE, 1, 0).unwrap(); // still resident: a hit
         assert_eq!(hot.stats().hits, 2);
-        hot.count_verdicts(2, 0).unwrap(); // was evicted: a miss again
+        hot.count_verdicts(ROOT_NAMESPACE, 2, 0).unwrap(); // was evicted: a miss again
         assert_eq!(hot.stats().misses, 4);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -501,16 +413,16 @@ mod tests {
         let mut hot = HotShards::new(&root, 2);
         let ns = hot.add_namespace(root.join("sessions").join("a"));
         // The same closure id in two namespaces is two distinct entries.
-        hot.count_verdicts(7, 0).unwrap();
-        hot.count_verdicts_in(ns, 7, 0).unwrap();
+        hot.count_verdicts(ROOT_NAMESPACE, 7, 0).unwrap();
+        hot.count_verdicts(ns, 7, 0).unwrap();
         assert_eq!(hot.resident(), 2);
         assert_eq!(hot.stats().misses, 2);
         // A third shard — in either namespace — evicts across namespaces:
         // the budget is shared, the oldest clean shard goes first.
-        hot.count_verdicts_in(ns, 8, 0).unwrap();
+        hot.count_verdicts(ns, 8, 0).unwrap();
         assert_eq!(hot.resident(), 2);
         assert_eq!(hot.stats().evictions, 1);
-        hot.count_verdicts(7, 0).unwrap(); // the root shard was evicted
+        hot.count_verdicts(ROOT_NAMESPACE, 7, 0).unwrap(); // the root shard was evicted
         assert_eq!(hot.stats().misses, 4);
         // Retiring the namespace drops its entries, not the root's.
         hot.retire_namespace(ns);

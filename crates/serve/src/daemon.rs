@@ -8,12 +8,13 @@
 //!
 //! * **Startup** builds the configured library and runs the store-backed
 //!   run (`Engine::run_with_shards`) against its own provenance in the
-//!   store's *root namespace*.  Over a warm store every cluster splices
-//!   (zero executions); over a cold store every cluster is forced-dirty,
-//!   runs, and seeds the store — so a restart is exactly a cache-warming,
-//!   never a semantic event.
-//!   The post-flush shard files are captured byte-for-byte as the
-//!   `BaseState` seed set.
+//!   *root namespace* of the daemon's [`HotShards`] — the shard store
+//!   `Engine::run_with_store` writes through too, so a flushed daemon
+//!   root holds what a batch run writes.  Over a warm store every
+//!   cluster splices (zero executions); over a cold store every cluster
+//!   is forced-dirty, runs, and seeds the store — so a restart is exactly
+//!   a cache-warming, never a semantic event.  The post-flush shard files
+//!   are captured byte-for-byte as the `BaseState` seed set.
 //! * **`open`** registers a new session: a fresh namespace under
 //!   `<store>/sessions/<name>/` seeded with the captured base shard
 //!   bytes, plus clones of the base program, provenance and specs
@@ -44,10 +45,11 @@ use crate::proto::{
 use crate::session::{
     SessionState, SessionStats, REQUEST_LANE, SESSION_LANE_STRIDE, SESSION_ORDINAL_STRIDE,
 };
-use crate::shards::{HotShards, ROOT_NAMESPACE};
 use atlas_apps::RegistryError;
-use atlas_core::RunProvenance;
-use atlas_core::{AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget, EXTRACTION};
+use atlas_core::{
+    AtlasConfig, BudgetSplit, Engine, HotShards, RunProvenance, StoreError, ThreadBudget,
+    EXTRACTION, ROOT_NAMESPACE,
+};
 use atlas_ir::{ClassId, LibraryInterface, Program};
 use atlas_obs::{ArgValue, Recorder};
 use atlas_store::{atomic_write, hex64_string, shard_entry, Json};
@@ -146,7 +148,7 @@ pub struct Daemon {
     base: BaseState,
     /// The hot shard cache over the store root and every session
     /// namespace — one shared LRU budget across all of them.
-    hot: Arc<Mutex<HotShards>>,
+    hot: Mutex<HotShards>,
     sessions: Mutex<SessionTable>,
     /// The observability session: always at least the metrics level (the
     /// `stats` op serves its snapshot), tracing when the config asks.
@@ -185,8 +187,9 @@ impl Daemon {
         recorder.count("serve.budget.total", budget.total() as u64);
         recorder.count("serve.budget.outer_workers", split.outer as u64);
         recorder.count("serve.budget.inner_threads", split.inner as u64);
-        let mut hot =
-            HotShards::new(&config.store, config.shard_budget).with_recorder(recorder.clone());
+        let hot = Mutex::new(
+            HotShards::new(&config.store, config.shard_budget).with_recorder(recorder.clone()),
+        );
         let atlas_config = AtlasConfig {
             samples_per_cluster: config.samples,
             clusters: lib.clusters.clone(),
@@ -198,13 +201,13 @@ impl Daemon {
         let engine = Engine::new(&lib.program, &interface, atlas_config)
             .with_recorder(recorder.with_lane_base(SESSION_LANE_STRIDE));
         let provenance = engine.run_provenance();
-        let outcome = engine.run_with_shards(&provenance, &mut hot, EXTRACTION)?;
+        let outcome = engine.run_with_shards(&provenance, &hot, ROOT_NAMESPACE, EXTRACTION)?;
         let specs_doc = outcome
             .spec_artifact(&lib.program)
             .encode(&lib.program)
             .map_err(|e| StoreError::schema(&config.store, e))?;
         drop(engine);
-        hot.flush()?;
+        hot.lock().expect("hot shard cache lock poisoned").flush()?;
         // Capture the post-startup shard bytes: the seed set of every
         // session opened later.  A missing file (nothing learned for a
         // cluster) seeds as "absent", which is exactly what a fresh
@@ -243,7 +246,7 @@ impl Daemon {
             budget_total: budget.total(),
             split,
             base,
-            hot: Arc::new(Mutex::new(hot)),
+            hot,
             sessions: Mutex::new(SessionTable {
                 sessions: vec![(
                     DEFAULT_SESSION.to_string(),

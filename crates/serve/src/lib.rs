@@ -16,17 +16,17 @@
 //!   frames without a session address the default session and get
 //!   byte-identical `/1` responses.  Malformed input maps to structured
 //!   error responses, never panics.
-//! * [`shards`] — [`HotShards`]: an LRU of decoded closure shards
-//!   implementing `atlas_core::ShardStore`, with dirty-shard pinning,
-//!   write-behind flushing (atomic renames via `atlas-store`), and one
-//!   *namespace* per session sharing a single LRU budget.
 //! * `session` — the per-session state: program, provenance chain,
-//!   current spec artifact, namespace.
-//! * [`daemon`] — [`Daemon`]: the internally-locked service core.  Each
-//!   edit runs `Engine::run_with_shards` against its session's previous
-//!   provenance, splicing clean clusters from the hot shards; a re-run
-//!   cluster's verdicts persist into its shard, so the shards are the
-//!   only verdict store a session has.  New sessions seed from the
+//!   current spec artifact, and a *namespace* of the daemon's shard store.
+//! * [`daemon`] — [`Daemon`]: the internally-locked service core.  It
+//!   keeps the one shard store every store-backed run writes through,
+//!   [`atlas_core::HotShards`], resident over the store root: an LRU of
+//!   decoded closure shards with dirty-shard pinning, write-behind
+//!   flushing, and one namespace per session sharing a single budget.
+//!   Start-up and each edit run `Engine::run_with_shards` on it against
+//!   the previous provenance, splicing clean clusters from memory; a
+//!   re-run cluster's verdicts persist into its shard, so the shards are
+//!   the only verdict store a session has.  New sessions seed from the
 //!   byte-captured post-startup store.
 //! * [`service`] — [`Service`]: the bounded session-aware queue
 //!   (backpressure), the worker pool (`outer` of the thread-budget
@@ -51,7 +51,6 @@ pub mod daemon;
 pub mod proto;
 pub mod service;
 mod session;
-pub mod shards;
 
 /// The spec-extraction bounds every served artifact uses: the store-backed
 /// run's, re-exported so clients comparing against a cold batch run need
@@ -65,4 +64,3 @@ pub use proto::{
     Frame, Request, Response, WireError, WIRE_SCHEMA, WIRE_SCHEMA_V2,
 };
 pub use service::{ServeHandle, Service};
-pub use shards::{HotShards, ShardCacheStats, SharedShards, ROOT_NAMESPACE};

@@ -3,11 +3,12 @@
 //!
 //! `atlas-serve/2` makes sessions first-class: every open session owns
 //! the full mutable state the /1 daemon kept globally — program,
-//! provenance chain, specs document, generation — plus a shard-store
-//! *namespace* of its own, so edits in one session can never alias
-//! another session's persisted clusters.  A session keeps no verdicts of
-//! its own: each re-run cluster's verdicts persist into its shard, the
-//! only place a later edit can splice them from.
+//! provenance chain, specs document, generation — plus a *namespace* of
+//! its own in the daemon's shard store (`atlas_core::HotShards`, the one
+//! store every store-backed run writes through), so edits in one session
+//! can never alias another session's persisted clusters.  A session
+//! keeps no verdicts of its own: each re-run cluster's verdicts replace
+//! its shard's, the only place a later edit can splice them from.
 //! The daemon serializes requests per session (the service scheduler
 //! guarantees at most one in-flight request per session), so a
 //! [`SessionState`] is locked for the duration of exactly one request
@@ -15,15 +16,14 @@
 
 use crate::config::ServeConfig;
 use crate::proto::{EditRequest, ErrorCode, WireError};
-use crate::shards::{HotShards, SharedShards};
 use atlas_apps::{mutate_library, MutationConfig};
-use atlas_core::{AtlasConfig, Engine, RunProvenance, StoreError};
+use atlas_core::{AtlasConfig, Engine, HotShards, RunProvenance, StoreError};
 use atlas_ir::ClassId;
 use atlas_ir::LibraryInterface;
 use atlas_ir::Program;
 use atlas_obs::Recorder;
 use atlas_store::{hex64_string, Json};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Lane stripe width per inference session *within* one serve session:
 /// startup is stripe 1, edit `k` is stripe `k + 1`.  Lanes 1 and 2
@@ -88,7 +88,7 @@ impl SessionState {
         config: &ServeConfig,
         clusters: &[Vec<ClassId>],
         inner_threads: usize,
-        hot: &Arc<Mutex<HotShards>>,
+        hot: &Mutex<HotShards>,
         recorder: &Recorder,
     ) -> Result<Json, WireError> {
         // The edit's own steps record on the session's request lane,
@@ -126,12 +126,10 @@ impl SessionState {
             self.ordinal * SESSION_ORDINAL_STRIDE + (self.generation + 2) * SESSION_LANE_STRIDE;
         let engine = Engine::new(&new_program, &new_interface, atlas_config)
             .with_recorder(recorder.with_lane_base(lane_base));
-        // The oracle work happens between `ShardStore` calls, so the hot
-        // cache's lock is only held for splice/persist bookkeeping —
-        // sessions run their clusters concurrently.
-        let mut shards = SharedShards::new(Arc::clone(hot), self.ns);
+        // The run locks the hot cache per shard operation, never while
+        // clusters learn, so sessions run their clusters concurrently.
         let outcome = engine
-            .run_with_shards(&self.provenance, &mut shards, atlas_core::EXTRACTION)
+            .run_with_shards(&self.provenance, hot, self.ns, atlas_core::EXTRACTION)
             .map_err(|e| {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())
@@ -194,7 +192,7 @@ impl SessionState {
     ///
     /// # Errors
     /// Returns the `atlas-store` error of the first failed write.
-    pub fn flush(&mut self, hot: &Arc<Mutex<HotShards>>) -> Result<usize, StoreError> {
+    pub fn flush(&mut self, hot: &Mutex<HotShards>) -> Result<usize, StoreError> {
         let written = hot
             .lock()
             .expect("hot shard cache lock poisoned")

@@ -2,12 +2,14 @@
 //! budget — evicting and reloading shards mid-stream — answers every edit
 //! exactly like a daemon that never evicts, a write-behind daemon that
 //! pins dirty shards past its budget persists exactly the store an
-//! eager-flushing daemon does, and a shard lost from disk is re-learned,
-//! not answered from memory.
+//! eager-flushing daemon does, and that store is the one the store-backed
+//! run writes; a shard lost from disk is re-learned, not answered from
+//! memory.
 
-use atlas_core::{AtlasConfig, Engine};
+use atlas_apps::{mutate_library, MutationConfig};
+use atlas_core::{AtlasConfig, Engine, EXTRACTION};
 use atlas_ir::hash::Fnv;
-use atlas_ir::LibraryInterface;
+use atlas_ir::{LibraryInterface, MutationKind};
 use atlas_serve::{Daemon, EditRequest, Envelope, Request, ServeConfig};
 use atlas_store::{shard_entry, Json};
 use std::collections::BTreeMap;
@@ -246,6 +248,73 @@ fn pinned_dirty_shards_survive_the_budget_and_flush_identically() {
 
     let _ = std::fs::remove_dir_all(&store_eager);
     let _ = std::fs::remove_dir_all(&store_behind);
+}
+
+/// The daemon's store is the store-backed run's: a daemon that starts,
+/// serves one `Integer.intValue` body edit and flushes leaves a fresh root
+/// holding, byte for byte, the files `run_with_store` writes into another
+/// fresh root for the same library, clusters and edit.
+#[test]
+fn a_daemon_flushes_the_store_the_store_backed_run_writes() {
+    let edit = MutationConfig {
+        kind: MutationKind::BodyEdit,
+        seed: 1000,
+        target: Some("Integer.intValue".to_string()),
+    };
+
+    let store_daemon = scratch("transparent-daemon");
+    let config = ServeConfig::small(store_daemon.clone());
+    let daemon = Daemon::new(config.clone()).expect("daemon startup");
+    let envelope = Envelope::of(Request::Edit(EditRequest {
+        kind: edit.kind,
+        target: edit.target.clone(),
+        seed: edit.seed,
+    }));
+    daemon.handle(&envelope).outcome.expect("edit");
+    daemon
+        .handle(&Envelope::of(Request::Flush))
+        .outcome
+        .expect("flush");
+    drop(daemon);
+
+    let store_run = scratch("transparent-run");
+    let lib = atlas_apps::build_library(&config.library, config.synth_seed).expect("library");
+    let atlas_config = AtlasConfig {
+        samples_per_cluster: config.samples,
+        clusters: lib.clusters.clone(),
+        ..AtlasConfig::default()
+    };
+    let interface = LibraryInterface::from_program(&lib.program);
+    let engine = Engine::new(&lib.program, &interface, atlas_config.clone());
+    let provenance = engine.run_provenance();
+    engine
+        .run_with_store(&provenance, &store_run, EXTRACTION)
+        .expect("store-backed start");
+    let edited = mutate_library(&lib.program, &edit)
+        .expect("edit applies")
+        .program;
+    let edited_interface = LibraryInterface::from_program(&edited);
+    Engine::new(&edited, &edited_interface, atlas_config)
+        .run_with_store(&provenance, &store_run, EXTRACTION)
+        .expect("store-backed edit");
+
+    // Two clusters at start-up, plus the edited cluster's new shard.
+    let daemon_files = store_files(&store_daemon);
+    let run_files = store_files(&store_run);
+    assert_eq!(daemon_files.len(), 6, "{:?}", daemon_files.keys());
+    assert_eq!(
+        daemon_files.keys().collect::<Vec<_>>(),
+        run_files.keys().collect::<Vec<_>>()
+    );
+    for (path, bytes) in &daemon_files {
+        assert!(
+            *bytes == run_files[path],
+            "the daemon and the store-backed run wrote different {path}"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&store_daemon);
+    let _ = std::fs::remove_dir_all(&store_run);
 }
 
 /// A lost shard is re-learned: after start-up (which flushes), the shard

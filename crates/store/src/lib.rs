@@ -40,7 +40,8 @@
 //! fills an empty root cluster by cluster and splices every cluster of a
 //! seeded one back without running the learner; the batch and fleet
 //! pipelines in `atlas-bench` and the resident service in `atlas-serve`
-//! all go through it, and CI proves cross-process determinism (same spec
+//! all go through it, and through its one shard store (`atlas-core`'s
+//! `HotShards`), and CI proves cross-process determinism (same spec
 //! bytes, zero re-executions) on it.
 
 #![warn(missing_docs)]
