@@ -22,7 +22,7 @@
 //! benchmarks and CI gates.
 
 use atlas_ir::mutate::{add_method, change_signature, edit_body, rename_local};
-use atlas_ir::{DepGraph, MethodId, MutationKind, MutationOutcome, Program};
+use atlas_ir::{visit_block, MethodId, MutationKind, MutationOutcome, Program, Stmt};
 
 /// Knobs of one generated mutation.
 #[derive(Debug, Clone)]
@@ -87,12 +87,18 @@ impl std::error::Error for MutationError {}
 /// Library methods eligible for the given mutation kind, sorted by
 /// qualified name (the deterministic selection order).
 fn eligible_methods(program: &Program, kind: MutationKind) -> Vec<MethodId> {
-    // Signature changes need "has any caller?" per method: one reverse
-    // sweep over the call edges, not one callers_of scan per candidate.
-    let called = match kind {
-        MutationKind::SignatureChange => DepGraph::build(program).called_methods(),
-        _ => Default::default(),
-    };
+    // Signature changes need "has any caller?" per method: one sweep over
+    // every call statement marks each call target.
+    let mut called = vec![false; program.num_methods()];
+    if kind == MutationKind::SignatureChange {
+        for method in program.methods() {
+            visit_block(method.body(), &mut |stmt| {
+                if let Stmt::Call { method: target, .. } = stmt {
+                    called[target.index() as usize] = true;
+                }
+            });
+        }
+    }
     let mut candidates: Vec<(String, MethodId)> = program
         .methods()
         .filter(|m| program.class(m.class()).is_library() && !m.is_native())
@@ -100,7 +106,9 @@ fn eligible_methods(program: &Program, kind: MutationKind) -> Vec<MethodId> {
             MutationKind::RenameLocal => m.num_vars() > m.num_params() + usize::from(m.has_this()),
             MutationKind::BodyEdit => true,
             MutationKind::AddMethod => false, // class-targeted, not method-targeted
-            MutationKind::SignatureChange => !m.is_constructor() && !called.contains(&m.id()),
+            MutationKind::SignatureChange => {
+                !m.is_constructor() && !called[m.id().index() as usize]
+            }
         })
         .map(|m| (program.qualified_name(m.id()), m.id()))
         .collect();
@@ -182,7 +190,7 @@ pub fn mutate_library(
 mod tests {
     use super::*;
     use atlas_ir::depgraph::deep_method_hash;
-    use atlas_ir::LibraryInterface;
+    use atlas_ir::{DepGraph, LibraryInterface};
 
     fn javalib() -> Program {
         atlas_javalib::library_program()

@@ -34,14 +34,14 @@
 
 use crate::inference::{AtlasConfig, ClusterOutcome, InferenceOutcome, ParallelismSummary};
 use atlas_interp::CompiledProgram;
-use atlas_ir::{ClassId, DepGraph, LibraryInterface, Program};
+use atlas_ir::{ClassId, ContentIndex, LibraryInterface, Program};
 use atlas_learn::{
-    infer_fsa, sample_positive_examples, CacheStats, Oracle, OracleConfig, OracleStats,
+    infer_fsa, sample_positive_examples, CacheKeyer, CacheStats, Oracle, OracleConfig, OracleStats,
     SampleResult, VerdictCache,
 };
 use atlas_obs::{ArgValue, Recorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The parallel specification-inference engine.
@@ -74,20 +74,21 @@ pub struct Engine<'p> {
     interface: &'p LibraryInterface,
     config: AtlasConfig,
     warm: VerdictCache,
-    /// The whole-library content fingerprint, computed on first use: it
-    /// pretty-prints every library method, and both the provenance and the
-    /// store-backed run need it.
-    library: std::sync::OnceLock<u64>,
-    /// Resolved cluster jobs, computed on first use: building the
-    /// [`DepGraph`] behind the closure fingerprints pretty-prints every
-    /// method, so an engine does it once, not once per session/provenance
-    /// call.
-    jobs: std::sync::OnceLock<Vec<ClusterJob>>,
+    /// The program's [`ContentIndex`], the run's one source of content
+    /// hashes: the dependency graph behind the closure fingerprints, the
+    /// library fingerprint, and the table every cluster's verdict keyer
+    /// reads.  Built on first use with one pretty-print per method, or
+    /// handed over by [`Engine::with_index`] — the daemon carries it
+    /// across a session's edits and re-hashes only the edited method.
+    index: OnceLock<Arc<ContentIndex>>,
+    /// Resolved cluster jobs, computed on first use from the index's
+    /// graph and cached for the engine's lifetime.
+    jobs: OnceLock<Vec<ClusterJob>>,
     /// Bytecode compilation of the program, computed on first use and
     /// shared (via `Arc`) by every per-cluster oracle of every session:
     /// lowering is a pure function of the program, so one compilation
     /// serves all workers.
-    compiled: std::sync::OnceLock<Arc<CompiledProgram>>,
+    compiled: OnceLock<Arc<CompiledProgram>>,
     /// The observability handle (`atlas-obs`).  Disabled by default —
     /// every instrumentation site is then a no-op — and never part of any
     /// verdict, seed, or artifact: recording cannot change results.
@@ -135,11 +136,41 @@ impl<'p> Engine<'p> {
             interface,
             config,
             warm: VerdictCache::new(),
-            library: std::sync::OnceLock::new(),
-            jobs: std::sync::OnceLock::new(),
-            compiled: std::sync::OnceLock::new(),
+            index: OnceLock::new(),
+            jobs: OnceLock::new(),
+            compiled: OnceLock::new(),
             recorder: Recorder::off(),
         }
+    }
+
+    /// Hands the engine a prebuilt content index instead of building one.
+    /// `index` must equal `ContentIndex::build` over this engine's program
+    /// and interface — e.g. an earlier program's index brought up to date
+    /// with [`ContentIndex::rehash`] after an `atlas_ir::mutate` edit —
+    /// or every closure fingerprint, verdict key and library fingerprint
+    /// of the run is wrong.
+    pub fn with_index(mut self, index: Arc<ContentIndex>) -> Engine<'p> {
+        debug_assert_eq!(index.interface_hashes().len(), self.program.num_methods());
+        self.index = OnceLock::from(index);
+        self
+    }
+
+    /// The program's content index: handed over by [`Engine::with_index`],
+    /// or built on the first call (recording an `engine/index` span on
+    /// lane 0) and cached for the engine's lifetime.
+    pub fn content_index(&self) -> &Arc<ContentIndex> {
+        self.index.get_or_init(|| {
+            let mut lane = self.recorder.lane(0);
+            let start = lane.begin();
+            let index = Arc::new(ContentIndex::build(self.program, self.interface));
+            lane.end(
+                start,
+                "engine",
+                "index",
+                vec![("methods", ArgValue::from(self.program.num_methods()))],
+            );
+            index
+        })
     }
 
     /// Attaches an observability recorder: cluster spans, oracle and
@@ -252,20 +283,16 @@ impl<'p> Engine<'p> {
     }
 
     /// The whole-library content fingerprint
-    /// ([`atlas_learn::library_fingerprint`]), computed on the first call
-    /// and cached for the engine's lifetime.
+    /// ([`atlas_learn::library_fingerprint`]), read from the content index.
     pub(crate) fn library_fingerprint(&self) -> u64 {
-        *self
-            .library
-            .get_or_init(|| atlas_learn::library_fingerprint(self.program, self.interface))
+        self.content_index().library_fingerprint()
     }
 
     /// Resolves the configured clusters into jobs: positional seeds exactly
     /// like the historical sequential loop, plus each cluster's
-    /// dependency-closure fingerprint (computed from one shared
-    /// [`DepGraph`], built lazily on the first call and cached for the
-    /// engine's lifetime).  The first call records an `engine/jobs` span
-    /// on lane 0.
+    /// dependency-closure fingerprint (from the content index's graph),
+    /// computed on the first call and cached for the engine's lifetime.
+    /// The first call records an `engine/jobs` span on lane 0.
     pub fn cluster_jobs(&self) -> Vec<ClusterJob> {
         self.jobs
             .get_or_init(|| {
@@ -276,7 +303,7 @@ impl<'p> Engine<'p> {
                 } else {
                     self.config.clusters.clone()
                 };
-                let dep_graph = DepGraph::build(self.program);
+                let dep_graph = self.content_index().graph();
                 // Everything else the learned automaton depends on, hashed
                 // once: the budget, strategies, sampler and RPNI bounds and
                 // the execution limits (the seed is mixed in per job).
@@ -529,14 +556,21 @@ fn run_cluster_job(
     let oracle_config = OracleConfig {
         strategy: config.init,
         limits: config.limits,
-        // Verdicts are keyed on the cluster's dependency-closure
-        // fingerprint, so they survive edits outside the closure.
-        fingerprint: Some(job.closure),
     };
+    // Verdicts are keyed on the cluster's dependency-closure fingerprint,
+    // so they survive edits outside the closure; the keyer reads the
+    // engine's content index instead of hashing the interface again.
+    let keyer = CacheKeyer::from_index(
+        engine.content_index(),
+        job.closure,
+        config.init,
+        config.limits,
+    );
     // Each cluster reads its own partition of the session's warm cache
     // and writes to a private delta: workers never share mutable state,
     // so the thread count cannot change which verdicts are hits.
-    let mut oracle = Oracle::with_cache(engine.program, engine.interface, oracle_config, warm);
+    let mut oracle =
+        Oracle::with_keyer(engine.program, engine.interface, oracle_config, keyer, warm);
     // Oracles share the engine-wide compilation instead of each lowering
     // the program themselves.
     oracle.set_compiled_program(engine.compiled_program());

@@ -25,6 +25,17 @@
 //!    byte-identically, because shard files are content-addressed by
 //!    closure fingerprint and never rewritten by a splice.
 //!
+//! **Hashing.**  Every fingerprint above — closure fingerprints, the
+//! library fingerprint, and the verdict keys of the re-run clusters —
+//! comes from the engine's one [`ContentIndex`](atlas_ir::ContentIndex),
+//! which pretty-prints each method once per library build.  The resident
+//! service does not rebuild it per edit: the `atlas_ir::mutate` primitives
+//! are append-only (one method edited in place or appended to its class,
+//! no id shifted, no other method touched), so a session carries its index
+//! across edits, re-hashes only the edited method
+//! ([`ContentIndex::rehash`](atlas_ir::ContentIndex::rehash)), and hands
+//! the result to the edit's engine ([`Engine::with_index`]).
+//!
 //! **Splice invariant.**  The engine is deterministic per cluster (seeds
 //! are positional, workers share nothing), so a spliced result *is* what a
 //! full re-run would have produced: `IncrementalOutcome::spec_artifact`
@@ -167,9 +178,10 @@ impl<'p> Engine<'p> {
     /// plus each configured cluster's dependency-closure fingerprint.
     /// Capture it after a full run (it is a pure function of program and
     /// configuration) and diff an engine over the edited program against
-    /// it with [`Engine::run_with_store`].  Both fingerprints are cached on
-    /// the engine, so a provenance taken after a store-backed run hashes
-    /// nothing again.  Records an `engine/provenance` span on lane 0.
+    /// it with [`Engine::run_with_store`].  Both fingerprints are read
+    /// from the engine's content index, so a provenance taken after a
+    /// store-backed run hashes nothing again.  Records an
+    /// `engine/provenance` span on lane 0.
     pub fn run_provenance(&self) -> RunProvenance {
         let mut lane = self.recorder().lane(0);
         let start = lane.begin();

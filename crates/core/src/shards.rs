@@ -343,7 +343,9 @@ impl HotShards {
     /// Persists one re-ran cluster into the shard for `closure` in
     /// namespace `ns`: its verdicts (`fresh`, filtered by `provenance`'s
     /// context) and `specs` replace whatever the shard held, and the shard
-    /// stays dirty until the next flush.
+    /// stays dirty until the next flush.  Both halves are replaced, so
+    /// nothing is read: a resident shard is touched, any other becomes
+    /// resident as a fresh entry, and neither counts as a lookup.
     pub(crate) fn persist_cluster(
         &mut self,
         ns: usize,
@@ -353,15 +355,31 @@ impl HotShards {
         specs: &SpecArtifact,
         program: &atlas_ir::Program,
     ) -> Result<(), StoreError> {
-        let i = self.ensure(ns, closure)?;
         let paths = shard_entry(&self.namespaces[ns], closure);
         let doc = specs
             .encode(program)
             .map_err(|e| StoreError::schema(&paths.specs, e))?;
-        let entry = &mut self.entries[i];
-        entry.cache = Some(CacheArtifact::from_cache(fresh, provenance));
-        entry.specs = Some(doc);
-        entry.dirty = true;
+        let entry = HotEntry {
+            ns,
+            closure,
+            specs: Some(doc),
+            cache: Some(CacheArtifact::from_cache(fresh, provenance)),
+            dirty: true,
+        };
+        match self
+            .entries
+            .iter()
+            .position(|e| e.ns == ns && e.closure == closure)
+        {
+            Some(i) => {
+                self.entries.remove(i);
+                self.entries.push(entry);
+            }
+            None => {
+                self.entries.push(entry);
+                self.enforce_budget(Some((ns, closure)));
+            }
+        }
         Ok(())
     }
 }
@@ -428,5 +446,77 @@ mod tests {
         hot.retire_namespace(ns);
         assert_eq!(hot.resident(), 1);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn persisting_over_a_shard_on_disk_reads_nothing_and_replaces_both_halves() {
+        let program = atlas_ir::Program::new();
+        let provenance = CacheProvenance::for_closure(
+            0xab,
+            7,
+            atlas_synth::InitStrategy::Instantiate,
+            atlas_interp::ExecLimits::for_unit_tests(),
+        );
+        // A cluster's persisted halves: `verdicts` under the provenance's
+        // context, and specs stamped with `extraction`.
+        let halves = |verdicts: &[(u64, bool)], extraction: (usize, usize)| {
+            let mut cache = VerdictCache::new();
+            for &(word, verdict) in verdicts {
+                let key = atlas_learn::VerdictKey::from_parts(provenance.context, word, !word);
+                cache.insert(key, verdict);
+            }
+            let specs = SpecArtifact {
+                fingerprint: 7,
+                extraction,
+                clusters: Vec::new(),
+            };
+            (cache, specs)
+        };
+        let persist = |root: &Path, verdicts: &[(u64, bool)], extraction| {
+            let (cache, specs) = halves(verdicts, extraction);
+            let mut hot = HotShards::new(root, 4);
+            hot.persist_cluster(ROOT_NAMESPACE, 7, &cache, provenance, &specs, &program)
+                .unwrap();
+            hot
+        };
+        let files = |root: &Path| {
+            let paths = shard_entry(root, 7);
+            (
+                std::fs::read(paths.cache).unwrap(),
+                std::fs::read(paths.specs).unwrap(),
+            )
+        };
+
+        // An earlier run left both files of the shard on disk.
+        let root = scratch("persist");
+        persist(&root, &[(1, true), (2, false)], (4, 16))
+            .flush()
+            .unwrap();
+        let old = files(&root);
+
+        // A re-run persists over them: no lookup, no read.
+        let fresh = [(3, true)];
+        let mut hot = persist(&root, &fresh, (8, 64));
+        assert_eq!(hot.stats(), ShardCacheStats::default());
+        assert_eq!((hot.resident(), hot.dirty()), (1, 1));
+        // The resident entry already holds the new verdicts: a hit.
+        assert_eq!(
+            hot.count_verdicts(ROOT_NAMESPACE, 7, provenance.context)
+                .unwrap(),
+            1
+        );
+        assert_eq!((hot.stats().hits, hot.stats().misses), (1, 0));
+        hot.flush().unwrap();
+
+        // Both halves are what a root that never held the shard gets.
+        let clean = scratch("persist-clean");
+        persist(&clean, &fresh, (8, 64)).flush().unwrap();
+        let replaced = files(&root);
+        assert_eq!(replaced, files(&clean));
+        assert_ne!(replaced.0, old.0, "the verdict half was replaced");
+        assert_ne!(replaced.1, old.1, "the specs half was replaced");
+        for dir in [root, clean] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

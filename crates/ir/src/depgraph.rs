@@ -30,6 +30,7 @@
 //! every fingerprint, exactly like `atlas_ir::hash::library_fingerprint`.
 
 use crate::hash::Fnv;
+use crate::method::Method;
 use crate::pretty;
 use crate::program::{ClassId, MethodId, Program};
 use crate::stmt::Stmt;
@@ -41,8 +42,11 @@ use std::collections::BTreeSet;
 /// types, allocations) that the closure computation expands through.
 ///
 /// Building a `DepGraph` pretty-prints every method once; cache it per
-/// program, not per query.
-#[derive(Debug, Clone)]
+/// program, not per query.  A run gets its graph from a
+/// [`ContentIndex`](crate::ContentIndex), which shares that one
+/// pretty-print per method with the library fingerprint and the verdict
+/// keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepGraph {
     /// Deep content hash per method (indexed by method id).
     method_hash: Vec<u64>,
@@ -88,41 +92,56 @@ fn type_class(program: &Program, ty: &Type) -> Option<ClassId> {
     }
 }
 
+/// One method's outgoing edges: its call targets, and the classes named
+/// in its signature plus the classes it allocates (each sorted,
+/// deduplicated).
+fn method_edges(program: &Program, method: &Method) -> (Vec<MethodId>, Vec<ClassId>) {
+    let mut callees = BTreeSet::new();
+    let mut classes = BTreeSet::new();
+    crate::stmt::visit_block(method.body(), &mut |stmt| match stmt {
+        Stmt::Call { method: target, .. } => {
+            callees.insert(*target);
+        }
+        Stmt::New { class, .. } => {
+            classes.insert(*class);
+        }
+        _ => {}
+    });
+    for (_, data) in method
+        .vars()
+        .take(method.num_params() + usize::from(method.has_this()))
+    {
+        if let Some(c) = type_class(program, &data.ty) {
+            classes.insert(c);
+        }
+    }
+    if let Some(c) = type_class(program, method.return_type()) {
+        classes.insert(c);
+    }
+    (callees.into_iter().collect(), classes.into_iter().collect())
+}
+
 impl DepGraph {
     /// Builds the dependency graph of a program.  Pretty-prints every
     /// method once to compute the content hashes.
     pub fn build(program: &Program) -> DepGraph {
+        let method_hash = program
+            .methods()
+            .map(|method| deep_method_hash(program, method.id()))
+            .collect();
+        DepGraph::with_method_hashes(program, method_hash)
+    }
+
+    /// The dependency graph of `program` over precomputed deep content
+    /// hashes, one per method in id order ([`deep_method_hash`]).
+    pub(crate) fn with_method_hashes(program: &Program, method_hash: Vec<u64>) -> DepGraph {
         let num_methods = program.num_methods();
-        let mut method_hash = Vec::with_capacity(num_methods);
         let mut calls = Vec::with_capacity(num_methods);
         let mut method_classes = Vec::with_capacity(num_methods);
         for method in program.methods() {
-            method_hash.push(deep_method_hash(program, method.id()));
-
-            let mut callees = BTreeSet::new();
-            let mut classes = BTreeSet::new();
-            crate::stmt::visit_block(method.body(), &mut |stmt| match stmt {
-                Stmt::Call { method: target, .. } => {
-                    callees.insert(*target);
-                }
-                Stmt::New { class, .. } => {
-                    classes.insert(*class);
-                }
-                _ => {}
-            });
-            for (_, data) in method
-                .vars()
-                .take(method.num_params() + usize::from(method.has_this()))
-            {
-                if let Some(c) = type_class(program, &data.ty) {
-                    classes.insert(c);
-                }
-            }
-            if let Some(c) = type_class(program, method.return_type()) {
-                classes.insert(c);
-            }
-            calls.push(callees.into_iter().collect());
-            method_classes.push(classes.into_iter().collect());
+            let (callees, classes) = method_edges(program, method);
+            calls.push(callees);
+            method_classes.push(classes);
         }
 
         let mut class_hash = Vec::with_capacity(program.num_classes());
@@ -167,6 +186,37 @@ impl DepGraph {
     /// pretty-printed body).
     pub fn method_hash(&self, method: MethodId) -> u64 {
         self.method_hash[method.index() as usize]
+    }
+
+    /// Replaces one method's row — deep hash `hash`, call targets and
+    /// referenced classes — with what `program` now holds, and refreshes
+    /// its class's method list.  `method` is an existing id (edited in
+    /// place) or the next one (appended to its class); every other row is
+    /// kept, which is sound for the edits of [`crate::mutate`]: they
+    /// change the content of no other method and the declaration of no
+    /// class.
+    ///
+    /// # Panics
+    /// Panics if `method` is past the next id.
+    pub(crate) fn set_method(&mut self, program: &Program, method: MethodId, hash: u64) {
+        let i = method.index() as usize;
+        assert!(
+            i <= self.method_hash.len(),
+            "method ids are append-only: {method} skips ids"
+        );
+        let m = program.method(method);
+        let (callees, classes) = method_edges(program, m);
+        if i == self.method_hash.len() {
+            self.method_hash.push(hash);
+            self.calls.push(callees);
+            self.method_classes.push(classes);
+        } else {
+            self.method_hash[i] = hash;
+            self.calls[i] = callees;
+            self.method_classes[i] = classes;
+        }
+        let class = m.class();
+        self.class_methods[class.index() as usize] = program.class(class).methods().to_vec();
     }
 
     /// The dependency closure of a set of seed classes (a cluster).
@@ -240,14 +290,6 @@ impl DepGraph {
             .map(|(i, _)| MethodId::from_index(i as u32))
             .collect()
     }
-
-    /// Every method that appears as a call target somewhere in the
-    /// program — the one-pass alternative to querying
-    /// [`DepGraph::callers_of`] per method when only "has any caller?"
-    /// matters.
-    pub fn called_methods(&self) -> BTreeSet<MethodId> {
-        self.calls.iter().flatten().copied().collect()
-    }
 }
 
 /// Deep content hash of one method: declaring-class name, method name,
@@ -257,6 +299,12 @@ impl DepGraph {
 /// method, so closures can reach through private helpers.
 pub fn deep_method_hash(program: &Program, method: MethodId) -> u64 {
     let m = program.method(method);
+    deep_hash_of(program, m, &pretty::method_to_string(program, m))
+}
+
+/// [`deep_method_hash`] of `m`, whose pretty-printed form
+/// (`pretty::method_to_string`) is `printed`.
+pub(crate) fn deep_hash_of(program: &Program, m: &Method, printed: &str) -> u64 {
     let mut h = Fnv::new(0xdee9);
     h.write_str(program.class(m.class()).name());
     h.write_str(m.name());
@@ -270,7 +318,7 @@ pub fn deep_method_hash(program: &Program, method: MethodId) -> u64 {
         h.write_str(&m.var_data(m.param_var(i)).ty.to_string());
     }
     h.write_str(&m.return_type().to_string());
-    h.write_str(&pretty::method_to_string(program, m));
+    h.write_str(printed);
     h.finish()
 }
 

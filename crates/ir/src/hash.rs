@@ -7,9 +7,11 @@
 //! (unspecified, randomly seeded) is not an option.  This module is the one
 //! shared implementation: [`Fnv`] is the primitive, and
 //! [`library_fingerprint`] / [`method_content_hash`] are the canonical
-//! program digests layered on it.
+//! program digests layered on it.  A run computes both digests for every
+//! method at once through [`crate::ContentIndex`], which yields the same
+//! values from one pretty-print per method.
 
-use crate::interface::LibraryInterface;
+use crate::interface::{LibraryInterface, MethodSig};
 use crate::pretty;
 use crate::program::{MethodId, Program};
 
@@ -63,9 +65,20 @@ impl Fnv {
 /// different fingerprints, and artifacts derived from them never
 /// cross-pollinate.
 pub fn library_fingerprint(program: &Program, interface: &LibraryInterface) -> u64 {
+    fold_library(interface, |method| {
+        method_content_hash(program, interface, method)
+    })
+}
+
+/// Folds the interface content hash of every interface method, in
+/// interface order, into the library fingerprint.
+pub(crate) fn fold_library(
+    interface: &LibraryInterface,
+    mut content_hash: impl FnMut(MethodId) -> u64,
+) -> u64 {
     let mut h = Fnv::new(0x11b);
     for sig in interface.methods() {
-        h.write_u64(method_content_hash(program, interface, sig.method));
+        h.write_u64(content_hash(sig.method));
     }
     h.finish()
 }
@@ -76,25 +89,34 @@ pub fn method_content_hash(
     interface: &LibraryInterface,
     method: MethodId,
 ) -> u64 {
-    let mut h = Fnv::new(0x3ad);
     match interface.sig(method) {
-        Some(sig) => {
-            h.write_str(&sig.class_name);
-            h.write_str(&sig.name);
-            h.write(&[sig.has_this as u8, sig.is_constructor as u8]);
-            for ty in &sig.param_types {
-                h.write_str(&ty.to_string());
-            }
-            h.write_str(&sig.return_type.to_string());
-            h.write_str(&pretty::method_to_string(program, program.method(method)));
-        }
+        Some(sig) => sig_content_hash(
+            sig,
+            &pretty::method_to_string(program, program.method(method)),
+        ),
         None => {
             // Not part of the interface: fall back to the raw id.  Only
             // reachable through hand-built words over non-library methods;
             // such hashes are program-local but still deterministic.
+            let mut h = Fnv::new(0x3ad);
             h.write_u64(u64::from(method.index()));
+            h.finish()
         }
     }
+}
+
+/// [`method_content_hash`] of the interface method `sig`, whose
+/// pretty-printed form (`pretty::method_to_string`) is `printed`.
+pub(crate) fn sig_content_hash(sig: &MethodSig, printed: &str) -> u64 {
+    let mut h = Fnv::new(0x3ad);
+    h.write_str(&sig.class_name);
+    h.write_str(&sig.name);
+    h.write(&[sig.has_this as u8, sig.is_constructor as u8]);
+    for ty in &sig.param_types {
+        h.write_str(&ty.to_string());
+    }
+    h.write_str(&sig.return_type.to_string());
+    h.write_str(printed);
     h.finish()
 }
 

@@ -53,6 +53,7 @@ pub mod builder;
 pub mod class;
 pub mod depgraph;
 pub mod hash;
+pub mod index;
 pub mod interface;
 pub mod method;
 pub mod mutate;
@@ -63,6 +64,7 @@ pub mod types;
 
 pub use class::{Class, Field};
 pub use depgraph::{Closure, DepGraph};
+pub use index::ContentIndex;
 pub use interface::{LibraryInterface, MethodSig, ParamSlot, SlotKind};
 pub use method::{Method, Var, VarData};
 pub use mutate::{MutationKind, MutationOutcome};

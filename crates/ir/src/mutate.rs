@@ -12,6 +12,17 @@
 //! generator.  All primitives are append-only with respect to ids: existing
 //! class/method/field ids never shift, so ids remain comparable across the
 //! original and the mutated program.
+//!
+//! **The contract a carried [`ContentIndex`](crate::ContentIndex) relies
+//! on.**  Each primitive edits exactly one method in place or appends one
+//! method to its class — the [`MutationOutcome::method`] it returns — and
+//! changes no other method's content and no class declaration (names,
+//! superclasses, fields) — a call site's printed form names only its
+//! target, and no primitive renames a method or class.
+//! [`ContentIndex::rehash`](crate::ContentIndex::rehash) of that one method
+//! therefore yields exactly the index a fresh build of the mutated program
+//! would; a new primitive must keep this contract or re-hash what else it
+//! touches.
 
 use crate::method::{Var, VarData};
 use crate::program::{ClassId, MethodId, Program};

@@ -28,7 +28,7 @@
 
 use atlas_interp::ExecLimits;
 use atlas_ir::hash::{method_content_hash, Fnv};
-use atlas_ir::{LibraryInterface, MethodId, ParamSlot, Program, SlotKind};
+use atlas_ir::{ContentIndex, LibraryInterface, ParamSlot, Program, SlotKind};
 use atlas_synth::InitStrategy;
 use std::collections::hash_map::Entry;
 use std::collections::{btree_map, BTreeMap, HashMap};
@@ -55,13 +55,17 @@ pub use atlas_ir::hash::library_fingerprint;
 /// re-grouping, never a correctness change.
 ///
 /// The context — fingerprint, [`InitStrategy`], [`ExecLimits`] — is hashed
-/// once at construction; per-method content hashes are precomputed so that
-/// keying a word is a handful of integer mixes, cheap enough for the
-/// oracle's hot path.
+/// once at construction; per-method content hashes are a table indexed by
+/// method id, so that keying a word is a handful of integer mixes, cheap
+/// enough for the oracle's hot path.  Keyers built with
+/// [`CacheKeyer::from_index`] share their [`ContentIndex`]'s table instead
+/// of hashing the interface again.
 #[derive(Debug, Clone)]
 pub struct CacheKeyer {
     context: u64,
-    method_hash: HashMap<MethodId, u64>,
+    /// `method_content_hash` per method id, `None` outside the interface
+    /// (such methods key on their raw id).
+    method_hash: Arc<[Option<u64>]>,
 }
 
 impl CacheKeyer {
@@ -76,14 +80,30 @@ impl CacheKeyer {
         strategy: InitStrategy,
         limits: ExecLimits,
     ) -> CacheKeyer {
-        let mut method_hash = HashMap::new();
+        let mut method_hash = vec![None; program.num_methods()];
         for sig in interface.methods() {
-            let mh = method_content_hash(program, interface, sig.method);
-            method_hash.insert(sig.method, mh);
+            method_hash[sig.method.index() as usize] =
+                Some(method_content_hash(program, interface, sig.method));
         }
         CacheKeyer {
             context: Self::context_of(fingerprint, strategy, limits),
-            method_hash,
+            method_hash: method_hash.into(),
+        }
+    }
+
+    /// [`CacheKeyer::with_fingerprint`] over the program and interface
+    /// `index` was built from: the same keys, read from the index's shared
+    /// table of interface content hashes, so building the keyer hashes
+    /// nothing but the context.
+    pub fn from_index(
+        index: &ContentIndex,
+        fingerprint: u64,
+        strategy: InitStrategy,
+        limits: ExecLimits,
+    ) -> CacheKeyer {
+        CacheKeyer {
+            context: Self::context_of(fingerprint, strategy, limits),
+            method_hash: Arc::clone(index.interface_hashes()),
         }
     }
 
@@ -119,8 +139,9 @@ impl CacheKeyer {
         for slot in word {
             let mh = self
                 .method_hash
-                .get(&slot.method)
+                .get(slot.method.index() as usize)
                 .copied()
+                .flatten()
                 .unwrap_or_else(|| u64::from(slot.method.index()) | 1 << 63);
             let kind = match slot.kind {
                 SlotKind::Receiver => 0u64,

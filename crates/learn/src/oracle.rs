@@ -3,7 +3,7 @@
 
 use crate::cache::{CacheKeyer, CacheStats, OracleCache, VerdictCache};
 use atlas_interp::{BuiltinRegistry, CompiledProgram, ExecLimits, Vm, VmScratch};
-use atlas_ir::{LibraryInterface, ParamSlot, Program};
+use atlas_ir::{ContentIndex, LibraryInterface, ParamSlot, Program};
 use atlas_spec::PathSpec;
 use atlas_synth::{
     synthesize_witness, InitStrategy, InstantiationPlanner, WitnessScratch, WitnessTest,
@@ -17,12 +17,6 @@ pub struct OracleConfig {
     pub strategy: InitStrategy,
     /// Execution limits for each unit test.
     pub limits: ExecLimits,
-    /// Content fingerprint for cache keying.  `None` keys on the whole
-    /// library (the historical behavior); the incremental engine passes the
-    /// serving cluster's dependency-closure fingerprint
-    /// (`atlas_ir::DepGraph::closure_fingerprint`) so verdicts survive
-    /// edits outside the closure.
-    pub fingerprint: Option<u64>,
 }
 
 impl Default for OracleConfig {
@@ -30,7 +24,6 @@ impl Default for OracleConfig {
         OracleConfig {
             strategy: InitStrategy::Instantiate,
             limits: ExecLimits::for_unit_tests(),
-            fingerprint: None,
         }
     }
 }
@@ -102,8 +95,10 @@ impl<'p> Oracle<'p> {
         Oracle::with_cache(program, interface, config, &VerdictCache::new())
     }
 
-    /// Creates an oracle warm-started from the given verdict cache.  The
-    /// oracle shares the partition of its own key context — hits on it are
+    /// Creates an oracle warm-started from the given verdict cache, keying
+    /// its verdicts on the whole-library fingerprint
+    /// ([`library_fingerprint`](crate::library_fingerprint)).  The oracle
+    /// shares the partition of its own key context — hits on it are
     /// attributable in [`CacheStats::warm_hits`] — and its counters start
     /// from zero.
     ///
@@ -116,19 +111,31 @@ impl<'p> Oracle<'p> {
         config: OracleConfig,
         cache: &VerdictCache,
     ) -> Oracle<'p> {
-        let planner = InstantiationPlanner::new(program, interface);
-        // No cluster scope configured → key on the whole-library
-        // fingerprint (see the `CacheKeyer` docs for the trade-off).
-        let fingerprint = config
-            .fingerprint
-            .unwrap_or_else(|| crate::library_fingerprint(program, interface));
-        let keyer = CacheKeyer::with_fingerprint(
-            program,
-            interface,
-            fingerprint,
+        let index = ContentIndex::build(program, interface);
+        let keyer = CacheKeyer::from_index(
+            &index,
+            index.library_fingerprint(),
             config.strategy,
             config.limits,
         );
+        Oracle::with_keyer(program, interface, config, keyer, cache)
+    }
+
+    /// Creates an oracle whose verdicts are keyed by `keyer`, warm-started
+    /// from the partition of `cache` under the keyer's context (see
+    /// [`Oracle::with_cache`]).  The keyer carries the key context: the
+    /// incremental engine builds it over the run's content index with the
+    /// serving cluster's dependency-closure fingerprint, so verdicts
+    /// survive edits outside the closure.  It must be built for `config`'s
+    /// strategy and limits.
+    pub fn with_keyer(
+        program: &'p Program,
+        interface: &'p LibraryInterface,
+        config: OracleConfig,
+        keyer: CacheKeyer,
+        cache: &VerdictCache,
+    ) -> Oracle<'p> {
+        let planner = InstantiationPlanner::new(program, interface);
         Oracle {
             program,
             interface,

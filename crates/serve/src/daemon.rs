@@ -50,7 +50,7 @@ use atlas_core::{
     AtlasConfig, BudgetSplit, Engine, HotShards, RunProvenance, StoreError, ThreadBudget,
     EXTRACTION, ROOT_NAMESPACE,
 };
-use atlas_ir::{ClassId, LibraryInterface, Program};
+use atlas_ir::{ClassId, ContentIndex, LibraryInterface, Program};
 use atlas_obs::{ArgValue, Recorder};
 use atlas_store::{atomic_write, hex64_string, shard_entry, Json};
 use std::fmt;
@@ -100,6 +100,9 @@ impl From<StoreError> for ServeError {
 /// The pristine post-startup state every new session is cloned from.
 struct BaseState {
     program: Program,
+    /// The start-up engine's content index of `program`, shared by every
+    /// session until its first edit.
+    index: Arc<ContentIndex>,
     provenance: RunProvenance,
     specs_doc: Json,
     /// The raw shard *file bytes* captured after the startup flush, one
@@ -206,6 +209,7 @@ impl Daemon {
             .spec_artifact(&lib.program)
             .encode(&lib.program)
             .map_err(|e| StoreError::schema(&config.store, e))?;
+        let index = Arc::clone(engine.content_index());
         drop(engine);
         hot.lock().expect("hot shard cache lock poisoned").flush()?;
         // Capture the post-startup shard bytes: the seed set of every
@@ -226,6 +230,7 @@ impl Daemon {
             .collect();
         let base = BaseState {
             program: lib.program.clone(),
+            index: Arc::clone(&index),
             provenance: provenance.clone(),
             specs_doc: specs_doc.clone(),
             seeds,
@@ -235,6 +240,7 @@ impl Daemon {
             ns: ROOT_NAMESPACE,
             ordinal: 0,
             program: lib.program,
+            index,
             provenance,
             specs_doc,
             generation: 0,
@@ -488,6 +494,7 @@ impl Daemon {
             ns,
             ordinal,
             program: self.base.program.clone(),
+            index: Arc::clone(&self.base.index),
             provenance: self.base.provenance.clone(),
             specs_doc: self.base.specs_doc.clone(),
             generation: 0,

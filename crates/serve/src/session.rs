@@ -8,7 +8,11 @@
 //! store every store-backed run writes through), so edits in one session
 //! can never alias another session's persisted clusters.  A session
 //! keeps no verdicts of its own: each re-run cluster's verdicts replace
-//! its shard's, the only place a later edit can splice them from.
+//! its shard's, the only place a later edit can splice them from.  It
+//! does keep its program's content index (`atlas_ir::ContentIndex`),
+//! shared with the daemon's base state until the first edit: each edit
+//! re-hashes only the method it touched, so its hashing cost does not
+//! grow with the library.
 //! The daemon serializes requests per session (the service scheduler
 //! guarantees at most one in-flight request per session), so a
 //! [`SessionState`] is locked for the duration of exactly one request
@@ -18,12 +22,10 @@ use crate::config::ServeConfig;
 use crate::proto::{EditRequest, ErrorCode, WireError};
 use atlas_apps::{mutate_library, MutationConfig};
 use atlas_core::{AtlasConfig, Engine, HotShards, RunProvenance, StoreError};
-use atlas_ir::ClassId;
-use atlas_ir::LibraryInterface;
-use atlas_ir::Program;
+use atlas_ir::{ClassId, ContentIndex, LibraryInterface, Program};
 use atlas_obs::Recorder;
 use atlas_store::{hex64_string, Json};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Lane stripe width per inference session *within* one serve session:
 /// startup is stripe 1, edit `k` is stripe `k + 1`.  Lanes 1 and 2
@@ -59,6 +61,10 @@ pub(crate) struct SessionState {
     pub ordinal: u64,
     /// The library content after every edit applied so far.
     pub program: Program,
+    /// The content index of `program`, carried across edits: each edit
+    /// re-hashes only the method it touched and hands the result to its
+    /// engine.
+    pub index: Arc<ContentIndex>,
     /// The previous run's closure identity — the diff basis of the next
     /// edit — whose `library` is the current library fingerprint.
     pub provenance: RunProvenance,
@@ -112,6 +118,14 @@ impl SessionState {
         let new_program = mutated.program;
         let new_interface = LibraryInterface::from_program(&new_program);
         lane.end(start, "serve", "mutate", Vec::new());
+        // The mutation primitives edit one method in place or append one,
+        // shifting no id and touching no other method: re-hashing that
+        // one method brings the carried index up to date.
+        let start = lane.begin();
+        let mut index = ContentIndex::clone(&self.index);
+        index.rehash(&new_program, &new_interface, mutated.outcome.method);
+        let index = Arc::new(index);
+        lane.end(start, "serve", "rehash", Vec::new());
         let atlas_config = AtlasConfig {
             samples_per_cluster: config.samples,
             clusters: clusters.to_vec(),
@@ -125,6 +139,7 @@ impl SessionState {
         let lane_base =
             self.ordinal * SESSION_ORDINAL_STRIDE + (self.generation + 2) * SESSION_LANE_STRIDE;
         let engine = Engine::new(&new_program, &new_interface, atlas_config)
+            .with_index(Arc::clone(&index))
             .with_recorder(recorder.with_lane_base(lane_base));
         // The run locks the hot cache per shard operation, never while
         // clusters learn, so sessions run their clusters concurrently.
@@ -134,7 +149,7 @@ impl SessionState {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())
             })?;
-        // The run already hashed the library; the provenance reuses it.
+        // The provenance reads the index the run read: nothing is hashed.
         let new_provenance = engine.run_provenance();
         let start = lane.begin();
         let specs_doc = outcome
@@ -169,6 +184,7 @@ impl SessionState {
                     .set("spliced_verdicts", outcome.spliced_verdicts),
             );
         self.program = new_program;
+        self.index = index;
         self.provenance = new_provenance;
         self.specs_doc = specs_doc;
         self.generation += 1;

@@ -55,12 +55,17 @@ struct ScriptOutcome {
     stats: Json,
 }
 
-fn run_script(store: &Path, shard_budget: usize, flush_every: usize) -> ScriptOutcome {
+fn run_script(
+    script: &[&str],
+    store: &Path,
+    shard_budget: usize,
+    flush_every: usize,
+) -> ScriptOutcome {
     let mut config = ServeConfig::small(store.to_path_buf());
     config.shard_budget = shard_budget;
     config.flush_every = flush_every;
     let daemon = Daemon::new(config).expect("daemon startup");
-    let edits = SCRIPT
+    let edits = script
         .iter()
         .enumerate()
         .map(|(i, target)| {
@@ -151,16 +156,21 @@ fn edit_work(edit: &Json) -> (i64, i64) {
     (count("oracle"), count("spliced_verdicts"))
 }
 
-/// A budget of one shard forces an eviction-and-reload on every step of
-/// the alternating script; the responses — re-execution counts included —
-/// and the final artifact must nonetheless be identical to a run whose
-/// cache holds everything.
+/// A budget of one shard forces an eviction on every step of the
+/// alternating script, and a reload on its repeated last step; the
+/// responses — re-execution counts included — and the final artifact must
+/// nonetheless be identical to a run whose cache holds everything.
 #[test]
 fn eviction_never_changes_results_or_execution_counts() {
     let store_small = scratch("tight");
     let store_big = scratch("roomy");
-    let small = run_script(&store_small, 1, 0);
-    let big = run_script(&store_big, 64, 0);
+    // The script, then its last edit's cluster edited again: the
+    // StringBuilder shard the last step evicted is clean again and must be
+    // read back from disk.  (Alternating edits alone never reload: each
+    // step's clean shard is the one the step before re-ran.)
+    let script = [SCRIPT, &["Integer.intValue"]].concat();
+    let small = run_script(&script, &store_small, 1, 0);
+    let big = run_script(&script, &store_big, 64, 0);
 
     assert_eq!(
         small.edits, big.edits,
@@ -198,8 +208,8 @@ fn eviction_never_changes_results_or_execution_counts() {
 fn pinned_dirty_shards_survive_the_budget_and_flush_identically() {
     let store_eager = scratch("eager");
     let store_behind = scratch("behind");
-    let eager = run_script(&store_eager, 1, 0);
-    let behind = run_script(&store_behind, 1, 100);
+    let eager = run_script(SCRIPT, &store_eager, 1, 0);
+    let behind = run_script(SCRIPT, &store_behind, 1, 100);
 
     // Same answers, whatever the flush schedule (modulo the per-edit
     // flush receipt, which reports the schedule itself).

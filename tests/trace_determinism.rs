@@ -205,6 +205,7 @@ const KINDS: &[MutationKind] = &[
 /// The named steps of one served edit, as `(cat, name)`.
 const EDIT_STEPS: &[(&str, &str)] = &[
     ("serve", "mutate"),
+    ("serve", "rehash"),
     ("engine", "jobs"),
     ("incr", "incremental"),
     ("engine", "provenance"),
