@@ -21,7 +21,10 @@ pub mod registry;
 pub mod synthlib;
 
 pub use generator::{generate_app, generate_app_with, generate_suite, AppConfig, GeneratedApp};
-pub use mutate::{mutate_library, MutatedLibrary, MutationConfig, MutationError};
+pub use mutate::{
+    mutate_library, mutate_library_in_place, AppliedMutation, MutatedLibrary, MutationConfig,
+    MutationError,
+};
 pub use patterns::PatternKind;
 pub use registry::{build_library, registry_names, RegistryError, RegistryLibrary};
 pub use synthlib::{

@@ -1,6 +1,8 @@
 //! The deterministic **library mutation generator**: picks an eligible
 //! edit target in a built library and applies one of the `atlas_ir::mutate`
-//! primitives to a clone of the program.
+//! primitives — to the program in place ([`mutate_library_in_place`],
+//! which also returns how to undo the edit), or to a clone
+//! ([`mutate_library`]).
 //!
 //! This is how the incremental-inference pipeline (and its tests) model "a
 //! developer edited the library": the generator owns the *policy* —
@@ -21,8 +23,9 @@
 //! produces the same mutation — a requirement for reproducible incremental
 //! benchmarks and CI gates.
 
-use atlas_ir::mutate::{add_method, change_signature, edit_body, rename_local};
-use atlas_ir::{visit_block, MethodId, MutationKind, MutationOutcome, Program, Stmt};
+use atlas_ir::mutate::{add_method, change_signature, edit_body, rename_local, Undo};
+use atlas_ir::{visit_block, Method, MethodId, MutationKind, MutationOutcome, Program, Stmt};
+use std::cmp::Ordering;
 
 /// Knobs of one generated mutation.
 #[derive(Debug, Clone)]
@@ -57,6 +60,16 @@ pub struct MutatedLibrary {
     pub program: Program,
     /// What the edit was, including a human-readable description.
     pub outcome: MutationOutcome,
+}
+
+/// An edit applied in place ([`mutate_library_in_place`]): what was
+/// edited, and how to take it back.
+#[derive(Debug, Clone)]
+pub struct AppliedMutation {
+    /// What the edit was, including a human-readable description.
+    pub outcome: MutationOutcome,
+    /// Restores the program as it was before the edit.
+    pub undo: Undo,
 }
 
 /// Why no mutation could be generated.
@@ -99,7 +112,7 @@ fn eligible_methods(program: &Program, kind: MutationKind) -> Vec<MethodId> {
             });
         }
     }
-    let mut candidates: Vec<(String, MethodId)> = program
+    let mut candidates: Vec<&Method> = program
         .methods()
         .filter(|m| program.class(m.class()).is_library() && !m.is_native())
         .filter(|m| match kind {
@@ -110,13 +123,58 @@ fn eligible_methods(program: &Program, kind: MutationKind) -> Vec<MethodId> {
                 !m.is_constructor() && !called[m.id().index() as usize]
             }
         })
-        .map(|m| (program.qualified_name(m.id()), m.id()))
         .collect();
-    candidates.sort();
-    candidates.into_iter().map(|(_, id)| id).collect()
+    // The order of `(program.qualified_name(id), id)`, compared in place;
+    // within one class that is the method-name order.
+    candidates.sort_unstable_by(|a, b| {
+        let names = if a.class() == b.class() {
+            a.name().cmp(b.name())
+        } else {
+            cmp_joined(qualified(program, a), qualified(program, b))
+        };
+        names.then(a.id().cmp(&b.id()))
+    });
+    candidates.into_iter().map(Method::id).collect()
 }
 
-/// Applies one deterministic mutation to a clone of `base`.
+/// The parts of `program.qualified_name(m.id())`: class name, `.`,
+/// method name.
+fn qualified<'p>(program: &'p Program, m: &'p Method) -> [&'p [u8]; 3] {
+    let class = program.class(m.class()).name().as_bytes();
+    [class, b".", m.name().as_bytes()]
+}
+
+/// Compares the concatenations of two byte-string triples — as
+/// `a.concat().cmp(&b.concat())` would — without building them.
+fn cmp_joined(a: [&[u8]; 3], b: [&[u8]; 3]) -> Ordering {
+    let (mut a, mut b) = (a.iter().copied(), b.iter().copied());
+    let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+    loop {
+        while x.is_empty() {
+            match a.next() {
+                Some(next) => x = next,
+                None => break,
+            }
+        }
+        while y.is_empty() {
+            match b.next() {
+                Some(next) => y = next,
+                None => break,
+            }
+        }
+        if x.is_empty() || y.is_empty() {
+            return x.len().cmp(&y.len());
+        }
+        let n = x.len().min(y.len());
+        match x[..n].cmp(&y[..n]) {
+            Ordering::Equal => (x, y) = (&x[n..], &y[n..]),
+            unequal => return unequal,
+        }
+    }
+}
+
+/// Applies one deterministic mutation to a clone of `base`: the clone
+/// plus [`mutate_library_in_place`].
 ///
 /// # Errors
 /// Returns [`MutationError`] when the explicit target does not resolve or
@@ -126,64 +184,80 @@ pub fn mutate_library(
     config: &MutationConfig,
 ) -> Result<MutatedLibrary, MutationError> {
     let mut program = base.clone();
-    let outcome = match config.kind {
-        MutationKind::AddMethod => {
-            // `ir::mutate::add_method` panics on a name collision; keep
-            // the Result contract by rejecting it as ineligible here
-            // (e.g. a previously mutated program fed back in).
-            let probe_exists = |class| program.method_of(class, &format!("probe{}", config.seed));
-            let class = match &config.target {
-                Some(name) => base
-                    .class_named(name)
-                    .ok_or_else(|| MutationError::UnknownTarget(name.clone()))?,
-                None => {
-                    let mut classes: Vec<(String, _)> = base
-                        .library_classes()
-                        .map(|c| (c.name().to_string(), c.id()))
-                        .collect();
-                    if classes.is_empty() {
-                        return Err(MutationError::NoEligibleTarget(config.kind));
-                    }
-                    classes.sort();
-                    classes[config.seed as usize % classes.len()].1
+    let outcome = mutate_library_in_place(&mut program, config)?.outcome;
+    Ok(MutatedLibrary { program, outcome })
+}
+
+/// Applies one deterministic mutation to `program` in place — the same
+/// target and edit [`mutate_library`] picks — and returns it with the
+/// [`Undo`] that takes it back.
+///
+/// # Errors
+/// Returns [`MutationError`] when the explicit target does not resolve or
+/// nothing in the program is eligible for the requested kind; `program`
+/// is then unchanged.
+pub fn mutate_library_in_place(
+    program: &mut Program,
+    config: &MutationConfig,
+) -> Result<AppliedMutation, MutationError> {
+    if config.kind == MutationKind::AddMethod {
+        let class = match &config.target {
+            Some(name) => program
+                .class_named(name)
+                .ok_or_else(|| MutationError::UnknownTarget(name.clone()))?,
+            None => {
+                let mut classes: Vec<(&str, _)> = program
+                    .library_classes()
+                    .map(|c| (c.name(), c.id()))
+                    .collect();
+                if classes.is_empty() {
+                    return Err(MutationError::NoEligibleTarget(config.kind));
                 }
-            };
-            if probe_exists(class).is_some() {
-                return Err(MutationError::NoEligibleTarget(config.kind));
+                classes.sort_unstable();
+                classes[config.seed as usize % classes.len()].1
             }
-            add_method(&mut program, class, config.seed)
+        };
+        // `ir::mutate::add_method` panics on a name collision; keep the
+        // Result contract by rejecting it as ineligible here (e.g. a
+        // previously mutated program fed back in).
+        if program
+            .method_of(class, &format!("probe{}", config.seed))
+            .is_some()
+        {
+            return Err(MutationError::NoEligibleTarget(config.kind));
         }
-        kind => {
-            let method = match &config.target {
-                Some(name) => {
-                    let id = base
-                        .method_qualified(name)
-                        .ok_or_else(|| MutationError::UnknownTarget(name.clone()))?;
-                    if !eligible_methods(base, kind).contains(&id) {
-                        return Err(MutationError::NoEligibleTarget(kind));
-                    }
-                    id
-                }
-                None => {
-                    let eligible = eligible_methods(base, kind);
-                    if eligible.is_empty() {
-                        return Err(MutationError::NoEligibleTarget(kind));
-                    }
-                    eligible[config.seed as usize % eligible.len()]
-                }
-            };
-            match kind {
-                MutationKind::RenameLocal => rename_local(&mut program, method, config.seed)
-                    .ok_or(MutationError::NoEligibleTarget(kind))?,
-                MutationKind::BodyEdit => edit_body(&mut program, method, config.seed),
-                MutationKind::SignatureChange => {
-                    change_signature(&mut program, method, config.seed)
-                }
-                MutationKind::AddMethod => unreachable!("handled above"),
+        let undo = Undo::before_append(program);
+        let outcome = add_method(program, class, config.seed);
+        return Ok(AppliedMutation { outcome, undo });
+    }
+    let kind = config.kind;
+    let method = match &config.target {
+        Some(name) => {
+            let id = program
+                .method_qualified(name)
+                .ok_or_else(|| MutationError::UnknownTarget(name.clone()))?;
+            if !eligible_methods(program, kind).contains(&id) {
+                return Err(MutationError::NoEligibleTarget(kind));
             }
+            id
+        }
+        None => {
+            let eligible = eligible_methods(program, kind);
+            if eligible.is_empty() {
+                return Err(MutationError::NoEligibleTarget(kind));
+            }
+            eligible[config.seed as usize % eligible.len()]
         }
     };
-    Ok(MutatedLibrary { program, outcome })
+    let undo = Undo::before_edit(program, method);
+    let outcome = match kind {
+        MutationKind::RenameLocal => rename_local(program, method, config.seed)
+            .ok_or(MutationError::NoEligibleTarget(kind))?,
+        MutationKind::BodyEdit => edit_body(program, method, config.seed),
+        MutationKind::SignatureChange => change_signature(program, method, config.seed),
+        MutationKind::AddMethod => unreachable!("handled above"),
+    };
+    Ok(AppliedMutation { outcome, undo })
 }
 
 #[cfg(test)]
@@ -277,6 +351,46 @@ mod tests {
             .unwrap_err(),
             MutationError::NoEligibleTarget(MutationKind::AddMethod)
         );
+    }
+
+    #[test]
+    fn eligible_methods_follow_qualified_name_order() {
+        let mut program = javalib();
+        for seed in 0..40 {
+            mutate_library_in_place(
+                &mut program,
+                &MutationConfig::new(MutationKind::AddMethod, seed),
+            )
+            .expect("add a probe");
+        }
+        for kind in [
+            MutationKind::RenameLocal,
+            MutationKind::BodyEdit,
+            MutationKind::SignatureChange,
+        ] {
+            let eligible = eligible_methods(&program, kind);
+            let mut named: Vec<(String, MethodId)> = eligible
+                .iter()
+                .map(|&id| (program.qualified_name(id), id))
+                .collect();
+            named.sort();
+            let sorted: Vec<MethodId> = named.into_iter().map(|(_, id)| id).collect();
+            assert_eq!(eligible, sorted, "{kind}");
+        }
+        // A class name that another extends past the separator.
+        for (a, b) in [
+            (["A", ".", "m"], ["A$B", ".", "a"]),
+            (["A", ".", "m"], ["A.B", ".", "a"]),
+            (["Ab", ".", ""], ["A", ".", "b"]),
+            (["A", ".", "m"], ["A", ".", "m"]),
+        ] {
+            let bytes = |parts: [&'static str; 3]| parts.map(str::as_bytes);
+            assert_eq!(
+                cmp_joined(bytes(a), bytes(b)),
+                a.concat().cmp(&b.concat()),
+                "{a:?} {b:?}"
+            );
+        }
     }
 
     #[test]

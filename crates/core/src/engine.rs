@@ -155,6 +155,18 @@ impl<'p> Engine<'p> {
         self
     }
 
+    /// Hands the engine a prebuilt bytecode compilation of its program
+    /// instead of lowering every method on first use.  `compiled` must
+    /// lower each method as `CompiledProgram::compile` over this engine's
+    /// program would — e.g. an earlier program's compilation brought up to
+    /// date with [`CompiledProgram::recompile`] after an `atlas_ir::mutate`
+    /// edit — or the oracles execute the wrong code.
+    pub fn with_compiled(mut self, compiled: Arc<CompiledProgram>) -> Engine<'p> {
+        debug_assert_eq!(compiled.num_methods(), self.program.num_methods());
+        self.compiled = OnceLock::from(compiled);
+        self
+    }
+
     /// The program's content index: handed over by [`Engine::with_index`],
     /// or built on the first call (recording an `engine/index` span on
     /// lane 0) and cached for the engine's lifetime.
@@ -188,7 +200,9 @@ impl<'p> Engine<'p> {
         &self.recorder
     }
 
-    /// The shared bytecode compilation of the program, built on first use.
+    /// The shared bytecode compilation of the program: handed over by
+    /// [`Engine::with_compiled`], or built on first use (recording an
+    /// `engine/compile` span on lane 0).
     ///
     /// Cheap to clone (an `Arc`); every per-cluster oracle of every session
     /// of this engine executes the same compiled code.

@@ -272,8 +272,7 @@ impl<'p> Engine<'p> {
         let mut plans: Vec<Plan> = Vec::with_capacity(jobs.len());
         let mut forced_dirty = 0usize;
         for job in &jobs {
-            let restricted = self.interface().restrict_to_classes(&job.classes);
-            if restricted.slots().is_empty() {
+            if !self.interface().has_slots_in(&job.classes) {
                 plans.push(Plan::Skip);
                 continue;
             }

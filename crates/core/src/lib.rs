@@ -69,3 +69,8 @@ pub use atlas_learn::{library_fingerprint, CacheKeyer, CacheStats, VerdictCache,
 // need a direct `atlas-store` dependency.
 pub use atlas_obs::Recorder;
 pub use atlas_store::{SpecArtifact, SpecCluster, StoreError};
+
+// The compiled image `Engine::with_compiled` takes, re-exported so engine
+// users that carry one across edits don't need a direct `atlas-interp`
+// dependency.
+pub use atlas_interp::CompiledProgram;

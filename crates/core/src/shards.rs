@@ -5,7 +5,10 @@
 //! [`HotShards`] is the one store the store-backed run
 //! ([`Engine::run_with_shards`](crate::Engine::run_with_shards)) splices
 //! from and persists to, in *memory*; disk is only touched on a cache miss
-//! (shard load) and on [`HotShards::flush`] (write-behind).
+//! (shard load) and by its **background writer**.  A flush
+//! ([`HotShards::write_behind`], [`HotShards::flush`]) renders the dirty
+//! shards under the caller's lock, marks them clean and hands the files to
+//! one writer thread per cache, which writes them with `atomic_write`.
 //! [`Engine::run_with_store`](crate::Engine::run_with_store) runs over a
 //! private cache on its root and flushes it before returning; the resident
 //! service shares one cache across its start-up and every session's edits.
@@ -22,8 +25,19 @@
 //!   (counted in [`ShardCacheStats::pin_overflows`]) until the next
 //!   flush unpins them.
 //! * **Determinism.**  Eviction only ever drops *clean* shards, whose
-//!   bytes are on disk; a re-load decodes the same artifact, so cache
-//!   pressure can change timings and I/O counts but never results.
+//!   bytes are on disk or queued for the writer; a re-load decodes the
+//!   same artifact, so cache pressure can change timings and I/O counts
+//!   but never results.
+//! * **Write-behind.**  At most one batch of files is in flight: a flush
+//!   that finds the previous batch still being written waits for it (a
+//!   `shards/wait` span).  The writer's files are drained — all queued
+//!   files written — before any shard is read from disk, before
+//!   [`HotShards::flush`] or [`HotShards::flush_namespace`] returns (so
+//!   before `run_with_store` returns, and before the daemon's explicit
+//!   `flush`, `close` and `shutdown` reply), and when the cache is
+//!   dropped.  A failed write comes back as a `store` error from the next
+//!   flush point of its namespace; the writes themselves show as
+//!   `shards/write` spans on the writer's own lane.
 //! * **Namespace isolation.**  Entries are keyed by `(namespace,
 //!   closure)` and each namespace fronts its own directory, so two
 //!   sessions never read each other's shards — but they compete for the
@@ -37,16 +51,21 @@
 //! splice (cheap) keeps the cache program-independent.
 
 use atlas_learn::VerdictCache;
-use atlas_obs::{ArgValue, Recorder};
+use atlas_obs::{ArgValue, Lane, Recorder};
 use atlas_store::{
-    atomic_write, load_cache, load_document, save_cache, shard_entry, CacheArtifact,
-    CacheProvenance, Json, SpecArtifact, StoreError,
+    atomic_write, load_cache, load_document, shard_entry, CacheArtifact, CacheProvenance, Json,
+    SpecArtifact, StoreError,
 };
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// The observability lane all hot-shard events drain to (the daemon's
 /// "shards" track; lane 1 is the service request track).
 const SHARDS_LANE: u64 = 2;
+
+/// The lane the background writer records its file writes on.
+const WRITER_LANE: u64 = 3;
 
 /// The root namespace: the store root itself — the daemon's default
 /// session, and the only namespace of `run_with_store`'s private cache.
@@ -86,6 +105,161 @@ struct HotEntry {
     dirty: bool,
 }
 
+/// One rendered shard file on its way to disk.
+struct ShardFile {
+    /// The namespace the file belongs to: a failed write is reported to
+    /// this namespace's next flush point.
+    ns: usize,
+    path: PathBuf,
+    text: String,
+}
+
+/// What the cache and its writer thread share.
+#[derive(Default)]
+struct WriterState {
+    /// The batch handed over and not yet taken by the writer.
+    queued: Option<Vec<ShardFile>>,
+    /// Whether the writer is writing the batch it took.
+    writing: bool,
+    /// Per namespace, the first failed write not yet reported.
+    failed: Vec<(usize, StoreError)>,
+    /// Set when the cache is dropped: the writer exits once idle.
+    closing: bool,
+}
+
+/// The background shard writer: one thread, spawned on the first flush,
+/// writing one batch of rendered files at a time with `atomic_write`.
+struct ShardWriter {
+    shared: Arc<(Mutex<WriterState>, Condvar)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl ShardWriter {
+    fn new() -> ShardWriter {
+        ShardWriter {
+            shared: Arc::new((Mutex::new(WriterState::default()), Condvar::new())),
+            thread: None,
+        }
+    }
+
+    /// Blocks until no batch is queued or being written, recording the
+    /// wait as a `shards/wait` span on `lane`.
+    fn idle(&self, lane: &mut Lane) -> MutexGuard<'_, WriterState> {
+        let start = lane.begin();
+        let (lock, wake) = &*self.shared;
+        let mut state = lock.lock().expect("shard writer lock poisoned");
+        while state.queued.is_some() || state.writing {
+            state = wake.wait(state).expect("shard writer lock poisoned");
+        }
+        lane.end(start, "shards", "wait", Vec::new());
+        state
+    }
+
+    /// Takes the first unreported failed write of namespace `ns` (of any
+    /// namespace when `None`).
+    fn take_failure(state: &mut WriterState, ns: Option<usize>) -> Option<StoreError> {
+        let i = state
+            .failed
+            .iter()
+            .position(|(failed, _)| ns.is_none_or(|ns| ns == *failed))?;
+        Some(state.failed.remove(i).1)
+    }
+
+    /// Hands `files` to the writer thread, spawning it on first use.  The
+    /// caller has waited for the previous batch ([`ShardWriter::idle`]),
+    /// so at most one is ever in flight.  Should the thread not start, the
+    /// batch is written here.
+    fn submit(&mut self, files: Vec<ShardFile>, recorder: &Recorder) {
+        if self.thread.is_none() {
+            let shared = Arc::clone(&self.shared);
+            let recorder = recorder.clone();
+            self.thread = std::thread::Builder::new()
+                .name("atlas-shard-writer".to_string())
+                .spawn(move || write_loop(&shared, &recorder))
+                .ok();
+        }
+        let (lock, wake) = &*self.shared;
+        let mut state = lock.lock().expect("shard writer lock poisoned");
+        debug_assert!(state.queued.is_none() && !state.writing);
+        if self.thread.is_some() {
+            state.queued = Some(files);
+            wake.notify_all();
+        } else {
+            record_failures(&mut state, write_batch(files, recorder));
+        }
+    }
+}
+
+impl Drop for ShardWriter {
+    /// Writes whatever is still queued, then stops the thread.  A failure
+    /// of those last writes has no flush point left to report it: flush
+    /// before dropping the cache.
+    fn drop(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        let (lock, wake) = &*self.shared;
+        // Setting a flag leaves the state valid whatever a panicking
+        // holder did, and a drop must not panic.
+        lock.lock().unwrap_or_else(PoisonError::into_inner).closing = true;
+        wake.notify_all();
+        let _ = thread.join();
+    }
+}
+
+/// The writer thread: takes one batch at a time until the cache closes.
+fn write_loop(shared: &(Mutex<WriterState>, Condvar), recorder: &Recorder) {
+    let (lock, wake) = shared;
+    let mut state = lock.lock().expect("shard writer lock poisoned");
+    loop {
+        if let Some(files) = state.queued.take() {
+            state.writing = true;
+            drop(state);
+            let failures = write_batch(files, recorder);
+            state = lock.lock().expect("shard writer lock poisoned");
+            state.writing = false;
+            record_failures(&mut state, failures);
+            wake.notify_all();
+        } else if state.closing {
+            return;
+        } else {
+            state = wake.wait(state).expect("shard writer lock poisoned");
+        }
+    }
+}
+
+/// Writes one batch in order, as a `shards/write` span on the writer's
+/// lane; returns the failed writes.
+fn write_batch(files: Vec<ShardFile>, recorder: &Recorder) -> Vec<(usize, StoreError)> {
+    let mut lane = recorder.lane(WRITER_LANE);
+    let start = lane.begin();
+    let count = files.len();
+    let failures = files
+        .into_iter()
+        .filter_map(|file| {
+            atomic_write(&file.path, &file.text)
+                .err()
+                .map(|e| (file.ns, e))
+        })
+        .collect();
+    lane.end(
+        start,
+        "shards",
+        "write",
+        vec![("files", ArgValue::from(count))],
+    );
+    failures
+}
+
+/// Keeps the first failure per namespace until a flush point reports it.
+fn record_failures(state: &mut WriterState, failures: Vec<(usize, StoreError)>) {
+    for (ns, error) in failures {
+        if !state.failed.iter().any(|(failed, _)| *failed == ns) {
+            state.failed.push((ns, error));
+        }
+    }
+}
+
 /// An LRU cache of closure shards over a store root and its session
 /// namespaces.  See the [module docs](self) for the invariants.
 pub struct HotShards {
@@ -100,6 +274,8 @@ pub struct HotShards {
     /// Observability handle; mirrors [`ShardCacheStats`] into the shared
     /// `shards.*` counter vocabulary and emits load/evict/flush events.
     recorder: Recorder,
+    /// Writes flushed shards to disk off the caller's thread.
+    writer: ShardWriter,
 }
 
 impl HotShards {
@@ -113,6 +289,7 @@ impl HotShards {
             entries: Vec::new(),
             stats: ShardCacheStats::default(),
             recorder: Recorder::off(),
+            writer: ShardWriter::new(),
         }
     }
 
@@ -176,6 +353,9 @@ impl HotShards {
         self.recorder.count("shards.misses", 1);
         let mut lane = self.recorder.lane(SHARDS_LANE);
         let load_start = lane.begin();
+        // The shard's files may still be queued: disk is read only once
+        // the writer is idle.
+        drop(self.writer.idle(&mut lane));
         let paths = shard_entry(&self.namespaces[ns], closure);
         let specs = if paths.specs.exists() {
             Some(load_document(&paths.specs)?)
@@ -240,59 +420,106 @@ impl HotShards {
         }
     }
 
-    /// Writes every dirty shard back to disk — cache via the store's
-    /// atomic `save_cache`, specs via `atomic_write` of the cached
-    /// document — in `(namespace, closure)` order (deterministic file
-    /// history), then unpins them and re-enforces the budget.  Returns
-    /// how many shards were written.
+    /// Writes every dirty shard back to disk and returns once the writes
+    /// are done: [`HotShards::write_behind`] over every namespace, then a
+    /// wait for the writer.  Returns how many shards were written.
     ///
     /// # Errors
-    /// Returns the `atlas-store` error of the first failed write; the
-    /// failed shard and its successors stay dirty (and pinned), so no
-    /// data is lost and a later flush can retry.
+    /// Returns the `atlas-store` error of the first failed write not yet
+    /// reported — of this flush or of an earlier write-behind one.
     pub fn flush(&mut self) -> Result<usize, StoreError> {
-        self.flush_filter(None)
+        self.flush_filter(None, true)
     }
 
     /// [`HotShards::flush`], restricted to one namespace — the session
-    /// half of the `flush` op.
+    /// half of the `flush` op.  Reports only that namespace's failed
+    /// writes.
     pub fn flush_namespace(&mut self, ns: usize) -> Result<usize, StoreError> {
-        self.flush_filter(Some(ns))
+        self.flush_filter(Some(ns), true)
     }
 
-    fn flush_filter(&mut self, only: Option<usize>) -> Result<usize, StoreError> {
+    /// The write-behind flush of namespace `ns`: renders its dirty shards
+    /// — verdict cache, then specs — in `(namespace, closure)` order
+    /// (deterministic file history), marks them clean, hands the files to
+    /// the background writer and re-enforces the budget, without waiting
+    /// for the writes.  At most one batch is in flight: a flush that finds
+    /// the previous one still being written waits for it (a `shards/wait`
+    /// span).  Returns how many shards were handed over.
+    ///
+    /// # Errors
+    /// Returns the first failed write of `ns` that no flush point has
+    /// reported yet, before rendering anything: the dirty shards then
+    /// stay dirty (and pinned) for a later flush.  A shard whose write
+    /// fails is clean in memory but not on disk; once evicted, the next
+    /// run that needs it finds no shard and re-learns it (forced dirty).
+    pub fn write_behind(&mut self, ns: usize) -> Result<usize, StoreError> {
+        self.flush_filter(Some(ns), false)
+    }
+
+    fn flush_filter(&mut self, only: Option<usize>, drain: bool) -> Result<usize, StoreError> {
         self.stats.flushes += 1;
         self.recorder.count("shards.flushes", 1);
         let mut lane = self.recorder.lane(SHARDS_LANE);
         let flush_start = lane.begin();
-        let mut dirty: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| self.entries[i].dirty && only.is_none_or(|ns| self.entries[i].ns == ns))
-            .collect();
-        dirty.sort_by_key(|&i| (self.entries[i].ns, self.entries[i].closure));
-        let mut written = 0usize;
-        for i in dirty {
-            let entry = &self.entries[i];
-            let paths = shard_entry(&self.namespaces[entry.ns], entry.closure);
-            if let Some(cache) = &entry.cache {
-                save_cache(&paths.cache, cache)?;
+        let failure = ShardWriter::take_failure(&mut self.writer.idle(&mut lane), only);
+        let result = match failure {
+            Some(error) => Err(error),
+            None => {
+                let written = self.hand_over(only);
+                let failure = drain
+                    .then(|| ShardWriter::take_failure(&mut self.writer.idle(&mut lane), only))
+                    .flatten();
+                failure.map_or(Ok(written), Err)
             }
-            if let Some(specs) = &entry.specs {
-                atomic_write(&paths.specs, &specs.render())?;
-            }
-            self.entries[i].dirty = false;
-            written += 1;
-            self.stats.flushed_shards += 1;
-        }
-        self.recorder.count("shards.flushed_shards", written as u64);
+        };
         lane.end(
             flush_start,
             "shards",
             "flush",
-            vec![("written", ArgValue::from(written))],
+            vec![("written", ArgValue::from(*result.as_ref().unwrap_or(&0)))],
         );
         drop(lane);
         self.enforce_budget(None);
-        Ok(written)
+        result
+    }
+
+    /// Renders the dirty shards of `only` (of every namespace when
+    /// `None`), marks them clean and hands the files to the idle writer;
+    /// returns how many shards were handed over.
+    fn hand_over(&mut self, only: Option<usize>) -> usize {
+        let mut dirty: Vec<usize> = (0..self.entries.len())
+            .filter(|&i| self.entries[i].dirty && only.is_none_or(|ns| self.entries[i].ns == ns))
+            .collect();
+        dirty.sort_by_key(|&i| (self.entries[i].ns, self.entries[i].closure));
+        let mut files = Vec::with_capacity(2 * dirty.len());
+        for &i in &dirty {
+            let entry = &mut self.entries[i];
+            let paths = shard_entry(&self.namespaces[entry.ns], entry.closure);
+            if let Some(cache) = &entry.cache {
+                let text = cache.encode().render();
+                files.push(ShardFile {
+                    ns: entry.ns,
+                    path: paths.cache,
+                    text,
+                });
+            }
+            if let Some(specs) = &entry.specs {
+                let text = specs.render();
+                files.push(ShardFile {
+                    ns: entry.ns,
+                    path: paths.specs,
+                    text,
+                });
+            }
+            entry.dirty = false;
+        }
+        let written = dirty.len();
+        self.stats.flushed_shards += written;
+        self.recorder.count("shards.flushed_shards", written as u64);
+        if !files.is_empty() {
+            self.writer.submit(files, &self.recorder);
+        }
+        written
     }
 
     /// The decoded spec artifact of the shard for `closure` in namespace

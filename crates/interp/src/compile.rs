@@ -383,8 +383,9 @@ fn classify_fast(code: &[Instr], has_this: bool, num_params: usize) -> Option<Fa
     }
 }
 
-/// A method lowered to bytecode.
-#[derive(Debug, Clone)]
+/// A method lowered to bytecode.  Equality compares everything the VM
+/// reads: code, register window, frame shape, native name, fast shape.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledMethod {
     pub(crate) code: Vec<Instr>,
     pub(crate) num_regs: u32,
@@ -449,6 +450,36 @@ impl CompiledProgram {
             methods,
             id: NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
+    }
+
+    /// Brings the compilation in step with `program` for one method after
+    /// an `atlas_ir::mutate` edit or its undo: lowers `method` again as
+    /// `program` now holds it (edited in place, or appended), or drops it
+    /// when `program` no longer has it (an undone append).  Those edits
+    /// touch no other method, so the result lowers every method as
+    /// [`CompiledProgram::compile`] over `program` would.  Draws a fresh
+    /// compilation id, so no VM keeps a builtin table resolved for the
+    /// old code.
+    ///
+    /// # Panics
+    /// Panics if `method` is past the next method id, or is dropped but
+    /// was not the last.
+    pub fn recompile(&mut self, program: &Program, method: MethodId) {
+        let i = method.index() as usize;
+        if i < program.num_methods() {
+            let compiled = compile_method(program, method);
+            match self.methods.get_mut(i) {
+                Some(slot) => *slot = compiled,
+                None => {
+                    assert_eq!(i, self.methods.len(), "{method} skips method ids");
+                    self.methods.push(compiled);
+                }
+            }
+        } else {
+            assert_eq!(i + 1, self.methods.len(), "{method} is not the last method");
+            self.methods.pop();
+        }
+        self.id = NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// An identifier for this compilation (clones share it; each

@@ -35,7 +35,7 @@ impl Field {
 }
 
 /// A class of the program (either library or client code).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Class {
     pub(crate) id: ClassId,
     pub(crate) name: String,

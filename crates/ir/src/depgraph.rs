@@ -219,6 +219,30 @@ impl DepGraph {
         self.class_methods[class.index() as usize] = program.class(class).methods().to_vec();
     }
 
+    /// Drops the row of `method`, the last one, from the graph and from
+    /// its class's method list: the inverse of appending it (an undone
+    /// [`crate::mutate::add_method`]).
+    ///
+    /// # Panics
+    /// Panics if `method` is not the last method.
+    pub(crate) fn drop_last_method(&mut self, method: MethodId) {
+        assert_eq!(
+            method.index() as usize + 1,
+            self.method_hash.len(),
+            "{method} is not the last method"
+        );
+        self.method_hash.pop();
+        self.calls.pop();
+        self.method_classes.pop();
+        if let Some(methods) = self
+            .class_methods
+            .iter_mut()
+            .find(|methods| methods.last() == Some(&method))
+        {
+            methods.pop();
+        }
+    }
+
     /// The dependency closure of a set of seed classes (a cluster).
     pub fn closure_of(&self, seed: &[ClassId]) -> Closure {
         let mut closure = Closure::default();

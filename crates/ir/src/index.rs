@@ -73,28 +73,37 @@ impl ContentIndex {
         }
     }
 
-    /// Brings the index up to date after one [`crate::mutate`] edit:
-    /// re-hashes `method` — edited in place, or appended to its class —
-    /// as `program` (the edited program) now holds it, and refolds the
-    /// library fingerprint over `interface` (the edited program's).
+    /// Brings the index up to date after one [`crate::mutate`] edit or
+    /// its [`Undo`](crate::mutate::Undo): re-hashes `method` — edited in
+    /// place, or appended to its class — as `program` (the edited
+    /// program) now holds it, or drops it when `program` no longer has it
+    /// (an undone append), and refolds the library fingerprint over
+    /// `interface` (the edited program's, already brought in step).
     /// Every other method keeps its hashes, which the append-only
     /// contract of the primitives makes exact: the result equals
     /// [`ContentIndex::build`] over the edited program.
     ///
     /// # Panics
-    /// Panics if `method` is past the next method id.
+    /// Panics if `method` is past the next method id, or is dropped but
+    /// was not the last.
     pub fn rehash(&mut self, program: &Program, interface: &LibraryInterface, method: MethodId) {
-        let m = program.method(method);
-        let printed = pretty::method_to_string(program, m);
-        self.graph
-            .set_method(program, method, deep_hash_of(program, m, &printed));
-        let hash = interface
-            .sig(method)
-            .map(|sig| sig_content_hash(sig, &printed));
+        let i = method.index() as usize;
         let mut hashes = self.interface_hashes.to_vec();
-        match hashes.get_mut(method.index() as usize) {
-            Some(slot) => *slot = hash,
-            None => hashes.push(hash),
+        if i < program.num_methods() {
+            let m = program.method(method);
+            let printed = pretty::method_to_string(program, m);
+            self.graph
+                .set_method(program, method, deep_hash_of(program, m, &printed));
+            let hash = interface
+                .sig(method)
+                .map(|sig| sig_content_hash(sig, &printed));
+            match hashes.get_mut(i) {
+                Some(slot) => *slot = hash,
+                None => hashes.push(hash),
+            }
+        } else {
+            self.graph.drop_last_method(method);
+            hashes.pop();
         }
         self.library = fold(interface, &hashes);
         self.interface_hashes = hashes.into();

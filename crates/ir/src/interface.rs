@@ -4,6 +4,7 @@
 //! variables (parameters, receivers and return values) over which path
 //! specifications are written.
 
+use crate::method::Method;
 use crate::program::{ClassId, MethodId, Program};
 use crate::types::Type;
 use std::collections::HashMap;
@@ -132,7 +133,7 @@ impl MethodSig {
 
 /// The library interface handed to the specification-inference algorithm:
 /// the signatures of all public library methods and the alphabet `V_path`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LibraryInterface {
     sigs: Vec<MethodSig>,
     by_method: HashMap<MethodId, usize>,
@@ -146,24 +147,64 @@ impl LibraryInterface {
     /// instantiation strategy of the unit-test synthesizer) but their return
     /// slots are not part of `V_path`.
     pub fn from_program(program: &Program) -> LibraryInterface {
-        let mut sigs = Vec::new();
-        for m in program.library_methods() {
-            let class = program.class(m.class());
-            let param_types: Vec<Type> = (0..m.num_params())
-                .map(|i| m.var_data(m.param_var(i)).ty.clone())
-                .collect();
-            sigs.push(MethodSig {
-                method: m.id(),
-                class: m.class(),
-                class_name: class.name().to_string(),
-                name: m.name().to_string(),
-                has_this: m.has_this(),
-                is_constructor: m.is_constructor(),
-                param_types,
-                return_type: m.return_type().clone(),
-            });
+        Self::from_sigs(
+            program
+                .library_methods()
+                .map(|m| sig_of(program, m))
+                .collect(),
+        )
+    }
+
+    /// Brings the interface in step with `program` for one method after an
+    /// `atlas_ir::mutate` edit or its [`Undo`](crate::mutate::Undo):
+    /// re-reads `method`'s signature, adds it when the edit appended it,
+    /// or drops it when `program` no longer has it (an undone append).
+    /// Those edits touch no other method and append only the largest id,
+    /// so the result equals [`LibraryInterface::from_program`] over
+    /// `program`.
+    ///
+    /// # Panics
+    /// Panics if `method` would be added or dropped anywhere but at the
+    /// end of the interface.
+    pub fn sync_method(&mut self, program: &Program, method: MethodId) {
+        let sig = ((method.index() as usize) < program.num_methods())
+            .then(|| program.method(method))
+            .filter(|m| program.class(m.class()).is_library() && m.is_public())
+            .map(|m| sig_of(program, m));
+        match (self.by_method.get(&method).copied(), sig) {
+            (Some(i), Some(sig)) => {
+                let reslot = path_slots(&sig) != path_slots(&self.sigs[i]);
+                self.sigs[i] = sig;
+                if reslot {
+                    self.slots = self.sigs.iter().flat_map(path_slots).collect();
+                }
+            }
+            (None, Some(sig)) => {
+                assert!(
+                    self.sigs.last().is_none_or(|last| last.method < method),
+                    "{method} is not past every interface method"
+                );
+                let i = self.sigs.len();
+                self.by_method.insert(method, i);
+                self.by_class.entry(sig.class).or_default().push(i);
+                self.slots.extend(path_slots(&sig));
+                self.sigs.push(sig);
+            }
+            (Some(i), None) => {
+                assert_eq!(i + 1, self.sigs.len(), "{method} is not the last method");
+                let sig = self.sigs.pop().expect("the last signature");
+                self.by_method.remove(&method);
+                if let Some(class) = self.by_class.get_mut(&sig.class) {
+                    class.pop();
+                    if class.is_empty() {
+                        self.by_class.remove(&sig.class);
+                    }
+                }
+                let kept = self.slots.len() - path_slots(&sig).len();
+                self.slots.truncate(kept);
+            }
+            (None, None) => {}
         }
-        Self::from_sigs(sigs)
     }
 
     /// Builds an interface directly from a list of signatures.
@@ -174,9 +215,7 @@ impl LibraryInterface {
         for (i, sig) in sigs.iter().enumerate() {
             by_method.insert(sig.method, i);
             by_class.entry(sig.class).or_default().push(i);
-            if !sig.is_constructor {
-                slots.extend(sig.reference_slots());
-            }
+            slots.extend(path_slots(sig));
         }
         LibraryInterface {
             sigs,
@@ -223,6 +262,23 @@ impl LibraryInterface {
         &self.slots
     }
 
+    /// Whether any method of `classes` contributes a slot to `V_path` —
+    /// whether `restrict_to_classes(classes).slots()` is non-empty —
+    /// without building the restriction.
+    pub fn has_slots_in(&self, classes: &[ClassId]) -> bool {
+        classes
+            .iter()
+            .filter_map(|class| self.by_class.get(class))
+            .flatten()
+            .any(|&i| {
+                let sig = &self.sigs[i];
+                !sig.is_constructor
+                    && (sig.has_this
+                        || sig.param_types.iter().any(Type::is_reference)
+                        || sig.returns_reference())
+            })
+    }
+
     /// The reference-typed slots of a single method.
     pub fn slots_of(&self, method: MethodId) -> Vec<ParamSlot> {
         self.sig(method)
@@ -267,6 +323,32 @@ impl LibraryInterface {
             SlotKind::Return => "ret".to_string(),
         };
         format!("{}.{}#{}", sig.class_name, sig.name, kind)
+    }
+}
+
+/// The signature of `m` as the interface records it.
+fn sig_of(program: &Program, m: &Method) -> MethodSig {
+    MethodSig {
+        method: m.id(),
+        class: m.class(),
+        class_name: program.class(m.class()).name().to_string(),
+        name: m.name().to_string(),
+        has_this: m.has_this(),
+        is_constructor: m.is_constructor(),
+        param_types: (0..m.num_params())
+            .map(|i| m.var_data(m.param_var(i)).ty.clone())
+            .collect(),
+        return_type: m.return_type().clone(),
+    }
+}
+
+/// The slots `sig` contributes to `V_path`: its reference slots, none for
+/// a constructor.
+fn path_slots(sig: &MethodSig) -> Vec<ParamSlot> {
+    if sig.is_constructor {
+        Vec::new()
+    } else {
+        sig.reference_slots()
     }
 }
 
@@ -363,6 +445,30 @@ mod tests {
         let none = iface.restrict_to_classes(&[]);
         assert_eq!(none.methods().len(), 0);
         assert!(none.slots().is_empty());
+    }
+
+    #[test]
+    fn sync_method_tracks_edits_appends_and_undone_appends() {
+        let mut p = box_program();
+        let mut iface = LibraryInterface::from_program(&p);
+        // A parameter turned into a reference adds a slot mid-alphabet.
+        let set = p.method_qualified("Box.set").unwrap();
+        let flag = p.method(set).param_var(1);
+        p.methods[set.index() as usize].vars[flag.index() as usize].ty = Type::object();
+        iface.sync_method(&p, set);
+        assert_eq!(iface, LibraryInterface::from_program(&p));
+        assert!(iface.slots().contains(&ParamSlot::param(set, 1)));
+        // An appended method joins the end; undoing the append drops it.
+        let before = iface.clone();
+        let boxc = p.class_named("Box").unwrap();
+        let undo = crate::mutate::Undo::before_append(&p);
+        let probe = crate::mutate::add_method(&mut p, boxc, 7).method;
+        iface.sync_method(&p, probe);
+        assert_eq!(iface, LibraryInterface::from_program(&p));
+        undo.apply(&mut p);
+        iface.sync_method(&p, probe);
+        assert_eq!(iface, before);
+        assert!(iface.has_slots_in(&[boxc]) && !iface.has_slots_in(&[]));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct VarData {
 }
 
 /// A method of a class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Method {
     pub(crate) id: MethodId,
     pub(crate) class: ClassId,

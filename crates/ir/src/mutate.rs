@@ -22,9 +22,10 @@
 //! [`ContentIndex::rehash`](crate::ContentIndex::rehash) of that one method
 //! therefore yields exactly the index a fresh build of the mutated program
 //! would; a new primitive must keep this contract or re-hash what else it
-//! touches.
+//! touches.  An [`Undo`] captured before an edit takes it back, so the
+//! same one-method re-hash brings a carried index back in step too.
 
-use crate::method::{Var, VarData};
+use crate::method::{Method, Var, VarData};
 use crate::program::{ClassId, MethodId, Program};
 use crate::stmt::{Constant, Stmt};
 use crate::types::Type;
@@ -71,6 +72,59 @@ pub struct MutationOutcome {
     pub method: MethodId,
     /// Human-readable description, e.g. `body-edit ArrayList.add`.
     pub description: String,
+}
+
+/// How to take one primitive edit back: the edited method as it was
+/// before the edit, or nothing when the edit appended it.  Capture it with
+/// [`Undo::before_edit`] or [`Undo::before_append`] *before* the edit;
+/// [`Undo::apply`] on the edited program then gives back the program as it
+/// was, field for field.
+#[derive(Debug, Clone)]
+pub struct Undo {
+    method: MethodId,
+    /// The method before an in-place edit; `None` for an append.
+    prior: Option<Method>,
+}
+
+impl Undo {
+    /// Captures `method` before it is edited in place.
+    pub fn before_edit(program: &Program, method: MethodId) -> Undo {
+        Undo {
+            method,
+            prior: Some(program.method(method).clone()),
+        }
+    }
+
+    /// Captures `program` before a method is appended to it.
+    pub fn before_append(program: &Program) -> Undo {
+        Undo {
+            method: MethodId::from_index(program.methods.len() as u32),
+            prior: None,
+        }
+    }
+
+    /// Takes the edit back: puts the edited method back as it was, or
+    /// removes the appended method from the program and its class.
+    ///
+    /// # Panics
+    /// Panics if an appended method is no longer the program's last.
+    pub fn apply(self, program: &mut Program) {
+        let i = self.method.index() as usize;
+        match self.prior {
+            Some(method) => program.methods[i] = method,
+            None => {
+                assert_eq!(
+                    i + 1,
+                    program.methods.len(),
+                    "{} is not the last method",
+                    self.method
+                );
+                let method = program.methods.pop().expect("the appended method");
+                let class = &mut program.classes[method.class.index() as usize];
+                assert_eq!(class.methods.pop(), Some(self.method));
+            }
+        }
+    }
 }
 
 fn outcome(
@@ -364,6 +418,42 @@ mod tests {
         let mut sorted = methods.to_vec();
         sorted.sort();
         assert_eq!(methods, &sorted[..]);
+    }
+
+    #[test]
+    fn undo_restores_the_program_for_every_primitive() {
+        let p = sample();
+        let set = p.method_qualified("Box.set").unwrap();
+        let boxc = p.class_named("Box").unwrap();
+        for kind in [
+            MutationKind::RenameLocal,
+            MutationKind::BodyEdit,
+            MutationKind::SignatureChange,
+            MutationKind::AddMethod,
+        ] {
+            let mut edited = p.clone();
+            let undo = match kind {
+                MutationKind::AddMethod => Undo::before_append(&edited),
+                _ => Undo::before_edit(&edited, set),
+            };
+            match kind {
+                MutationKind::RenameLocal => {
+                    rename_local(&mut edited, set, 1).expect("set has a local");
+                }
+                MutationKind::BodyEdit => {
+                    edit_body(&mut edited, set, 2);
+                }
+                MutationKind::SignatureChange => {
+                    change_signature(&mut edited, set, 3);
+                }
+                MutationKind::AddMethod => {
+                    add_method(&mut edited, boxc, 4);
+                }
+            }
+            assert!(edited != p, "{kind} changed nothing");
+            undo.apply(&mut edited);
+            assert!(edited == p, "undoing {kind} left a different program");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ id_type!(
 ///
 /// Programs are immutable once built (see [`crate::builder::ProgramBuilder`]);
 /// all lookups go through ids, which are stable and cheap to copy.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     pub(crate) classes: Vec<Class>,
     pub(crate) methods: Vec<Method>,

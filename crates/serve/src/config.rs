@@ -49,8 +49,10 @@ pub struct ServeConfig {
     pub shard_budget: usize,
     /// Bounded request-queue capacity; producers block when it is full.
     pub queue_capacity: usize,
-    /// Write-behind schedule: persist dirty shards after this many edits
-    /// (and always on `flush`/`shutdown`).  `0` persists after every edit.
+    /// Write-behind schedule: hand dirty shards to the background shard
+    /// writer after this many edits (and write them, waiting for the
+    /// writer, on `flush`/`close`/`shutdown`).  `0` hands them over after
+    /// every edit.
     pub flush_every: usize,
     /// Largest accepted request frame in bytes; longer lines are answered
     /// with an `oversized-frame` error and skipped.

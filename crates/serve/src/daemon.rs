@@ -17,8 +17,9 @@
 //!   are captured byte-for-byte as the `BaseState` seed set.
 //! * **`open`** registers a new session: a fresh namespace under
 //!   `<store>/sessions/<name>/` seeded with the captured base shard
-//!   bytes, plus clones of the base program, provenance and specs
-//!   document.  A session opened at any point therefore behaves
+//!   bytes, plus clones of the base program, interface, provenance and
+//!   specs document, and the base content index and compiled image,
+//!   shared until the session's first edit.  A session opened at any point therefore behaves
 //!   byte-identically to the same session on a freshly-started daemon —
 //!   edits in other sessions (including the default one) can never leak
 //!   into it.
@@ -43,12 +44,13 @@ use crate::proto::{
     Envelope, ErrorCode, Request, Response, WireError, WIRE_SCHEMA, WIRE_SCHEMA_V2,
 };
 use crate::session::{
-    SessionState, SessionStats, REQUEST_LANE, SESSION_LANE_STRIDE, SESSION_ORDINAL_STRIDE,
+    store_error, SessionState, SessionStats, REQUEST_LANE, SESSION_LANE_STRIDE,
+    SESSION_ORDINAL_STRIDE,
 };
 use atlas_apps::RegistryError;
 use atlas_core::{
-    AtlasConfig, BudgetSplit, Engine, HotShards, RunProvenance, StoreError, ThreadBudget,
-    EXTRACTION, ROOT_NAMESPACE,
+    AtlasConfig, BudgetSplit, CompiledProgram, Engine, HotShards, RunProvenance, StoreError,
+    ThreadBudget, EXTRACTION, ROOT_NAMESPACE,
 };
 use atlas_ir::{ClassId, ContentIndex, LibraryInterface, Program};
 use atlas_obs::{ArgValue, Recorder};
@@ -100,9 +102,13 @@ impl From<StoreError> for ServeError {
 /// The pristine post-startup state every new session is cloned from.
 struct BaseState {
     program: Program,
+    interface: LibraryInterface,
     /// The start-up engine's content index of `program`, shared by every
     /// session until its first edit.
     index: Arc<ContentIndex>,
+    /// The start-up engine's compilation of `program`, shared the same
+    /// way.
+    compiled: Arc<CompiledProgram>,
     provenance: RunProvenance,
     specs_doc: Json,
     /// The raw shard *file bytes* captured after the startup flush, one
@@ -131,10 +137,6 @@ fn valid_session_name(name: &str) -> bool {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-}
-
-fn store_error(e: StoreError) -> WireError {
-    WireError::new(ErrorCode::Store, e.to_string())
 }
 
 /// The resident inference service state.  See the [module docs](self).
@@ -210,6 +212,7 @@ impl Daemon {
             .encode(&lib.program)
             .map_err(|e| StoreError::schema(&config.store, e))?;
         let index = Arc::clone(engine.content_index());
+        let compiled = engine.compiled_program();
         drop(engine);
         hot.lock().expect("hot shard cache lock poisoned").flush()?;
         // Capture the post-startup shard bytes: the seed set of every
@@ -230,7 +233,9 @@ impl Daemon {
             .collect();
         let base = BaseState {
             program: lib.program.clone(),
+            interface: interface.clone(),
             index: Arc::clone(&index),
+            compiled: Arc::clone(&compiled),
             provenance: provenance.clone(),
             specs_doc: specs_doc.clone(),
             seeds,
@@ -240,7 +245,9 @@ impl Daemon {
             ns: ROOT_NAMESPACE,
             ordinal: 0,
             program: lib.program,
+            interface,
             index,
+            compiled,
             provenance,
             specs_doc,
             generation: 0,
@@ -494,7 +501,9 @@ impl Daemon {
             ns,
             ordinal,
             program: self.base.program.clone(),
+            interface: self.base.interface.clone(),
             index: Arc::clone(&self.base.index),
+            compiled: Arc::clone(&self.base.compiled),
             provenance: self.base.provenance.clone(),
             specs_doc: self.base.specs_doc.clone(),
             generation: 0,

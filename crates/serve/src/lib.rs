@@ -16,13 +16,16 @@
 //!   frames without a session address the default session and get
 //!   byte-identical `/1` responses.  Malformed input maps to structured
 //!   error responses, never panics.
-//! * `session` — the per-session state: program, provenance chain,
-//!   current spec artifact, and a *namespace* of the daemon's shard store.
+//! * `session` — the per-session state: program (edited in place), the
+//!   interface, content index and compilation carried across its edits,
+//!   provenance chain, current spec artifact, and a *namespace* of the
+//!   daemon's shard store.
 //! * [`daemon`] — [`Daemon`]: the internally-locked service core.  It
 //!   keeps the one shard store every store-backed run writes through,
 //!   [`atlas_core::HotShards`], resident over the store root: an LRU of
 //!   decoded closure shards with dirty-shard pinning, write-behind
-//!   flushing, and one namespace per session sharing a single budget.
+//!   flushing through a background writer thread, and one namespace per
+//!   session sharing a single budget.
 //!   Start-up and each edit run `Engine::run_with_shards` on it against
 //!   the previous provenance, splicing clean clusters from memory; a
 //!   re-run cluster's verdicts persist into its shard, so the shards are

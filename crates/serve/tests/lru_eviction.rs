@@ -4,13 +4,16 @@
 //! pins dirty shards past its budget persists exactly the store an
 //! eager-flushing daemon does, and that store is the one the store-backed
 //! run writes; a shard lost from disk is re-learned, not answered from
-//! memory.
+//! memory.  Failures are contained: an edit that fails — on a corrupt
+//! shard, or at a flush point that reports a failed background write —
+//! changes nothing, the daemon keeps serving, and a restart re-learns
+//! whatever never reached disk.
 
 use atlas_apps::{mutate_library, MutationConfig};
 use atlas_core::{AtlasConfig, Engine, EXTRACTION};
 use atlas_ir::hash::Fnv;
 use atlas_ir::{LibraryInterface, MutationKind};
-use atlas_serve::{Daemon, EditRequest, Envelope, Request, ServeConfig};
+use atlas_serve::{Daemon, EditRequest, Envelope, ErrorCode, Request, ServeConfig};
 use atlas_store::{shard_entry, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -369,23 +372,9 @@ fn a_lost_shard_is_relearned_and_serves_identical_specs() {
     let (intact, intact_specs) = edit(&start(&store_intact));
     assert_eq!(forced_dirty(&intact), 0, "{intact:?}");
 
-    // The StringBuilder cluster's closure, computed as the daemon does.
-    let config = ServeConfig::small(PathBuf::new());
-    let lib = atlas_apps::build_library(&config.library, config.synth_seed).expect("library");
-    let interface = LibraryInterface::from_program(&lib.program);
-    let atlas_config = AtlasConfig {
-        samples_per_cluster: config.samples,
-        clusters: lib.clusters.clone(),
-        ..AtlasConfig::default()
-    };
-    let closure = Engine::new(&lib.program, &interface, atlas_config)
-        .run_provenance()
-        .clusters[0]
-        .closure;
-
     let store_damaged = scratch("damaged");
     let daemon = start(&store_damaged);
-    std::fs::remove_dir_all(shard_entry(&store_damaged, closure).dir)
+    std::fs::remove_dir_all(shard_entry(&store_damaged, string_builder_closure()).dir)
         .expect("start-up flushed the StringBuilder shard");
     let (damaged, damaged_specs) = edit(&daemon);
     assert_eq!(forced_dirty(&damaged), 1, "{damaged:?}");
@@ -399,4 +388,323 @@ fn a_lost_shard_is_relearned_and_serves_identical_specs() {
     drop(daemon);
     let _ = std::fs::remove_dir_all(&store_intact);
     let _ = std::fs::remove_dir_all(&store_damaged);
+}
+
+/// The start-up closure of the StringBuilder cluster (javalib-lang's
+/// first), computed as the daemon computes it.
+fn string_builder_closure() -> u64 {
+    let (lib, interface, atlas_config) = small_library();
+    Engine::new(&lib.program, &interface, atlas_config)
+        .run_provenance()
+        .clusters[0]
+        .closure
+}
+
+/// The library, interface and engine configuration of
+/// `ServeConfig::small`.
+fn small_library() -> (atlas_apps::RegistryLibrary, LibraryInterface, AtlasConfig) {
+    let config = ServeConfig::small(PathBuf::new());
+    let lib = atlas_apps::build_library(&config.library, config.synth_seed).expect("library");
+    let interface = LibraryInterface::from_program(&lib.program);
+    let atlas_config = AtlasConfig {
+        samples_per_cluster: config.samples,
+        clusters: lib.clusters.clone(),
+        ..AtlasConfig::default()
+    };
+    (lib, interface, atlas_config)
+}
+
+/// A small daemon over `store` with the given shard budget and
+/// write-behind schedule.
+fn start(store: &Path, shard_budget: usize, flush_every: usize) -> Daemon {
+    let mut config = ServeConfig::small(store.to_path_buf());
+    config.shard_budget = shard_budget;
+    config.flush_every = flush_every;
+    Daemon::new(config).expect("daemon startup")
+}
+
+/// A body edit of `target` in the default session.
+fn body_edit(target: &str, seed: u64) -> Envelope {
+    Envelope::of(Request::Edit(EditRequest {
+        kind: MutationKind::BodyEdit,
+        target: Some(target.to_string()),
+        seed,
+    }))
+}
+
+/// What a client can see of the default session's state: its library
+/// fingerprint, its rendered `specs` artifact and its `generation`.
+fn visible_state(daemon: &Daemon) -> (i64, String, String) {
+    let ok = |request: Request| {
+        daemon
+            .handle(&Envelope::of(request))
+            .outcome
+            .expect("served")
+    };
+    let fingerprint = ok(Request::Fingerprint)
+        .get("library_fingerprint")
+        .and_then(Json::as_str)
+        .expect("fingerprint")
+        .to_string();
+    let specs = ok(Request::Specs)
+        .get("artifact")
+        .expect("artifact payload")
+        .render();
+    let generation = ok(Request::Stats)
+        .get("generation")
+        .and_then(Json::as_int)
+        .expect("generation");
+    (generation, fingerprint, specs)
+}
+
+/// The wire error code of a reply, or `None` for a success.
+fn error_code(daemon: &Daemon, envelope: &Envelope) -> Option<ErrorCode> {
+    daemon.handle(envelope).outcome.err().map(|e| e.code)
+}
+
+/// Replaces the directory at `dir` by a regular file, so every write
+/// under it fails (permission bits would not stop a root user); returns
+/// where the directory was moved.
+fn break_dir(dir: &Path) -> PathBuf {
+    let aside = dir.with_extension("aside");
+    std::fs::rename(dir, &aside).expect("move the directory aside");
+    std::fs::write(dir, b"not a directory").expect("a file in its place");
+    aside
+}
+
+/// Undoes [`break_dir`].
+fn repair_dir(dir: &Path, aside: &Path) {
+    std::fs::remove_file(dir).expect("remove the file");
+    std::fs::rename(aside, dir).expect("move the directory back");
+}
+
+/// An edit that must splice a corrupt shard fails with a `store` error
+/// and changes nothing the client can see; once the shard's file is
+/// restored, the same edit replies exactly as an undamaged daemon does.
+#[test]
+fn a_corrupt_shard_fails_the_edit_and_changes_nothing() {
+    let edit = body_edit("Integer.intValue", 1000);
+    let store_intact = scratch("corrupt-intact");
+    let intact = start(&store_intact, 1, 8);
+    let intact_reply = intact.handle(&edit).outcome.expect("edit");
+    let intact_state = visible_state(&intact);
+
+    // After start-up the StringBuilder shard is on disk and, in a
+    // one-shard cache, not resident: the edit must read it back.
+    let store = scratch("corrupt");
+    let daemon = start(&store, 1, 8);
+    let before = visible_state(&daemon);
+    let specs = shard_entry(&store, string_builder_closure()).specs;
+    let bytes = std::fs::read(&specs).expect("start-up flushed the shard");
+    std::fs::write(&specs, "{ not json").unwrap();
+    assert_eq!(error_code(&daemon, &edit), Some(ErrorCode::Store));
+    assert_eq!(
+        visible_state(&daemon),
+        before,
+        "a failed edit changed state"
+    );
+
+    std::fs::write(&specs, bytes).unwrap();
+    assert_eq!(daemon.handle(&edit).outcome.expect("edit"), intact_reply);
+    assert_eq!(visible_state(&daemon), intact_state);
+
+    drop((intact, daemon));
+    let _ = std::fs::remove_dir_all(&store_intact);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A flush point that reports a failed background write fails its edit,
+/// and the edit changes nothing: after a first edit whose write-behind
+/// batch cannot reach the store (the store root is a regular file), the
+/// next edit's flush reports it as a `store` error and the session is
+/// left as the first edit left it.  The daemon keeps serving; once the
+/// root is repaired, the same edit replies exactly as an undamaged
+/// daemon's second edit does.
+#[test]
+fn a_failed_flush_fails_the_edit_and_changes_nothing() {
+    let (first, second) = (
+        body_edit("Integer.intValue", 1000),
+        body_edit("StringBuilder.append", 1001),
+    );
+    let store_intact = scratch("flush-intact");
+    let intact = start(&store_intact, 64, 1);
+    intact.handle(&first).outcome.expect("first edit");
+    let intact_reply = intact.handle(&second).outcome.expect("second edit");
+    let intact_state = visible_state(&intact);
+
+    let store = scratch("flush");
+    let daemon = start(&store, 64, 1);
+    let aside = break_dir(&store);
+    // The first edit hands its shard to the writer and replies before
+    // the write fails.
+    let reply = daemon.handle(&first).outcome.expect("first edit");
+    assert_eq!(reply.get("flushed_shards").and_then(Json::as_int), Some(1));
+    let before = visible_state(&daemon);
+    assert_eq!(error_code(&daemon, &second), Some(ErrorCode::Store));
+    assert_eq!(
+        visible_state(&daemon),
+        before,
+        "a failed edit changed state"
+    );
+
+    repair_dir(&store, &aside);
+    assert_eq!(daemon.handle(&second).outcome.expect("retry"), intact_reply);
+    assert_eq!(visible_state(&daemon), intact_state);
+
+    drop((intact, daemon));
+    let _ = std::fs::remove_dir_all(&store_intact);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A failed background write surfaces once, as a `store` error, at the
+/// next flush point of the namespace it belongs to: another session's
+/// flushes and edits do not see it, and the daemon keeps serving.
+#[test]
+fn a_failed_write_surfaces_at_its_namespaces_next_flush_point() {
+    let store = scratch("write-failure");
+    let daemon = start(&store, 64, 1);
+    let in_session = |request: Request| Envelope {
+        id: None,
+        session: Some("side".to_string()),
+        request,
+    };
+    daemon
+        .handle(&in_session(Request::Open))
+        .outcome
+        .expect("open");
+    let side = store.join("sessions").join("side");
+    let aside = break_dir(&side);
+
+    let Request::Edit(edit) = body_edit("Integer.intValue", 1000).request else {
+        unreachable!()
+    };
+    daemon
+        .handle(&in_session(Request::Edit(edit)))
+        .outcome
+        .expect("the edit replies before its write fails");
+    // The default session's edits and flushes are not the side session's
+    // flush points.
+    daemon
+        .handle(&body_edit("Integer.intValue", 2000))
+        .outcome
+        .expect("default-session edit");
+    let flush = Envelope::of(Request::Flush);
+    assert_eq!(error_code(&daemon, &flush), None);
+
+    let side_flush = in_session(Request::Flush);
+    assert_eq!(error_code(&daemon, &side_flush), Some(ErrorCode::Store));
+    assert_eq!(error_code(&daemon, &side_flush), None, "reported once");
+    assert_eq!(error_code(&daemon, &in_session(Request::Specs)), None);
+
+    repair_dir(&side, &aside);
+    let close = Envelope {
+        id: None,
+        session: Some("side".to_string()),
+        request: Request::Close,
+    };
+    assert_eq!(error_code(&daemon, &close), None);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A restart over a repaired root re-learns what never reached disk: the
+/// StringBuilder shard, lost from disk after start-up, is re-learned by
+/// an edit whose write-behind batch then fails.  The failure surfaces at
+/// the next flush, and a daemon restarted over the root, once repaired,
+/// demotes exactly that cluster (`forced_dirty`) and serves the specs of
+/// a cold batch run.
+#[test]
+fn a_restart_relearns_the_shards_that_never_reached_disk() {
+    let store = scratch("restart");
+    let daemon = start(&store, 1, 1);
+    std::fs::remove_dir_all(shard_entry(&store, string_builder_closure()).dir)
+        .expect("start-up flushed the StringBuilder shard");
+    let aside = break_dir(&store);
+    let reply = daemon
+        .handle(&body_edit("Integer.intValue", 1000))
+        .outcome
+        .expect("the edit replies before its write fails");
+    assert_eq!(
+        reply
+            .get("clusters")
+            .and_then(|c| c.get("forced_dirty"))
+            .and_then(Json::as_int),
+        Some(1),
+        "{reply:?}"
+    );
+    let flush = Envelope::of(Request::Flush);
+    assert_eq!(error_code(&daemon, &flush), Some(ErrorCode::Store));
+    assert_eq!(error_code(&daemon, &flush), None, "reported once");
+    drop(daemon);
+    repair_dir(&store, &aside);
+
+    let restarted = start(&store, 1, 1);
+    assert_eq!(restarted.recorder().counter("incr.forced_dirty"), 1);
+    let (lib, interface, atlas_config) = small_library();
+    let cold = Engine::new(&lib.program, &interface, atlas_config)
+        .run()
+        .spec_artifact(&lib.program, &interface, EXTRACTION.0, EXTRACTION.1)
+        .encode(&lib.program)
+        .expect("encodable")
+        .render();
+    assert_eq!(visible_state(&restarted).2, cold);
+
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Disk is read only once the writer is idle: with a one-shard budget and
+/// a flush after every edit, an edit that re-runs both clusters (the
+/// StringBuilder shard was lost from disk) flushes both and evicts the
+/// StringBuilder shard right away, and the next edit reads it back from
+/// disk without demoting it.
+#[test]
+fn a_shard_evicted_right_after_its_flush_reads_back_from_disk() {
+    let store = scratch("read-back");
+    let daemon = start(&store, 1, 1);
+    std::fs::remove_dir_all(shard_entry(&store, string_builder_closure()).dir)
+        .expect("start-up flushed the StringBuilder shard");
+    let forced_dirty = |reply: &Json| {
+        reply
+            .get("clusters")
+            .and_then(|c| c.get("forced_dirty"))
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("missing clusters.forced_dirty: {reply:?}"))
+    };
+    let misses = || {
+        shard_stat(
+            &daemon
+                .handle(&Envelope::of(Request::Stats))
+                .outcome
+                .unwrap(),
+            "misses",
+        )
+    };
+    for seed in 1000..1004 {
+        let relearned = daemon
+            .handle(&body_edit("Integer.intValue", seed))
+            .outcome
+            .expect("edit");
+        assert_eq!(
+            relearned.get("flushed_shards").and_then(Json::as_int),
+            Some(2)
+        );
+        let before = misses();
+        let read_back = daemon
+            .handle(&body_edit("Integer.intValue", seed + 100))
+            .outcome
+            .expect("edit");
+        assert_eq!(
+            misses(),
+            before + 1,
+            "the shard was not read back from disk"
+        );
+        assert_eq!(forced_dirty(&read_back), 0, "{read_back:?}");
+        assert_eq!(forced_dirty(&relearned), 1, "{relearned:?}");
+        // Lose the shard again for the next round.
+        std::fs::remove_dir_all(shard_entry(&store, string_builder_closure()).dir)
+            .expect("the shard reached disk");
+    }
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&store);
 }

@@ -206,6 +206,7 @@ const KINDS: &[MutationKind] = &[
 const EDIT_STEPS: &[(&str, &str)] = &[
     ("serve", "mutate"),
     ("serve", "rehash"),
+    ("serve", "lower"),
     ("engine", "jobs"),
     ("incr", "incremental"),
     ("engine", "provenance"),
@@ -214,7 +215,9 @@ const EDIT_STEPS: &[(&str, &str)] = &[
 ];
 
 /// Asserts that the `serve/request` span of every edit that succeeded
-/// (`edits_ok`, in request order) contains a span of each edit step.
+/// (`edits_ok`, in request order) contains a span of each edit step, and
+/// that no edit lowers the whole program again (`engine/compile`): it
+/// lowers only the method it touched (`serve/lower`).
 fn assert_edit_steps_are_spanned(events: &[Event], edits_ok: &[bool]) {
     let mut requests: Vec<&Event> = events
         .iter()
@@ -236,6 +239,16 @@ fn assert_edit_steps_are_spanned(events: &[Event], edits_ok: &[bool]) {
                 "an edit's request span lacks a {cat}/{name} span"
             );
         }
+    }
+    for request in &requests {
+        let end = request.start_ns + request.dur_ns;
+        assert!(
+            !events.iter().any(|e| e.cat == "engine"
+                && e.name == "compile"
+                && e.start_ns >= request.start_ns
+                && e.start_ns + e.dur_ns <= end),
+            "an edit lowered the whole program again"
+        );
     }
 }
 
