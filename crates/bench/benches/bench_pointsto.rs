@@ -3,7 +3,7 @@
 //! library variants (implementation, ground-truth specs, no specs).
 
 use atlas_javalib::ground_truth_specs;
-use atlas_pointsto::{ExtractionOptions, Graph, Solver};
+use atlas_pointsto::{solve_naive, ExtractionOptions, Graph, Solver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_pointsto(c: &mut Criterion) {
@@ -52,7 +52,7 @@ fn bench_pointsto(c: &mut Criterion) {
                 format!("{}_loc{}", app.name, app.client_loc),
             ),
             &graph,
-            |b, graph| b.iter(|| Solver::naive_reference().solve(graph)),
+            |b, graph| b.iter(|| solve_naive(graph)),
         );
     }
     algorithms.finish();

@@ -142,9 +142,8 @@ fn fleet_round_trip_through_sharded_stores() {
         assert_eq!(shards.len() as i64, clusters);
         for shard in &shards {
             let cache = atlas_store::load_cache(&shard.cache).expect("shard cache");
-            assert_eq!(cache.shards.len(), 1);
-            assert_eq!(cache.shards[0].provenance.closure, shard.fingerprint);
-            assert_eq!(cache.shards[0].provenance.fingerprint, fp);
+            assert_eq!(cache.provenance.closure, shard.fingerprint);
+            assert_eq!(cache.provenance.fingerprint, fp);
             assert!(shard.specs.exists());
         }
     }

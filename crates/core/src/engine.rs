@@ -23,11 +23,11 @@
 //!
 //! **Warm starts.**  [`Engine::warm_start`] seeds every per-cluster oracle
 //! with a content-addressed [`VerdictCache`] from a previous run, and
-//! [`Session::into_cache`] harvests the (deterministically merged) cache
-//! after a run.  Each oracle shares its cluster's partition of the cache
-//! and writes only its own verdicts; the session folds them back in
-//! cluster order, so no cache is copied on the way.  Because the oracle
-//! is a deterministic function, a warm cache changes *only* how many unit
+//! [`Session::into_cache`] harvests the cache after a run.  Each oracle
+//! starts from its cluster's partition of the cache and adds its own
+//! verdicts; the session installs each cluster's partition in cluster
+//! order, replacing the one it started from.  Because the oracle is a
+//! deterministic function, a warm cache changes *only* how many unit
 //! tests are re-executed — never the learned automata — so the
 //! determinism guarantee extends to any cache state: cold and warm runs
 //! are bit-identical result-for-result.
@@ -227,11 +227,12 @@ impl<'p> Engine<'p> {
             .clone()
     }
 
-    /// Seeds the engine with a verdict cache from a previous run: every
-    /// per-cluster oracle starts from (a shared partition of) these entries
-    /// and skips re-executing any unit test whose verdict is already known.
-    /// The cache's counters are dropped, so a session's harvested cache
-    /// counts only that session's activity.
+    /// Seeds the engine with a verdict cache from a previous run, replacing
+    /// any cache an earlier call seeded: every per-cluster oracle starts
+    /// from its partition of these entries and skips re-executing any unit
+    /// test whose verdict is already known.  The cache's counters are
+    /// dropped, so a session's harvested cache counts only that session's
+    /// activity.
     ///
     /// The cache never changes *results* — verdicts are deterministic, so a
     /// hit returns exactly what re-execution would have — only the number of
@@ -270,7 +271,7 @@ impl<'p> Engine<'p> {
     /// assert!(warm.cache_stats.warm_hits > 0);
     /// ```
     pub fn warm_start(mut self, cache: VerdictCache) -> Engine<'p> {
-        self.warm.merge(cache);
+        self.warm = cache;
         self.warm.reset_stats();
         self
     }
@@ -442,9 +443,9 @@ pub struct Session<'e, 'p> {
     engine: &'e Engine<'p>,
     jobs: Vec<ClusterJob>,
     num_threads: usize,
-    /// Starts as the engine's warm cache (sharing its partitions); after
-    /// [`Session::run`], additionally holds every verdict the run computed,
-    /// folded in cluster order.
+    /// Starts as a copy of the engine's warm cache; after [`Session::run`],
+    /// each cluster's partition is the one its oracle handed back: the warm
+    /// verdicts it started from, then the ones it computed.
     collected: VerdictCache,
 }
 
@@ -469,8 +470,8 @@ impl<'e, 'p> Session<'e, 'p> {
 
     /// Consumes the session and returns its verdict cache: the warm-start
     /// entries plus — once [`Session::run`] has been called — every verdict
-    /// the run computed, merged deterministically in cluster order.  Feed it
-    /// to [`Engine::warm_start`] to skip those executions in the next run.
+    /// the run computed, installed in cluster order.  Feed it to
+    /// [`Engine::warm_start`] to skip those executions in the next run.
     pub fn into_cache(self) -> VerdictCache {
         self.collected
     }
@@ -494,14 +495,14 @@ impl<'e, 'p> Session<'e, 'p> {
             num_threads: self.num_threads,
         };
         let mut stats = OracleStats::default();
-        // Merge in cluster order: per-cluster caches and counters fold into
+        // Fold in cluster order: per-cluster caches and counters fold into
         // the session totals identically for any scheduling of the workers.
         for run in slots.into_iter().flatten() {
             outcome.phase1_time += run.outcome.phase1_time;
             outcome.phase2_time += run.outcome.phase2_time;
             stats.merge(run.stats);
             outcome.cache_stats.merge(run.cache.stats());
-            self.collected.merge(run.cache);
+            self.collected.install(run.cache);
             outcome.clusters.push(run.outcome);
         }
         outcome.oracle_queries = stats.queries;
@@ -581,8 +582,8 @@ fn run_cluster_job(
         config.limits,
     );
     // Each cluster reads its own partition of the session's warm cache
-    // and writes to a private delta: workers never share mutable state,
-    // so the thread count cannot change which verdicts are hits.
+    // and writes to its own delta: workers never share mutable state, so
+    // the thread count cannot change which verdicts are hits.
     let mut oracle =
         Oracle::with_keyer(engine.program, engine.interface, oracle_config, keyer, warm);
     // Oracles share the engine-wide compilation instead of each lowering

@@ -556,15 +556,8 @@ impl HotShards {
         Ok(self.entries[i]
             .cache
             .as_ref()
-            .map(|cache| {
-                cache
-                    .shards
-                    .iter()
-                    .filter(|s| s.provenance.context == context)
-                    .map(|s| s.entries.len())
-                    .sum()
-            })
-            .unwrap_or(0))
+            .filter(|cache| cache.provenance.context == context)
+            .map_or(0, |cache| cache.entries.len()))
     }
 
     /// Persists one re-ran cluster into the shard for `closure` in

@@ -16,22 +16,23 @@
 //! the library implementation differs, even if the interface looks the same
 //! ([`library_fingerprint`]).
 //!
-//! A [`VerdictCache`] is a map from key context to an `Arc`-shared
-//! partition, so handing a session's cache to the next engine shares every
-//! verdict instead of copying it.  An oracle only ever looks up its own
-//! context: it reads that partition as a frozen base, writes its misses to
-//! a private delta, and hands back base plus delta, which the engine folds
-//! into the session cache in cluster order, first entry wins.  See
-//! `DESIGN.md` for the data flow through the engine's
-//! `warm_start`/`into_cache` and the determinism invariant: a warm-started
-//! run produces bit-identical automata, it only skips re-executions.
+//! A [`VerdictCache`] maps each key context to one verdict set, its
+//! partition.  An oracle only ever looks up its own context: it reads that
+//! partition as a warm base, writes its misses to a delta, and hands back
+//! base plus delta, which the engine installs into the session cache in
+//! cluster order, replacing the partition it started from.  Verdicts are a
+//! deterministic function of their key, so a context's set is only ever
+//! replaced whole, never merged.  See `DESIGN.md` for the data flow
+//! through the engine's `warm_start`/`into_cache` and the determinism
+//! invariant: a warm-started run produces bit-identical automata, it only
+//! skips re-executions.
 
 use atlas_interp::ExecLimits;
 use atlas_ir::hash::{method_content_hash, Fnv};
 use atlas_ir::{ContentIndex, LibraryInterface, ParamSlot, Program, SlotKind};
 use atlas_synth::InitStrategy;
 use std::collections::hash_map::Entry;
-use std::collections::{btree_map, BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 // The hashing primitives are shared with `atlas-store` (which persists
@@ -286,14 +287,12 @@ impl Partition {
 /// [`VerdictKey`].
 ///
 /// * **Partitioned by context.**  Verdicts are grouped by the context half
-///   of their key, one `Arc`-shared partition per context.  Cloning a
-///   cache costs one reference-count bump per context, so sessions,
-///   engines and cluster runs pass caches on without copying verdicts; a
-///   partition is copied only when a shared one is written to.
+///   of their key, one partition per context, and
+///   [`install`](VerdictCache::install) replaces a partition whole: one
+///   context's verdicts are one set, never a merge of two.
 /// * **Deterministic.**  Each partition keeps its verdicts in insertion
-///   order, and [`merge`](VerdictCache::merge) walks the donor in that
-///   order with first-entry-wins, so the contents are a pure function of
-///   the operation sequence — never of hash-map iteration order.
+///   order, so the contents are a pure function of the operation
+///   sequence — never of hash-map iteration order.
 /// * **Collision-free in practice.**  Keys carry 192 bits of content hash;
 ///   a collision would require ~2^96 distinct words.
 ///
@@ -311,7 +310,7 @@ impl Partition {
 #[derive(Debug, Clone, Default)]
 pub struct VerdictCache {
     /// Context → its verdicts.  Never holds an empty partition.
-    partitions: BTreeMap<u64, Arc<Partition>>,
+    partitions: BTreeMap<u64, Partition>,
     stats: CacheStats,
 }
 
@@ -360,52 +359,26 @@ impl VerdictCache {
     /// deterministic, so a collision can only carry the same value anyway.
     pub fn insert(&mut self, key: VerdictKey, verdict: bool) {
         let partition = self.partitions.entry(key.context).or_default();
-        let word = (key.word, key.word2);
-        if partition.get(word).is_none() {
-            Arc::make_mut(partition).insert(word, verdict);
+        if partition.insert((key.word, key.word2), verdict) {
             self.stats.insertions += 1;
         }
     }
 
-    /// Absorbs another cache, context by context: the donor's verdicts are
-    /// inserted in its insertion order (first entry wins,
-    /// deterministically) and its counters are folded into this cache's
-    /// via [`CacheStats::merge`].  A donor partition that extends this
-    /// cache's partition of the same context — what an oracle that started
-    /// from it hands back — is adopted whole, without copying.
-    pub fn merge(&mut self, other: VerdictCache) {
-        // A warm start into an empty engine takes the donor's map as is
-        // instead of re-inserting every context.
-        if self.partitions.is_empty() {
-            self.partitions = other.partitions;
-        } else {
-            for (context, donor) in other.partitions {
-                match self.partitions.entry(context) {
-                    btree_map::Entry::Vacant(slot) => {
-                        slot.insert(donor);
-                    }
-                    btree_map::Entry::Occupied(mut slot) => {
-                        let mine = slot.get_mut();
-                        if Arc::ptr_eq(mine, &donor) || donor.order.starts_with(&mine.order) {
-                            *mine = donor;
-                        } else {
-                            let mine = Arc::make_mut(mine);
-                            for &(word, verdict) in &donor.order {
-                                mine.insert(word, verdict);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Adopted entries are not charged as fresh insertions: the donor
-        // already counted them, and its history is folded in here.
+    /// Installs another cache's verdict sets: each of its partitions
+    /// replaces this cache's partition of the same context whole, and its
+    /// counters are added to this cache's ([`CacheStats::merge`]).  What
+    /// an oracle hands back is the partition it started from followed by
+    /// its own verdicts, so it supersedes that partition.
+    pub fn install(&mut self, other: VerdictCache) {
+        // Installed entries are not charged as fresh insertions: the donor
+        // already counted them, and its counters are added here.
+        self.partitions.extend(other.partitions);
         self.stats.merge(other.stats);
     }
 
-    /// A copy with zeroed counters that shares every partition — the same
-    /// as `clone()` followed by [`reset_stats`](VerdictCache::reset_stats).
-    /// `perfbench`'s warm replay calls it.
+    /// A copy with zeroed counters — the same as `clone()` followed by
+    /// [`reset_stats`](VerdictCache::reset_stats).  `perfbench`'s warm
+    /// replay calls it.
     pub fn warm_clone(&self) -> VerdictCache {
         let mut clone = self.clone();
         clone.reset_stats();
@@ -422,8 +395,8 @@ impl VerdictCache {
 
     /// The verdicts of one key context in insertion order — the canonical
     /// serialization order (`atlas-store` persists a closure shard's
-    /// entries in exactly this order, so a persisted-and-reloaded shard
-    /// merges identically to the original).
+    /// entries in exactly this order, so a reloaded shard lists its
+    /// verdicts as the original did).
     pub fn context_entries(&self, context: u64) -> impl Iterator<Item = (VerdictKey, bool)> + '_ {
         self.partitions
             .get(&context)
@@ -453,14 +426,15 @@ impl VerdictCache {
     }
 }
 
-/// One oracle's slice of a [`VerdictCache`]: the partition of the oracle's
-/// own key context, read as a frozen base shared with the cache it came
-/// from, plus a private delta of the verdicts the oracle computes.  A hit
-/// on the base is a warm hit.
+/// One oracle's slice of a [`VerdictCache`]: a copy of the partition of
+/// the oracle's own key context, read as a warm base, plus a delta of the
+/// verdicts the oracle computes.  A hit on the base is a warm hit.  A cold
+/// oracle has no base: it allocates nothing for one and looks up only its
+/// delta.
 #[derive(Debug)]
 pub(crate) struct OracleCache {
     context: u64,
-    base: Option<Arc<Partition>>,
+    base: Option<Partition>,
     delta: Partition,
     stats: CacheStats,
 }
@@ -508,23 +482,22 @@ impl OracleCache {
     }
 
     /// A cache holding this slice's one partition — the base followed by
-    /// the delta — and its counters.  The base is copied only when the
-    /// oracle computed something and the base is still shared.
+    /// the delta — and its counters.
     pub(crate) fn into_cache(self) -> VerdictCache {
         let partition = match self.base {
-            None if self.delta.order.is_empty() => None,
-            None => Some(Arc::new(self.delta)),
-            Some(base) if self.delta.order.is_empty() => Some(base),
-            Some(base) => {
-                let mut merged = Arc::unwrap_or_clone(base);
+            None => self.delta,
+            Some(mut base) => {
                 for (word, verdict) in self.delta.order {
-                    merged.insert(word, verdict);
+                    base.insert(word, verdict);
                 }
-                Some(Arc::new(merged))
+                base
             }
         };
         VerdictCache {
-            partitions: partition.map(|p| (self.context, p)).into_iter().collect(),
+            partitions: (!partition.order.is_empty())
+                .then_some((self.context, partition))
+                .into_iter()
+                .collect(),
             stats: self.stats,
         }
     }
@@ -619,33 +592,38 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_first_entry_wins_and_sums_stats() {
+    fn install_replaces_partitions_whole_and_sums_stats() {
         let keys = VerdictCache::test_keys(3);
+        let foreign = VerdictKey::from_parts(1, 7, 7);
         let mut a = VerdictCache::new();
         a.insert(keys[0], true);
         a.insert(keys[1], false);
         let _ = a.get(keys[0]);
 
-        // Merge: existing entries win, donor stats fold in.
+        // Installing replaces the partition of each donor context whole
+        // (b's verdicts of that context are gone, its other contexts
+        // stay), and the donor's counters are added.
         let mut b = VerdictCache::new();
-        b.insert(keys[1], true); // conflicts with a's `false` — b's wins in b
-        b.merge(a.clone());
+        b.insert(keys[2], true);
+        b.insert(foreign, false);
+        let before = b.stats();
+        b.install(a.clone());
         let listed: Vec<_> = b.entries().collect();
-        assert_eq!(listed, vec![(keys[1], true), (keys[0], true)]);
+        assert_eq!(
+            listed,
+            vec![(foreign, false), (keys[0], true), (keys[1], false)]
+        );
         let stats = b.stats();
         assert_eq!(stats.lookups, a.stats().lookups);
-        assert_eq!(stats.insertions, 1 + a.stats().insertions);
+        assert_eq!(stats.insertions, before.insertions + a.stats().insertions);
 
-        // A clone shares every partition; zeroing its counters keeps the
-        // verdicts.
-        let mut warm = a.clone();
-        assert!(Arc::ptr_eq(
-            &warm.partitions[&0x7e57],
-            &a.partitions[&0x7e57]
-        ));
-        warm.reset_stats();
+        // A warm copy keeps every verdict and zeroes the counters.
+        let warm = a.warm_clone();
         assert_eq!(warm.stats(), CacheStats::default());
-        assert_eq!(warm.len(), 2);
+        assert_eq!(
+            warm.entries().collect::<Vec<_>>(),
+            a.entries().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -666,30 +644,30 @@ mod tests {
         assert_eq!((stats.lookups, stats.hits, stats.warm_hits), (3, 2, 1));
         assert_eq!((stats.misses, stats.insertions), (1, 1));
 
-        // The slice hands back its one context, base first; the shared
-        // base in the session cache is untouched.
+        // The slice hands back its one context, base first; the session
+        // cache it read is untouched.
         let run = slice.into_cache();
         let listed: Vec<_> = run.entries().collect();
         assert_eq!(listed, vec![(keys[0], true), (keys[1], false)]);
         assert_eq!(run.stats(), stats);
         assert_eq!(session.context_entries(0x7e57).count(), 1);
 
-        // Folding it back adopts the extended partition without a copy.
-        session.merge(run.clone());
-        assert!(Arc::ptr_eq(
-            &session.partitions[&0x7e57],
-            &run.partitions[&0x7e57]
-        ));
+        // Installing it back supersedes the partition the slice started
+        // from and leaves the other context alone.
+        session.install(run);
+        assert_eq!(session.context_entries(0x7e57).count(), 2);
         assert_eq!(session.len(), 3);
 
-        // A slice that computed nothing hands back the base itself, and
-        // an empty slice hands back an empty cache.
+        // A slice that computed nothing hands back its base, and a cold
+        // slice that computed nothing hands back an empty cache.
         let idle = OracleCache::new(&session, 0x7e57).into_cache();
-        assert!(Arc::ptr_eq(
-            &idle.partitions[&0x7e57],
-            &session.partitions[&0x7e57]
-        ));
-        assert!(OracleCache::new(&session, 2).into_cache().is_empty());
+        assert_eq!(
+            idle.entries().collect::<Vec<_>>(),
+            session.context_entries(0x7e57).collect::<Vec<_>>()
+        );
+        let cold = OracleCache::new(&session, 2);
+        assert!(cold.base.is_none());
+        assert!(cold.into_cache().is_empty());
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct Oracle<'p> {
     config: OracleConfig,
     keyer: CacheKeyer,
     /// The partition of this oracle's key context: the warm verdicts it
-    /// started from, shared, plus the ones it computed.
+    /// started from, plus the ones it computed.
     cache: OracleCache,
     stats: OracleStats,
     /// One registry for the oracle's lifetime, borrowed by every VM.
@@ -98,9 +98,9 @@ impl<'p> Oracle<'p> {
     /// Creates an oracle warm-started from the given verdict cache, keying
     /// its verdicts on the whole-library fingerprint
     /// ([`library_fingerprint`](crate::library_fingerprint)).  The oracle
-    /// shares the partition of its own key context — hits on it are
-    /// attributable in [`CacheStats::warm_hits`] — and its counters start
-    /// from zero.
+    /// starts from a copy of the partition of its own key context — hits on
+    /// it are attributable in [`CacheStats::warm_hits`] — and its counters
+    /// start from zero.
     ///
     /// Partitions of other contexts (different library content, limits,
     /// or initialization strategy) could never be looked up, so the oracle

@@ -31,4 +31,4 @@ pub mod solver;
 
 pub use graph::{ExtractionOptions, Graph, LoadEdge, Node, NodeId, ObjId, StoreEdge};
 pub use result::{PointsToStats, RatioSummary};
-pub use solver::{PointsToResult, SolveAlgorithm, Solver};
+pub use solver::{solve_naive, PointsToResult, Solver};

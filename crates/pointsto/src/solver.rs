@@ -12,67 +12,33 @@
 //!   (assign edges plus store/load pairs matched through aliased base
 //!   objects), i.e. anything flowing into `x` also flows into `y`.
 //!
-//! Two fixpoint algorithms are provided:
+//! [`Solver::solve`] runs difference propagation: edges are indexed per
+//! node, each node carries a *delta* of objects not yet pushed to its
+//! successors, and only nodes whose sets actually grew are revisited.
+//! Field stores/loads are matched incrementally through a per-heap-cell
+//! reader registry, so no edge is ever rescanned against an unchanged set.
 //!
-//! * [`SolveAlgorithm::Worklist`] (the default) — difference propagation:
-//!   edges are indexed per node, each node carries a *delta* of objects not
-//!   yet pushed to its successors, and only nodes whose sets actually grew
-//!   are revisited.  Field stores/loads are matched incrementally through a
-//!   per-heap-cell reader registry, so no edge is ever rescanned against an
-//!   unchanged set.
-//! * [`SolveAlgorithm::NaiveReference`] — the original rescan-every-edge
-//!   fixpoint, retained as an executable specification: the equivalence
-//!   tests assert both algorithms compute identical closures.
+//! [`solve_naive`] is the original rescan-every-edge fixpoint, retained as
+//! an executable specification: the equivalence tests and the solver
+//! benchmark hold the worklist solver to it.  Nothing at run time selects
+//! it.
 
 use crate::graph::{Graph, Node, NodeId, ObjId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
-/// Which fixpoint algorithm [`Solver::solve`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveAlgorithm {
-    /// Difference-propagation worklist (node-indexed adjacency, delta sets).
-    #[default]
-    Worklist,
-    /// The naive rescan-all-edges fixpoint, kept as the executable reference
-    /// the worklist solver is validated against.
-    NaiveReference,
-}
-
 /// The points-to solver.  Stateless; see [`Solver::solve`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Solver {
-    algorithm: SolveAlgorithm,
-}
+pub struct Solver;
 
 impl Solver {
-    /// Creates a solver running the default (worklist) algorithm.
+    /// Creates a solver.
     pub fn new() -> Solver {
-        Solver::default()
+        Solver
     }
 
-    /// Creates a solver running the naive reference algorithm.
-    pub fn naive_reference() -> Solver {
-        Solver {
-            algorithm: SolveAlgorithm::NaiveReference,
-        }
-    }
-
-    /// Creates a solver running the given algorithm.
-    pub fn with_algorithm(algorithm: SolveAlgorithm) -> Solver {
-        Solver { algorithm }
-    }
-
-    /// The algorithm this solver runs.
-    pub fn algorithm(&self) -> SolveAlgorithm {
-        self.algorithm
-    }
-
-    /// Computes the closure of `graph`.
+    /// Computes the closure of `graph` by difference propagation.
     pub fn solve(&self, graph: &Graph) -> PointsToResult {
-        match self.algorithm {
-            SolveAlgorithm::Worklist => solve_worklist(graph),
-            SolveAlgorithm::NaiveReference => solve_naive(graph),
-        }
+        solve_worklist(graph)
     }
 }
 
@@ -253,8 +219,9 @@ fn solve_worklist(graph: &Graph) -> PointsToResult {
 
 /// The original naive fixpoint: rescans every edge each round until nothing
 /// changes.  Quadratic in the worst case, but trivially correct — kept as
-/// the reference the worklist algorithm is checked against.
-fn solve_naive(graph: &Graph) -> PointsToResult {
+/// the reference the worklist algorithm ([`Solver::solve`]) is checked
+/// against.
+pub fn solve_naive(graph: &Graph) -> PointsToResult {
     let n = graph.num_nodes();
     let mut pts: Vec<BTreeSet<ObjId>> = vec![BTreeSet::new(); n];
     let mut heap: BTreeMap<(ObjId, u32), BTreeSet<ObjId>> = BTreeMap::new();
@@ -642,7 +609,7 @@ mod tests {
         ] {
             let g = Graph::extract(&p, &options);
             let worklist = Solver::new().solve(&g);
-            let naive = Solver::naive_reference().solve(&g);
+            let naive = solve_naive(&g);
             assert_eq!(worklist, naive);
         }
     }
@@ -701,7 +668,7 @@ mod tests {
         for seed in 0..60 {
             let g = random_graph(seed, 24, 8, 80, 3);
             let worklist = Solver::new().solve(&g);
-            let naive = Solver::naive_reference().solve(&g);
+            let naive = solve_naive(&g);
             assert_eq!(worklist, naive, "closure mismatch at seed {seed}");
             assert_eq!(
                 worklist.num_points_to_edges(),
@@ -735,23 +702,10 @@ mod tests {
             dst: NodeId(2),
         });
         let worklist = Solver::new().solve(&g);
-        let naive = Solver::naive_reference().solve(&g);
+        let naive = solve_naive(&g);
         assert_eq!(worklist, naive);
         // o0 flows 0 -> 1, is stored into o0.f0 through node 1 (which holds
         // o0 itself), and is loaded back out into node 2.
         assert!(worklist.points_to(NodeId(2)).contains(&ObjId(0)));
-    }
-
-    #[test]
-    fn algorithm_selection_is_visible() {
-        assert_eq!(Solver::new().algorithm(), SolveAlgorithm::Worklist);
-        assert_eq!(
-            Solver::naive_reference().algorithm(),
-            SolveAlgorithm::NaiveReference
-        );
-        assert_eq!(
-            Solver::with_algorithm(SolveAlgorithm::Worklist).algorithm(),
-            SolveAlgorithm::Worklist
-        );
     }
 }

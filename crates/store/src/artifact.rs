@@ -1,12 +1,12 @@
 //! The two artifact schemas of the registry:
 //!
-//! * **`atlas-cache/2`** ([`CacheArtifact`]) — a persisted verdict cache:
-//!   one or more *shards*, each carrying the provenance of its entries
-//!   (library and closure fingerprints, key context, initialization
-//!   strategy, execution limits), the cache statistics at persist time,
-//!   and the entries themselves in insertion order.  Keys are content
-//!   hashes, so a reloaded cache means exactly what the original meant —
-//!   in any process.
+//! * **`atlas-cache/2`** ([`CacheArtifact`]) — one closure shard's
+//!   persisted verdicts: the provenance of its entries (library and
+//!   closure fingerprints, key context, initialization strategy, execution
+//!   limits), the cache statistics at persist time, and the entries
+//!   themselves in insertion order.  Keys are content hashes, so a
+//!   reloaded cache means exactly what the original meant — in any
+//!   process.
 //! * **`atlas-spec/1`** ([`SpecArtifact`]) — an inferred specification set:
 //!   per-cluster extracted [`PathSpec`]s *and* the full learned [`Fsa`],
 //!   with symbols written as qualified slot names (`ArrayList.add#p0`) and
@@ -25,7 +25,6 @@ use atlas_ir::{MethodId, ParamSlot, Program, SlotKind};
 use atlas_learn::{CacheKeyer, CacheStats, VerdictCache};
 use atlas_spec::{CodeFragments, Fsa, PathSpec, StateId};
 use atlas_synth::InitStrategy;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A schema violation found while decoding an artifact (wrong schema tag,
@@ -119,9 +118,7 @@ pub fn document_schema(doc: &Json) -> Option<&str> {
 // ---------------------------------------------------------------------------
 
 /// Where a cache shard's entries came from: which library content, which
-/// dependency closure, under which oracle configuration.  Everything needed
-/// to decide whether two shards are mergeable and whether a GC pass should
-/// keep them.
+/// dependency closure, under which oracle configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheProvenance {
     /// Content fingerprint of the library (`atlas_ir::hash::library_fingerprint`).
@@ -165,49 +162,29 @@ impl CacheProvenance {
 /// key context is shard-level (every entry of a shard shares it).
 pub type CacheEntry = (u64, u64, bool);
 
-/// One provenance group of a persisted cache: all entries computed against
-/// one library under one oracle configuration, in insertion order.
+/// A persisted verdict cache (`atlas-cache/2`): one closure shard's
+/// verdicts, all computed against one library under one oracle
+/// configuration, in insertion order.  A shard's verdicts are one set,
+/// written whole: nothing merges two artifacts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CacheShard {
-    /// Provenance of every entry in this shard.
+pub struct CacheArtifact {
+    /// Provenance of every entry.
     pub provenance: CacheProvenance,
-    /// Cache statistics at persist time (informational; merged by sum).
+    /// Cache statistics at persist time (informational).
     pub stats: CacheStats,
     /// `(word, word2, verdict)` triples in insertion order.
     pub entries: Vec<CacheEntry>,
 }
 
-/// What a GC pass did: how much survived, how much was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GcSummary {
-    /// Shards retained.
-    pub kept_shards: usize,
-    /// Entries retained.
-    pub kept_entries: usize,
-    /// Shards dropped.
-    pub dropped_shards: usize,
-    /// Entries dropped.
-    pub dropped_entries: usize,
-}
-
-/// A persisted verdict cache (`atlas-cache/2`): provenance-grouped shards
-/// of content-addressed verdicts.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CacheArtifact {
-    /// The shards, in file order.  A closure shard's cache has exactly
-    /// one; merged artifacts accumulate one per distinct provenance.
-    pub shards: Vec<CacheShard>,
-}
-
 impl CacheArtifact {
-    /// The schema tag this artifact encodes as.  Each shard records the
+    /// The schema tag this artifact encodes as.  The document records the
     /// closure fingerprint its entries are keyed on.
     pub const SCHEMA: &'static str = "atlas-cache/2";
 
-    /// Builds a single-shard artifact from a live cache, reading only the
-    /// partition of `provenance`'s key context (entries of other contexts
-    /// are someone else's to persist — they would be mis-attributed here
-    /// and can never hit under this provenance anyway).
+    /// Builds an artifact from a live cache, reading only the partition of
+    /// `provenance`'s key context (entries of other contexts are someone
+    /// else's to persist — they would be mis-attributed here and can never
+    /// hit under this provenance anyway).
     pub fn from_cache(cache: &VerdictCache, provenance: CacheProvenance) -> CacheArtifact {
         let entries: Vec<CacheEntry> = cache
             .context_entries(provenance.context)
@@ -217,165 +194,105 @@ impl CacheArtifact {
             })
             .collect();
         CacheArtifact {
-            shards: vec![CacheShard {
-                provenance,
-                stats: cache.stats(),
-                entries,
-            }],
+            provenance,
+            stats: cache.stats(),
+            entries,
         }
     }
 
-    /// Total persisted entries across all shards.
-    pub fn num_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.len()).sum()
-    }
-
-    /// Merges another artifact into this one, first-entry-wins: shards with
-    /// a provenance this artifact already holds contribute only their novel
-    /// entries (appended in the donor's order); unseen provenances are
-    /// appended whole.  Statistics are summed.  The operation is a pure
-    /// function of `(self, donor)` — merging the same files in the same
-    /// order always yields the identical artifact.
-    pub fn merge(&mut self, donor: &CacheArtifact) {
-        for donor_shard in &donor.shards {
-            match self
-                .shards
-                .iter_mut()
-                .find(|s| s.provenance == donor_shard.provenance)
-            {
-                None => self.shards.push(donor_shard.clone()),
-                Some(mine) => {
-                    let seen: HashSet<(u64, u64)> =
-                        mine.entries.iter().map(|&(w, w2, _)| (w, w2)).collect();
-                    mine.entries.extend(
-                        donor_shard
-                            .entries
-                            .iter()
-                            .filter(|&&(w, w2, _)| !seen.contains(&(w, w2))),
-                    );
-                    mine.stats.merge(donor_shard.stats);
-                }
-            }
-        }
-    }
-
-    /// Garbage-collects by closure fingerprint: keeps exactly the shards
-    /// whose closure fingerprint is in `keep` — how an incremental store
-    /// sheds verdicts orphaned by dependency-closure changes.
-    pub fn retain_closures(&mut self, keep: &[u64]) -> GcSummary {
-        self.retain_shards(|shard| keep.contains(&shard.provenance.closure))
-    }
-
-    fn retain_shards(&mut self, mut keep: impl FnMut(&CacheShard) -> bool) -> GcSummary {
-        let mut summary = GcSummary::default();
-        self.shards.retain(|shard| {
-            if keep(shard) {
-                summary.kept_shards += 1;
-                summary.kept_entries += shard.entries.len();
-                true
-            } else {
-                summary.dropped_shards += 1;
-                summary.dropped_entries += shard.entries.len();
-                false
-            }
-        });
-        summary
-    }
-
-    /// Encodes the artifact as an `atlas-cache/2` document.
+    /// Encodes the artifact as an `atlas-cache/2` document: the schema tag
+    /// and a `shards` array holding the one provenance group.
     pub fn encode(&self) -> Json {
-        let shards: Vec<Json> = self
-            .shards
+        let p = &self.provenance;
+        let entries: Vec<Json> = self
+            .entries
             .iter()
-            .map(|shard| {
-                let p = &shard.provenance;
-                let entries: Vec<Json> = shard
-                    .entries
-                    .iter()
-                    .map(|&(w, w2, verdict)| {
-                        Json::Arr(vec![hex64(w), hex64(w2), Json::Bool(verdict)])
-                    })
-                    .collect();
-                Json::obj()
-                    .set("library_fingerprint", hex64(p.fingerprint))
-                    .set("closure_fingerprint", hex64(p.closure))
-                    .set("context", hex64(p.context))
-                    .set(
-                        "strategy",
-                        match p.strategy {
-                            InitStrategy::Null => "null",
-                            InitStrategy::Instantiate => "instantiate",
-                        },
-                    )
-                    .set(
-                        "limits",
-                        Json::obj()
-                            .set("max_steps", p.limits.max_steps)
-                            .set("max_call_depth", p.limits.max_call_depth)
-                            .set("max_heap_objects", p.limits.max_heap_objects),
-                    )
-                    .set("stats", encode_stats(shard.stats))
-                    .set("entries", entries)
-            })
+            .map(|&(w, w2, verdict)| Json::Arr(vec![hex64(w), hex64(w2), Json::Bool(verdict)]))
             .collect();
+        let group = Json::obj()
+            .set("library_fingerprint", hex64(p.fingerprint))
+            .set("closure_fingerprint", hex64(p.closure))
+            .set("context", hex64(p.context))
+            .set(
+                "strategy",
+                match p.strategy {
+                    InitStrategy::Null => "null",
+                    InitStrategy::Instantiate => "instantiate",
+                },
+            )
+            .set(
+                "limits",
+                Json::obj()
+                    .set("max_steps", p.limits.max_steps)
+                    .set("max_call_depth", p.limits.max_call_depth)
+                    .set("max_heap_objects", p.limits.max_heap_objects),
+            )
+            .set("stats", encode_stats(self.stats))
+            .set("entries", entries);
         Json::obj()
             .set("schema", Self::SCHEMA)
-            .set("shards", shards)
+            .set("shards", vec![group])
     }
 
     /// Decodes an `atlas-cache/2` document.
     ///
     /// # Errors
     /// Returns a [`SchemaError`] on a schema-tag mismatch (any other
-    /// version included) or any malformed field.
+    /// version included), a `shards` array that does not hold exactly one
+    /// provenance group, or any malformed field.
     pub fn decode(doc: &Json) -> Result<CacheArtifact, SchemaError> {
         check_schema(doc, Self::SCHEMA)?;
-        let mut shards = Vec::new();
-        for shard in arr_field(doc, "shards")? {
-            let limits_doc = field(shard, "limits")?;
-            let provenance = CacheProvenance {
-                fingerprint: hex_field(shard, "library_fingerprint")?,
-                closure: hex_field(shard, "closure_fingerprint")?,
-                context: hex_field(shard, "context")?,
-                strategy: match str_field(shard, "strategy")? {
-                    "null" => InitStrategy::Null,
-                    "instantiate" => InitStrategy::Instantiate,
-                    other => return Err(err(format!("unknown strategy '{other}'"))),
-                },
-                limits: ExecLimits {
-                    max_steps: usize_field(limits_doc, "max_steps")?,
-                    max_call_depth: usize_field(limits_doc, "max_call_depth")?,
-                    max_heap_objects: usize_field(limits_doc, "max_heap_objects")?,
-                },
-            };
-            let mut entries = Vec::new();
-            for entry in arr_field(shard, "entries")? {
-                let triple = entry
-                    .as_arr()
-                    .filter(|a| a.len() == 3)
-                    .ok_or_else(|| err("cache entry must be a [word, word2, verdict] triple"))?;
-                let word = parse_hex64(
-                    triple[0]
-                        .as_str()
-                        .ok_or_else(|| err("entry word hash must be a hex string"))?,
-                )?;
-                let word2 = parse_hex64(
-                    triple[1]
-                        .as_str()
-                        .ok_or_else(|| err("entry word hash must be a hex string"))?,
-                )?;
-                let verdict = triple[2]
-                    .as_bool()
-                    .ok_or_else(|| err("entry verdict must be a bool"))?;
-                entries.push((word, word2, verdict));
+        let group = match arr_field(doc, "shards")? {
+            [group] => group,
+            groups => {
+                return Err(err(format!(
+                    "expected one provenance group in 'shards', found {}",
+                    groups.len()
+                )))
             }
-            shards.push(CacheShard {
-                provenance,
-                stats: decode_stats(field(shard, "stats")?)?,
-                entries,
-            });
+        };
+        let limits_doc = field(group, "limits")?;
+        let provenance = CacheProvenance {
+            fingerprint: hex_field(group, "library_fingerprint")?,
+            closure: hex_field(group, "closure_fingerprint")?,
+            context: hex_field(group, "context")?,
+            strategy: match str_field(group, "strategy")? {
+                "null" => InitStrategy::Null,
+                "instantiate" => InitStrategy::Instantiate,
+                other => return Err(err(format!("unknown strategy '{other}'"))),
+            },
+            limits: ExecLimits {
+                max_steps: usize_field(limits_doc, "max_steps")?,
+                max_call_depth: usize_field(limits_doc, "max_call_depth")?,
+                max_heap_objects: usize_field(limits_doc, "max_heap_objects")?,
+            },
+        };
+        let mut entries = Vec::new();
+        for entry in arr_field(group, "entries")? {
+            let triple = entry
+                .as_arr()
+                .filter(|a| a.len() == 3)
+                .ok_or_else(|| err("cache entry must be a [word, word2, verdict] triple"))?;
+            let word = parse_hex64(
+                triple[0]
+                    .as_str()
+                    .ok_or_else(|| err("entry word hash must be a hex string"))?,
+            )?;
+            let word2 = parse_hex64(
+                triple[1]
+                    .as_str()
+                    .ok_or_else(|| err("entry word hash must be a hex string"))?,
+            )?;
+            let verdict = triple[2]
+                .as_bool()
+                .ok_or_else(|| err("entry verdict must be a bool"))?;
+            entries.push((word, word2, verdict));
         }
-        Ok(CacheArtifact { shards })
+        Ok(CacheArtifact {
+            provenance,
+            stats: decode_stats(field(group, "stats")?)?,
+            entries,
+        })
     }
 }
 
@@ -670,43 +587,40 @@ mod tests {
         }
     }
 
-    fn shard(fingerprint: u64, entries: Vec<CacheEntry>) -> CacheShard {
-        CacheShard {
-            provenance: provenance(fingerprint),
-            stats: CacheStats::default(),
-            entries,
-        }
-    }
-
     #[test]
     fn cache_artifact_round_trips_through_json() {
-        let artifact = CacheArtifact {
-            shards: vec![
-                shard(0x1, vec![(1, 2, true), (3, 4, false)]),
-                CacheShard {
-                    provenance: CacheProvenance {
-                        fingerprint: u64::MAX,
-                        closure: u64::MAX,
-                        context: 0,
-                        strategy: InitStrategy::Null,
-                        limits: ExecLimits::default(),
-                    },
-                    stats: CacheStats {
-                        lookups: 10,
-                        hits: 6,
-                        warm_hits: 2,
-                        misses: 4,
-                        insertions: 4,
-                        evictions: 1,
-                    },
-                    entries: vec![(u64::MAX, 0, true)],
+        let artifacts = [
+            CacheArtifact {
+                provenance: provenance(0x1),
+                stats: CacheStats::default(),
+                entries: vec![(1, 2, true), (3, 4, false)],
+            },
+            CacheArtifact {
+                provenance: CacheProvenance {
+                    fingerprint: u64::MAX,
+                    closure: u64::MAX,
+                    context: 0,
+                    strategy: InitStrategy::Null,
+                    limits: ExecLimits::default(),
                 },
-            ],
-        };
-        let doc = artifact.encode();
-        let reparsed = Json::parse(&doc.render()).expect("renders parse");
-        assert_eq!(CacheArtifact::decode(&reparsed).unwrap(), artifact);
-        assert_eq!(artifact.num_entries(), 3);
+                stats: CacheStats {
+                    lookups: 10,
+                    hits: 6,
+                    warm_hits: 2,
+                    misses: 4,
+                    insertions: 4,
+                    evictions: 1,
+                },
+                entries: vec![(u64::MAX, 0, true)],
+            },
+        ];
+        for artifact in artifacts {
+            let doc = artifact.encode();
+            let groups = doc.get("shards").and_then(Json::as_arr).map(<[Json]>::len);
+            assert_eq!(groups, Some(1), "one provenance group per document");
+            let reparsed = Json::parse(&doc.render()).expect("renders parse");
+            assert_eq!(CacheArtifact::decode(&reparsed).unwrap(), artifact);
+        }
     }
 
     #[test]
@@ -717,63 +631,12 @@ mod tests {
         cache.insert(VerdictKey::from_parts(0xdead, 3, 4), false); // foreign
         cache.insert(VerdictKey::from_parts(p.context, 5, 6), false);
         let artifact = CacheArtifact::from_cache(&cache, p);
-        assert_eq!(artifact.shards.len(), 1);
+        assert_eq!(artifact.provenance, p);
         assert_eq!(
-            artifact.shards[0].entries,
+            artifact.entries,
             vec![(1, 2, true), (5, 6, false)],
             "foreign-context entries are not persisted, order is insertion order"
         );
-    }
-
-    #[test]
-    fn merge_is_first_entry_wins_and_deterministic() {
-        let mut a = CacheArtifact {
-            shards: vec![shard(0x1, vec![(1, 1, true), (2, 2, true)])],
-        };
-        let b = CacheArtifact {
-            shards: vec![
-                // Same provenance: (2,2) is a duplicate (a's verdict wins),
-                // (3,3) is novel.
-                shard(0x1, vec![(2, 2, false), (3, 3, false)]),
-                // New provenance: appended whole.
-                shard(0x2, vec![(9, 9, true)]),
-            ],
-        };
-        let mut once = a.clone();
-        once.merge(&b);
-        a.merge(&b);
-        assert_eq!(a, once, "merge is deterministic");
-        assert_eq!(a.shards.len(), 2);
-        assert_eq!(
-            a.shards[0].entries,
-            vec![(1, 1, true), (2, 2, true), (3, 3, false)]
-        );
-        assert_eq!(a.shards[1].entries, vec![(9, 9, true)]);
-        // Merging again adds nothing (idempotent on entries).
-        let entries_before = a.num_entries();
-        a.merge(&b);
-        assert_eq!(a.num_entries(), entries_before);
-    }
-
-    #[test]
-    fn gc_retains_one_fingerprint() {
-        let mut artifact = CacheArtifact {
-            shards: vec![
-                shard(0x1, vec![(1, 1, true)]),
-                shard(0x2, vec![(2, 2, true), (3, 3, true)]),
-                shard(0x1, vec![(4, 4, false)]),
-            ],
-        };
-        // GC keeps the shards keyed on one closure fingerprint.
-        let summary = artifact.retain_closures(&[provenance(0x1).closure]);
-        assert_eq!(summary.kept_shards, 2);
-        assert_eq!(summary.kept_entries, 2);
-        assert_eq!(summary.dropped_shards, 1);
-        assert_eq!(summary.dropped_entries, 2);
-        assert!(artifact
-            .shards
-            .iter()
-            .all(|s| s.provenance.fingerprint == 0x1));
     }
 
     #[test]
@@ -832,24 +695,13 @@ mod tests {
         // and a context with none persists an empty shard.
         let a = CacheArtifact::from_cache(&cache, pa);
         let b = CacheArtifact::from_cache(&cache, pb);
-        assert_eq!(a.shards[0].entries, vec![(1, 2, true)]);
+        assert_eq!(a.entries, vec![(1, 2, true)]);
         assert_eq!(
-            b.shards[0].entries,
+            b.entries,
             vec![(7, 8, false), (9, 10, true)],
             "entries stay in cache insertion order"
         );
-        assert_eq!(CacheArtifact::from_cache(&cache, empty).num_entries(), 0);
-        let mut artifact = a.clone();
-        artifact.merge(&b);
-        assert_eq!(artifact.shards.len(), 2);
-        assert_eq!(artifact.shards[0].provenance, pa);
-        assert_eq!(artifact.shards[1].provenance, pb);
-        // Closure-level GC keeps exactly the named closures.
-        let mut gc = artifact.clone();
-        let summary = gc.retain_closures(&[0xb1]);
-        assert_eq!(summary.kept_shards, 1);
-        assert_eq!(summary.dropped_entries, 1);
-        assert_eq!(gc.shards[0].provenance.closure, 0xb1);
+        assert!(CacheArtifact::from_cache(&cache, empty).entries.is_empty());
     }
 
     #[test]
@@ -862,6 +714,25 @@ mod tests {
             .unwrap_err()
             .0
             .contains("missing field 'shards'"));
+        // A document holds exactly one provenance group.
+        let group = CacheArtifact {
+            provenance: provenance(0x1),
+            stats: CacheStats::default(),
+            entries: vec![(1, 2, true)],
+        }
+        .encode()
+        .get("shards")
+        .and_then(Json::as_arr)
+        .expect("one group")[0]
+            .clone();
+        for groups in [vec![group.clone(), group], Vec::new()] {
+            let n = groups.len();
+            let doc = missing.clone().set("shards", groups);
+            assert_eq!(
+                CacheArtifact::decode(&doc).unwrap_err().0,
+                format!("expected one provenance group in 'shards', found {n}")
+            );
+        }
         assert!(parse_hex64("123").is_err());
         assert!(parse_hex64("0xzz").is_err());
         assert_eq!(parse_hex64("0xff").unwrap(), 255);

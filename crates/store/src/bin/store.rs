@@ -4,7 +4,6 @@
 //! store inspect <FILE>...              summarize cache/spec artifacts
 //! store stats <PATH>...                per-shard entry counts and fingerprints
 //!                                      (cache files and closure-sharded roots)
-//! store merge <OUT> <IN>...            merge cache files (first-entry-wins)
 //! store gc-shards <ROOT> --keep <0xFP> [--keep <0xFP>]... [--keep-history N]
 //!                                      remove the shard dirs of stale
 //!                                      closures, keeping the last N
@@ -17,8 +16,9 @@
 //! `<ROOT>/0x<closure>/{cache,specs}.json`, plus the whole-run
 //! `<ROOT>/specs.json` export the batch and fleet pipelines write.  The
 //! root itself goes to `stats` and `gc-shards`, its cache files to
-//! `inspect`, `stats` and `merge`, its spec files to `inspect`,
-//! `export-specs` and `diff-specs`.
+//! `inspect` and `stats`, its spec files to `inspect`, `export-specs` and
+//! `diff-specs`.  A shard's cache file holds one provenance group: the
+//! verdicts of one closure, written whole by the run that learned it.
 //!
 //! `export-specs` and `diff-specs` resolve the artifact against the modeled
 //! `atlas-javalib` library (the same program every inference run uses);
@@ -32,18 +32,17 @@ use atlas_ir::LibraryInterface;
 use atlas_javalib::{handwritten_specs, library_program};
 use atlas_spec::{fragment_signature, CodeFragments};
 use atlas_store::{
-    document_schema, load_cache, load_document, load_specs, merge_cache_files, parse_hex64,
-    save_cache, CacheArtifact, Json, SpecArtifact,
+    document_schema, load_cache, load_document, load_specs, parse_hex64, CacheArtifact, Json,
+    SpecArtifact,
 };
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage:
   store inspect <FILE>...
   store stats <PATH>...
-  store merge <OUT> <IN>...
   store gc-shards <ROOT> --keep <0xFINGERPRINT> [--keep <0xFINGERPRINT>]... [--keep-history N]
   store export-specs <SPEC-FILE>
   store diff-specs <SPEC-FILE>";
@@ -60,7 +59,6 @@ fn main() -> ExitCode {
     let result = match command {
         "inspect" => inspect(rest),
         "stats" => stats(rest),
-        "merge" => merge(rest),
         "gc-shards" => gc_shards_cmd(rest),
         "export-specs" => export_specs(rest),
         "diff-specs" => diff_specs(rest),
@@ -122,7 +120,7 @@ fn inspect(files: &[String]) -> Result<(), CliError> {
 // ---------------------------------------------------------------------------
 
 /// Per-shard composition, without hand-inspecting JSON: for a cache file,
-/// one row per provenance shard; for a closure-sharded store root, one
+/// its entry counts and provenance; for a closure-sharded store root, one
 /// row per shard directory (entry counts read from each shard's cache
 /// file).
 fn stats(paths: &[String]) -> Result<(), CliError> {
@@ -136,15 +134,14 @@ fn stats(paths: &[String]) -> Result<(), CliError> {
             println!("{}: {} shard dir(s)", path.display(), shards.len());
             let mut total = 0usize;
             for shard in &shards {
-                let (entries, provenances) = if shard.cache.exists() {
-                    let artifact = load_cache(&shard.cache)?;
-                    (artifact.num_entries(), artifact.shards.len())
+                let entries = if shard.cache.exists() {
+                    load_cache(&shard.cache)?.entries.len()
                 } else {
-                    (0, 0)
+                    0
                 };
                 total += entries;
                 println!(
-                    "  {}: {entries} entries in {provenances} provenance shard(s), specs {}",
+                    "  {}: {entries} entries, specs {}",
                     hex(shard.fingerprint),
                     if shard.specs.exists() { "yes" } else { "no" }
                 );
@@ -152,22 +149,15 @@ fn stats(paths: &[String]) -> Result<(), CliError> {
             println!("  total: {total} entries");
         } else {
             let artifact = load_cache(path)?;
+            let p = &artifact.provenance;
             println!(
-                "{}: {} provenance shard(s), {} entries",
+                "{}: library {} closure {}: {} entries ({} positive)",
                 path.display(),
-                artifact.shards.len(),
-                artifact.num_entries()
+                hex(p.fingerprint),
+                hex(p.closure),
+                artifact.entries.len(),
+                positives(&artifact)
             );
-            for shard in &artifact.shards {
-                let p = &shard.provenance;
-                println!(
-                    "  library {} closure {}: {} entries ({} positive)",
-                    hex(p.fingerprint),
-                    hex(p.closure),
-                    shard.entries.len(),
-                    shard.entries.iter().filter(|e| e.2).count()
-                );
-            }
         }
     }
     Ok(())
@@ -176,33 +166,31 @@ fn stats(paths: &[String]) -> Result<(), CliError> {
 fn inspect_cache(path: &Path, doc: &Json) -> Result<(), CliError> {
     let artifact =
         CacheArtifact::decode(doc).map_err(|e| atlas_store::StoreError::schema(path, e))?;
+    let p = &artifact.provenance;
     println!("  schema: {}", CacheArtifact::SCHEMA);
     println!(
-        "  shards: {}, entries: {}",
-        artifact.shards.len(),
-        artifact.num_entries()
+        "  library {} closure {} context {}",
+        hex(p.fingerprint),
+        hex(p.closure),
+        hex(p.context)
     );
-    for (i, shard) in artifact.shards.iter().enumerate() {
-        let p = &shard.provenance;
-        let positives = shard.entries.iter().filter(|e| e.2).count();
-        println!(
-            "  shard {i}: library {} context {}",
-            hex(p.fingerprint),
-            hex(p.context)
-        );
-        println!(
-            "    strategy {:?}, limits {}/{}/{} (steps/depth/heap)",
-            p.strategy, p.limits.max_steps, p.limits.max_call_depth, p.limits.max_heap_objects
-        );
-        println!(
-            "    {} entries ({} positive), recorded stats: {} lookups, {:.1}% hit rate",
-            shard.entries.len(),
-            positives,
-            shard.stats.lookups,
-            100.0 * shard.stats.hit_rate()
-        );
-    }
+    println!(
+        "  strategy {:?}, limits {}/{}/{} (steps/depth/heap)",
+        p.strategy, p.limits.max_steps, p.limits.max_call_depth, p.limits.max_heap_objects
+    );
+    println!(
+        "  {} entries ({} positive), recorded stats: {} lookups, {:.1}% hit rate",
+        artifact.entries.len(),
+        positives(&artifact),
+        artifact.stats.lookups,
+        100.0 * artifact.stats.hit_rate()
+    );
     Ok(())
+}
+
+/// How many of a cache artifact's verdicts accept their word.
+fn positives(artifact: &CacheArtifact) -> usize {
+    artifact.entries.iter().filter(|e| e.2).count()
 }
 
 /// Spec files are inspected structurally (no method-name resolution), so
@@ -244,31 +232,6 @@ fn inspect_specs(doc: &Json) {
 }
 
 // ---------------------------------------------------------------------------
-// merge
-// ---------------------------------------------------------------------------
-
-fn merge(args: &[String]) -> Result<(), CliError> {
-    let (out, inputs) = match args.split_first() {
-        Some((out, inputs)) if !inputs.is_empty() => (out, inputs),
-        _ => {
-            return Err(CliError::Usage(
-                "merge needs an output file and at least one input".into(),
-            ))
-        }
-    };
-    let paths: Vec<PathBuf> = inputs.iter().map(PathBuf::from).collect();
-    let merged = merge_cache_files(&paths)?;
-    save_cache(Path::new(out), &merged)?;
-    println!(
-        "merged {} file(s) into {out}: {} shard(s), {} entries",
-        inputs.len(),
-        merged.shards.len(),
-        merged.num_entries()
-    );
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // gc-shards (closure-sharded roots)
 // ---------------------------------------------------------------------------
 
@@ -305,12 +268,10 @@ fn gc_shards_cmd(args: &[String]) -> Result<(), CliError> {
     }
     let summary = atlas_store::gc_shards_with_history(Path::new(&root), &keep, history)?;
     println!(
-        "gc-shards {root}: kept {} shard dir(s) ({} explicit, history {history}), removed {}, \
-         scrubbed {} foreign entries",
+        "gc-shards {root}: kept {} shard dir(s) ({} explicit, history {history}), removed {}",
         summary.kept,
         keep.len(),
-        summary.removed,
-        summary.dropped_entries
+        summary.removed
     );
     Ok(())
 }

@@ -21,20 +21,22 @@
 //! * [`json`] — a self-contained JSON value/writer/parser (no crates.io
 //!   access, so no `serde`); the parser reports 1-based error positions.
 //! * [`artifact`] — the `atlas-cache/2` ([`CacheArtifact`]) and
-//!   `atlas-spec/1` ([`SpecArtifact`]) schemas: encode/decode, first-entry-
-//!   wins [`CacheArtifact::merge`], and GC by closure fingerprint
-//!   ([`CacheArtifact::retain_closures`]).
+//!   `atlas-spec/1` ([`SpecArtifact`]) schemas: encode/decode.  A cache
+//!   artifact holds one closure shard's verdicts under one provenance;
+//!   the decoder rejects any other group count.
 //! * [`registry`] — file operations: atomic write-rename persistence
-//!   ([`atomic_write`]), loading with path-carrying errors, multi-file
-//!   merge ([`merge_cache_files`]), and the closure-sharded store root
-//!   ([`shard_entry`], [`list_shards`], [`gc_shards_with_history`]).
-//! * the `store` binary — `inspect`, `stats`, `merge`, `gc-shards`,
+//!   ([`atomic_write`]), loading with path-carrying errors, and the
+//!   closure-sharded store root ([`shard_entry`], [`list_shards`],
+//!   [`gc_shards_with_history`]).
+//! * the `store` binary — `inspect`, `stats`, `gc-shards`,
 //!   `export-specs`, and `diff-specs` against the handwritten
 //!   `atlas-javalib` corpus.
 //!
 //! A store root has one layout: one shard per cluster,
 //! `<root>/0x<closure>/{cache,specs}.json`, plus the whole-run
 //! `specs.json` export the batch and fleet pipelines write beside them.
+//! A re-run cluster's shard is written whole, so nothing ever merges two
+//! artifacts.
 //! The engine-facing side lives in `atlas-core`: the store-backed run
 //! (`engine.run_with_store(&engine.run_provenance(), root, EXTRACTION)`)
 //! fills an empty root cluster by cluster and splices every cluster of a
@@ -52,10 +54,10 @@ pub mod registry;
 
 pub use artifact::{
     document_schema, hex64_string, parse_hex64, CacheArtifact, CacheEntry, CacheProvenance,
-    CacheShard, GcSummary, SchemaError, SpecArtifact, SpecCluster,
+    SchemaError, SpecArtifact, SpecCluster,
 };
 pub use json::{Json, JsonError};
 pub use registry::{
     atomic_write, gc_shards_with_history, list_shards, load_cache, load_document, load_specs,
-    merge_cache_files, save_cache, save_specs, shard_entry, ShardEntry, ShardGcSummary, StoreError,
+    save_cache, save_specs, shard_entry, ShardEntry, ShardGcSummary, StoreError,
 };

@@ -1,5 +1,5 @@
 //! File-level operations of the registry: loading, atomic persistence,
-//! multi-file merge, and the closure-sharded store root.
+//! and the closure-sharded store root.
 //!
 //! **Atomicity.**  Every write goes to a temporary file in the *same
 //! directory* as the target and is then `rename`d over it.  On POSIX,
@@ -148,17 +148,6 @@ pub fn save_specs(
     atomic_write(path, &doc.render())
 }
 
-/// Loads several cache files and merges them first-file-first-entry-wins:
-/// the result is a pure function of the path order, so `store merge` is
-/// reproducible.
-pub fn merge_cache_files(paths: &[PathBuf]) -> Result<CacheArtifact, StoreError> {
-    let mut merged = CacheArtifact::default();
-    for path in paths {
-        merged.merge(&load_cache(path)?);
-    }
-    Ok(merged)
-}
-
 // ---------------------------------------------------------------------------
 // Closure-sharded store roots
 // ---------------------------------------------------------------------------
@@ -241,17 +230,14 @@ pub struct ShardGcSummary {
     /// Shard directories removed (their fingerprint was not in the keep
     /// set, nor among the history survivors).
     pub removed: usize,
-    /// Entries dropped *inside* explicitly kept shards whose cache carried
-    /// foreign closures (e.g. merged-in artifacts).
-    pub dropped_entries: usize,
 }
 
 /// Garbage-collects a closure-sharded store root: removes every shard
 /// directory whose closure fingerprint is not in `keep`, except the
 /// `history` most-recently-written others (recency by the shard cache's
-/// modification time, directory path as the deterministic tie-break), and
-/// inside the explicitly kept shards drops cache shards keyed on another
-/// closure.
+/// modification time, directory path as the deterministic tie-break).
+/// Kept shards are left as they are: each holds one closure's verdicts,
+/// written whole.
 ///
 /// Every dependency closure owns a shard: after an edit the new closure
 /// gets a fresh shard, and `--keep-history N` keeps the last `N`
@@ -281,22 +267,11 @@ pub fn gc_shards_with_history(
 
     let mut summary = ShardGcSummary::default();
     for shard in shards {
-        let explicitly_kept = keep.contains(&shard.fingerprint);
-        if !explicitly_kept && !survivors.contains(&shard.fingerprint) {
+        if keep.contains(&shard.fingerprint) || survivors.contains(&shard.fingerprint) {
+            summary.kept += 1;
+        } else {
             fs::remove_dir_all(&shard.dir).map_err(|e| StoreError::io(&shard.dir, e))?;
             summary.removed += 1;
-            continue;
-        }
-        summary.kept += 1;
-        // Scrub only the explicitly kept shards: a history survivor is a
-        // previous generation we keep verbatim for instant reverts.
-        if explicitly_kept && shard.cache.exists() {
-            let mut artifact = load_cache(&shard.cache)?;
-            let gc = artifact.retain_closures(&[shard.fingerprint]);
-            if gc.dropped_entries > 0 || gc.dropped_shards > 0 {
-                summary.dropped_entries += gc.dropped_entries;
-                save_cache(&shard.cache, &artifact)?;
-            }
         }
     }
     Ok(summary)
@@ -305,7 +280,7 @@ pub fn gc_shards_with_history(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{CacheProvenance, CacheShard};
+    use crate::artifact::CacheProvenance;
     use atlas_interp::ExecLimits;
     use atlas_learn::CacheStats;
     use atlas_synth::InitStrategy;
@@ -335,17 +310,15 @@ mod tests {
 
     fn sample_artifact(fingerprint: u64, entries: Vec<(u64, u64, bool)>) -> CacheArtifact {
         CacheArtifact {
-            shards: vec![CacheShard {
-                provenance: CacheProvenance {
-                    fingerprint,
-                    closure: fingerprint,
-                    context: fingerprint.wrapping_mul(31),
-                    strategy: InitStrategy::Instantiate,
-                    limits: ExecLimits::for_unit_tests(),
-                },
-                stats: CacheStats::default(),
-                entries,
-            }],
+            provenance: CacheProvenance {
+                fingerprint,
+                closure: fingerprint,
+                context: fingerprint.wrapping_mul(31),
+                strategy: InitStrategy::Instantiate,
+                limits: ExecLimits::for_unit_tests(),
+            },
+            stats: CacheStats::default(),
+            entries,
         }
     }
 
@@ -367,38 +340,6 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(leftovers, vec![std::ffi::OsString::from("cache.json")]);
-    }
-
-    #[test]
-    fn merge_cache_files_is_first_file_wins() {
-        let scratch = Scratch::new("merge");
-        let a = scratch.path("a.json");
-        let b = scratch.path("b.json");
-        save_cache(&a, &sample_artifact(7, vec![(1, 1, true), (2, 2, true)])).unwrap();
-        save_cache(&b, &sample_artifact(7, vec![(2, 2, false), (3, 3, false)])).unwrap();
-        let merged = merge_cache_files(&[a.clone(), b.clone()]).expect("merge");
-        assert_eq!(
-            merged.shards[0].entries,
-            vec![(1, 1, true), (2, 2, true), (3, 3, false)],
-            "duplicate (2,2) keeps the first file's verdict"
-        );
-        // Reversed order keeps b's verdict instead — order in, order out.
-        let reversed = merge_cache_files(&[b, a]).expect("merge");
-        assert_eq!(
-            reversed.shards[0].entries,
-            vec![(2, 2, false), (3, 3, false), (1, 1, true)]
-        );
-    }
-
-    /// Merges every listed shard cache of a root, in fingerprint order.
-    fn merge_listed(root: &Path) -> CacheArtifact {
-        let caches: Vec<PathBuf> = list_shards(root)
-            .expect("list")
-            .into_iter()
-            .map(|s| s.cache)
-            .filter(|c| c.exists())
-            .collect();
-        merge_cache_files(&caches).expect("merge")
     }
 
     #[test]
@@ -424,23 +365,19 @@ mod tests {
         );
         assert!(shards[0].dir.ends_with("0x000000000000000a"));
 
-        // Cross-shard merge is fingerprint-ordered and deterministic.
-        let merged = merge_listed(&root);
-        assert_eq!(merged.shards.len(), 2);
-        assert_eq!(merged.num_entries(), 3);
-        assert_eq!(merged, merge_listed(&root));
+        // Listing is deterministic.
+        assert_eq!(list_shards(&root).expect("list again"), shards);
 
         // GC drops the unkept shard directory and keeps the rest intact.
         let summary = gc_shards_with_history(&root, &[0xA], 0).expect("gc");
         assert_eq!(summary.kept, 1);
         assert_eq!(summary.removed, 1);
-        assert_eq!(summary.dropped_entries, 0);
         assert!(!shard_entry(&root, 0xB).dir.exists());
         assert_eq!(load_cache(&shard_entry(&root, 0xA).cache).unwrap(), a);
 
         // A non-canonically named shard dir (short/uppercase hex, e.g.
         // written by a foreign tool) is still addressed at its *actual*
-        // path — listed, merged, and removable.
+        // path — listed, read, and removable.
         let odd_dir = root.join("0xFF");
         fs::create_dir_all(&odd_dir).unwrap();
         save_cache(
@@ -451,20 +388,10 @@ mod tests {
         let shards = list_shards(&root).expect("list with odd name");
         let odd = shards.iter().find(|s| s.fingerprint == 0xFF).unwrap();
         assert_eq!(odd.dir, odd_dir);
-        assert_eq!(merge_listed(&root).num_entries(), 3);
+        assert_eq!(load_cache(&odd.cache).unwrap().entries, vec![(5, 5, true)]);
         let summary = gc_shards_with_history(&root, &[0xA], 0).expect("gc odd name");
         assert_eq!(summary.removed, 1);
         assert!(!odd_dir.exists());
-
-        // A kept shard whose cache carries shards of foreign closures (a
-        // merged-in artifact) is scrubbed down to its own closure.
-        let mut polluted = a.clone();
-        polluted.merge(&sample_artifact(0xDEAD, vec![(9, 9, true)]));
-        save_cache(&shard_entry(&root, 0xA).cache, &polluted).unwrap();
-        let summary = gc_shards_with_history(&root, &[0xA], 0).expect("gc scrub");
-        assert_eq!(summary.kept, 1);
-        assert_eq!(summary.dropped_entries, 1);
-        assert_eq!(load_cache(&shard_entry(&root, 0xA).cache).unwrap(), a);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   edited closures whose shard caches carry staggered modification
 //!   times.  The newer retired generation is written first and sorts last
 //!   by path, so only its modification time can make a history window
-//!   keep it.
+//!   keep it.  `merge` is not a command: a shard's verdicts are written
+//!   whole, never merged.
 //! * `inspect`, `stats`, `export-specs` and `diff-specs` on a root the
 //!   store-backed run wrote (javalib-lang at a small budget), plus the
 //!   whole-run `specs.json` export beside its shards.
@@ -18,7 +19,6 @@ use atlas_ir::LibraryInterface;
 use atlas_learn::CacheStats;
 use atlas_store::{
     list_shards, load_cache, save_cache, save_specs, shard_entry, CacheArtifact, CacheProvenance,
-    CacheShard,
 };
 use atlas_synth::InitStrategy;
 use std::path::{Path, PathBuf};
@@ -32,20 +32,18 @@ const LIVE: [u64; 2] = [0x30, 0x40];
 const RETIRED_NEWER: u64 = 0x20;
 const RETIRED_OLDER: u64 = 0x10;
 
-/// A one-provenance cache for a closure shard.
+/// The cache of a closure shard.
 fn closure_cache(closure: u64, entries: usize) -> CacheArtifact {
     CacheArtifact {
-        shards: vec![CacheShard {
-            provenance: CacheProvenance {
-                fingerprint: 0xF00D,
-                closure,
-                context: closure.wrapping_mul(31),
-                strategy: InitStrategy::Instantiate,
-                limits: ExecLimits::for_unit_tests(),
-            },
-            stats: CacheStats::default(),
-            entries: (0..entries as u64).map(|i| (i, i, i % 2 == 0)).collect(),
-        }],
+        provenance: CacheProvenance {
+            fingerprint: 0xF00D,
+            closure,
+            context: closure.wrapping_mul(31),
+            strategy: InitStrategy::Instantiate,
+            limits: ExecLimits::for_unit_tests(),
+        },
+        stats: CacheStats::default(),
+        entries: (0..entries as u64).map(|i| (i, i, i % 2 == 0)).collect(),
     }
 }
 
@@ -80,6 +78,10 @@ fn store(args: &[&str]) -> Output {
 
 fn stdout(output: &Output) -> String {
     String::from_utf8(output.stdout.clone()).expect("utf-8 stdout")
+}
+
+fn path_str(path: &Path) -> String {
+    path.to_str().expect("utf-8 temp path").to_string()
 }
 
 fn fingerprints(root: &Path) -> Vec<u64> {
@@ -117,7 +119,7 @@ fn stats_and_gc_shards_on_a_closure_root() {
     );
     let text = stdout(&out);
     assert!(
-        text.contains("kept 3 shard dir(s) (2 explicit, history 1), removed 1,"),
+        text.contains("kept 3 shard dir(s) (2 explicit, history 1), removed 1\n"),
         "{text}"
     );
     assert_eq!(fingerprints(&dir), vec![RETIRED_NEWER, LIVE[0], LIVE[1]]);
@@ -130,7 +132,7 @@ fn stats_and_gc_shards_on_a_closure_root() {
     assert!(out.status.success(), "gc-shards failed: {out:?}");
     let text = stdout(&out);
     assert!(
-        text.contains("kept 2 shard dir(s) (2 explicit, history 0), removed 1,"),
+        text.contains("kept 2 shard dir(s) (2 explicit, history 0), removed 1\n"),
         "{text}"
     );
     assert_eq!(fingerprints(&dir), LIVE.to_vec());
@@ -145,6 +147,16 @@ fn stats_and_gc_shards_on_a_closure_root() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--keep-history"));
     assert_eq!(fingerprints(&dir), LIVE.to_vec());
+
+    // Verdict sets are written whole, never merged: there is no `merge`
+    // command, and asking for one is a usage error that writes nothing.
+    let a = path_str(&shard_entry(&dir, LIVE[0]).cache);
+    let b = path_str(&shard_entry(&dir, LIVE[1]).cache);
+    let merged = dir.join("merged.json");
+    let out = store(&["merge", &path_str(&merged), &a, &b]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'merge'"));
+    assert!(!merged.exists());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -179,13 +191,15 @@ fn inspect_stats_and_spec_commands_on_a_store_backed_root() {
         artifact.clusters.len(),
         "one shard per cluster"
     );
-    let entries: Vec<usize> = shards
+    let caches: Vec<CacheArtifact> = shards
         .iter()
-        .map(|s| load_cache(&s.cache).expect("shard cache").num_entries())
+        .map(|s| load_cache(&s.cache).expect("shard cache"))
         .collect();
-    let path = |p: &Path| p.to_str().expect("utf-8 temp path").to_string();
-    let (root, export) = (path(&dir), path(&export));
-    let (shard_cache, shard_specs) = (path(&shards[0].cache), path(&shards[0].specs));
+    let entries: Vec<usize> = caches.iter().map(|c| c.entries.len()).collect();
+    let (root, export) = (path_str(&dir), path_str(&export));
+    let (shard_cache, shard_specs) = (path_str(&shards[0].cache), path_str(&shards[0].specs));
+    let provenance = caches[0].provenance;
+    let positives = caches[0].entries.iter().filter(|e| e.2).count();
 
     // inspect: a shard's cache and specs, and the export.
     let out = store(&["inspect", &shard_cache, &shard_specs, &export]);
@@ -193,7 +207,19 @@ fn inspect_stats_and_spec_commands_on_a_store_backed_root() {
     let text = stdout(&out);
     assert!(text.contains("schema: atlas-cache/2"), "{text}");
     assert!(
-        text.contains(&format!("shards: 1, entries: {}", entries[0])),
+        text.contains(&format!(
+            "  library {} closure {} context {}\n",
+            atlas_store::hex64_string(provenance.fingerprint),
+            atlas_store::hex64_string(provenance.closure),
+            atlas_store::hex64_string(provenance.context)
+        )),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!(
+            "  {} entries ({positives} positive), recorded stats: {} lookups",
+            entries[0], caches[0].stats.lookups
+        )),
         "{text}"
     );
     assert!(text.contains("schema: atlas-spec/1"), "{text}");
@@ -216,10 +242,27 @@ fn inspect_stats_and_spec_commands_on_a_store_backed_root() {
     );
     let total: usize = entries.iter().sum();
     assert!(text.contains(&format!("total: {total} entries")), "{text}");
+    assert!(
+        text.contains(&format!(
+            "  {}: {} entries, specs yes\n",
+            atlas_store::hex64_string(shards[0].fingerprint),
+            entries[0]
+        )),
+        "{text}"
+    );
     assert!(!text.contains("specs no"), "every shard has specs: {text}");
     let out = store(&["stats", &shard_cache]);
     assert!(out.status.success(), "stats failed: {out:?}");
-    assert!(stdout(&out).contains(&format!("1 provenance shard(s), {} entries", entries[0])));
+    let text = stdout(&out);
+    assert_eq!(
+        text,
+        format!(
+            "{shard_cache}: library {} closure {}: {} entries ({positives} positive)\n",
+            atlas_store::hex64_string(provenance.fingerprint),
+            atlas_store::hex64_string(provenance.closure),
+            entries[0]
+        )
+    );
 
     // export-specs and diff-specs resolve the export against the modeled
     // library; javalib-lang is a different library content, which they

@@ -6,7 +6,8 @@
 use atlas_interp::ExecLimits;
 use atlas_ir::builder::ProgramBuilder;
 use atlas_ir::{LibraryInterface, ParamSlot, Program, Type};
-use atlas_learn::{library_fingerprint, CacheKeyer, Oracle, OracleConfig};
+use atlas_learn::{library_fingerprint, CacheKeyer, Oracle, OracleConfig, VerdictCache};
+use atlas_store::{CacheArtifact, CacheProvenance};
 use atlas_synth::InitStrategy;
 
 /// The Box running example; `broken` swaps `get`'s field load for a fresh
@@ -179,43 +180,75 @@ fn limits_and_strategy_are_part_of_the_key() {
 
 #[test]
 fn session_caches_accumulate_and_stats_merge_as_sums() {
-    let library = atlas_javalib::library_program();
+    let mut pb = ProgramBuilder::new();
+    atlas_javalib::install_library(&mut pb);
+    atlas_javalib::install_box_example(&mut pb);
+    let library = pb.build();
     let interface = LibraryInterface::from_program(&library);
     let box_cluster = atlas_javalib::class_ids(&library, &["Box"]);
     let stack_cluster = atlas_javalib::class_ids(&library, &["Stack"]);
-    let config = atlas_core::AtlasConfig {
-        samples_per_cluster: 250,
-        clusters: vec![box_cluster, stack_cluster],
-        num_threads: 1,
-        ..atlas_core::AtlasConfig::default()
-    };
+    let fingerprint = library_fingerprint(&library, &interface);
+    for num_threads in [1, 4] {
+        let config = atlas_core::AtlasConfig {
+            samples_per_cluster: 250,
+            clusters: vec![box_cluster.clone(), stack_cluster.clone()],
+            num_threads,
+            ..atlas_core::AtlasConfig::default()
+        };
 
-    let engine = atlas_core::Engine::new(&library, &interface, config.clone());
-    let mut session = engine.session();
-    let outcome = session.run();
-    let cache = session.into_cache();
+        let engine = atlas_core::Engine::new(&library, &interface, config.clone());
+        let mut session = engine.session();
+        let outcome = session.run();
+        let cache = session.into_cache();
 
-    // The aggregated counters are the sums of the per-cluster oracles':
-    // every oracle query is exactly one cache lookup, and the harvested
-    // cache carries the same totals.
-    assert_eq!(outcome.cache_stats.lookups, outcome.oracle_queries);
-    assert_eq!(
-        outcome.cache_stats.misses,
-        outcome.cache_stats.lookups - outcome.cache_stats.hits
-    );
-    assert_eq!(cache.stats().lookups, outcome.cache_stats.lookups);
-    assert_eq!(cache.stats().hits, outcome.cache_stats.hits);
-    // Memoization pays off even within a single cold run.
-    assert!(outcome.cache_stats.hits > 0);
-    assert!(cache.len() <= outcome.cache_stats.insertions);
+        // The aggregated counters are the sums of the per-cluster oracles':
+        // every oracle query is exactly one cache lookup, and the harvested
+        // cache carries the same totals.
+        assert_eq!(outcome.cache_stats.lookups, outcome.oracle_queries);
+        assert_eq!(
+            outcome.cache_stats.misses,
+            outcome.cache_stats.lookups - outcome.cache_stats.hits
+        );
+        assert_eq!(cache.stats().lookups, outcome.cache_stats.lookups);
+        assert_eq!(cache.stats().hits, outcome.cache_stats.hits);
+        // Memoization pays off even within a single cold run.
+        assert!(outcome.cache_stats.hits > 0);
+        assert!(cache.len() <= outcome.cache_stats.insertions);
 
-    // Chained sessions: warm-start from run 1, run 2's cache contains
-    // run 1's entries plus anything new (here: nothing new).
-    let engine2 = atlas_core::Engine::new(&library, &interface, config).warm_start(cache.clone());
-    let mut session2 = engine2.session();
-    let outcome2 = session2.run();
-    let cache2 = session2.into_cache();
-    assert_eq!(outcome2.oracle_executions, 0);
-    assert!(cache2.len() >= cache.len());
-    assert_eq!(outcome2.cache_stats.warm_hits, outcome2.cache_stats.lookups);
+        // Chained sessions: warm-start from run 1; run 2 executes nothing,
+        // so every lookup is a warm hit.
+        let engine2 =
+            atlas_core::Engine::new(&library, &interface, config.clone()).warm_start(cache.clone());
+        let mut session2 = engine2.session();
+        let outcome2 = session2.run();
+        let cache2 = session2.into_cache();
+        assert_eq!(outcome2.oracle_executions, 0);
+        assert_eq!(outcome2.cache_stats.warm_hits, outcome2.cache_stats.lookups);
+        // Run 2's harvested cache lists exactly run 1's verdicts, context
+        // by context, each in insertion order.
+        assert_eq!(
+            cache2.entries().collect::<Vec<_>>(),
+            cache.entries().collect::<Vec<_>>(),
+            "{num_threads} thread(s)"
+        );
+        // So every cluster's persisted verdict half renders the same bytes
+        // from either cache.  Counters are zeroed on both sides: run 2
+        // counts its own warm hits.
+        for job in engine.cluster_jobs() {
+            let provenance =
+                CacheProvenance::for_closure(fingerprint, job.closure, config.init, config.limits);
+            assert!(cache.context_entries(provenance.context).next().is_some());
+            let render = |cache: &VerdictCache| {
+                CacheArtifact::from_cache(&cache.warm_clone(), provenance)
+                    .encode()
+                    .render()
+            };
+            assert_eq!(
+                render(&cache),
+                render(&cache2),
+                "cluster {} at {num_threads} thread(s)",
+                job.index
+            );
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //! points-to sets, the abstract heap, and the derived flow graph).
 
 use atlas_pointsto::{
-    ExtractionOptions, Graph, LoadEdge, NodeId, ObjId, SolveAlgorithm, Solver, StoreEdge,
+    solve_naive, ExtractionOptions, Graph, LoadEdge, NodeId, ObjId, Solver, StoreEdge,
 };
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ proptest! {
     ) {
         let graph = build_graph(&edges);
         let worklist = Solver::new().solve(&graph);
-        let naive = Solver::naive_reference().solve(&graph);
+        let naive = solve_naive(&graph);
         prop_assert!(worklist == naive, "closures differ on {} edges", edges.len());
         prop_assert_eq!(worklist.num_points_to_edges(), naive.num_points_to_edges());
         // Spot-check the query layer on a few node pairs too: equal closures
@@ -101,8 +101,8 @@ proptest! {
                 }),
             }
         }
-        let worklist = Solver::with_algorithm(SolveAlgorithm::Worklist).solve(&g);
-        let naive = Solver::with_algorithm(SolveAlgorithm::NaiveReference).solve(&g);
+        let worklist = Solver::new().solve(&g);
+        let naive = solve_naive(&g);
         prop_assert!(worklist == naive);
     }
 }
@@ -126,7 +126,7 @@ fn worklist_equals_naive_on_generated_apps() {
         for options in variants {
             let graph = Graph::extract(program, &options);
             let worklist = Solver::new().solve(&graph);
-            let naive = Solver::naive_reference().solve(&graph);
+            let naive = solve_naive(&graph);
             assert!(worklist == naive, "app {index}: closures differ");
         }
     }

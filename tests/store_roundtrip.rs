@@ -11,7 +11,7 @@
 //!   re-encoding is byte-identical (the cross-process determinism
 //!   invariant).
 
-use atlas_core::{AtlasConfig, Engine, SpecArtifact, EXTRACTION};
+use atlas_core::{AtlasConfig, Engine, SpecArtifact, StoreError, EXTRACTION};
 use atlas_ir::LibraryInterface;
 use atlas_store::Json;
 use proptest::prelude::*;
@@ -139,16 +139,15 @@ fn cache_artifact_preserves_stats_and_verdicts() {
     let closure = engine.cluster_jobs()[0].closure;
     let shard = atlas_store::shard_entry(&root, closure);
     let reloaded = atlas_store::load_cache(&shard.cache).expect("shard cache");
-    assert_eq!(reloaded.shards.len(), 1, "one provenance per closure shard");
-    let provenance = reloaded.shards[0].provenance;
+    let provenance = reloaded.provenance;
     assert_eq!(provenance.closure, closure);
     assert_eq!(
         provenance.fingerprint, outcome.library,
         "closure shards are attributed to the library fingerprint"
     );
     // Identical CacheStats: the cluster's own counters...
-    assert_eq!(reloaded.shards[0].stats, cache.stats());
-    assert_eq!(reloaded.shards[0].stats, outcome.cache_stats);
+    assert_eq!(reloaded.stats, cache.stats());
+    assert_eq!(reloaded.stats, outcome.cache_stats);
     // ...and identical verdicts for every key, in insertion order.
     let original: Vec<(u64, u64, bool)> = cache
         .entries()
@@ -158,7 +157,7 @@ fn cache_artifact_preserves_stats_and_verdicts() {
             (word, word2, verdict)
         })
         .collect();
-    assert_eq!(reloaded.shards[0].entries, original);
+    assert_eq!(reloaded.entries, original);
     // Re-encoding the reloaded artifact reproduces the file.
     assert_eq!(
         reloaded.encode().render(),
@@ -172,7 +171,40 @@ fn cache_artifact_preserves_stats_and_verdicts() {
         .run_with_store(&engine2.run_provenance(), &root, EXTRACTION)
         .expect("seeded root");
     assert_eq!((warm.clean_clusters, warm.oracle_executions), (1, 0));
-    assert_eq!(warm.spliced_verdicts, reloaded.num_entries());
+    assert_eq!(warm.spliced_verdicts, reloaded.entries.len());
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A shard's `cache.json` holds exactly one provenance group.  A document
+/// with two groups, or none, is a schema error naming the file, both for
+/// `load_cache` and for a store-backed run over the root holding it: the
+/// run fails instead of splicing the shard.
+#[test]
+fn a_shard_cache_without_exactly_one_group_fails_the_run() {
+    let root = std::env::temp_dir().join(format!("atlas-store-groups-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (program, interface) = box_setup();
+    let engine = Engine::new(&program, &interface, box_config(&program));
+    engine
+        .run_with_store(&engine.run_provenance(), &root, EXTRACTION)
+        .expect("cold root");
+    let shard = atlas_store::shard_entry(&root, engine.cluster_jobs()[0].closure);
+    let doc = atlas_store::load_document(&shard.cache).expect("shard cache");
+    let group = doc.get("shards").and_then(Json::as_arr).expect("groups")[0].clone();
+    for groups in [vec![group.clone(), group], Vec::new()] {
+        let n = groups.len();
+        std::fs::write(&shard.cache, doc.clone().set("shards", groups).render()).unwrap();
+        let positioned = |err: &StoreError| {
+            matches!(err, StoreError::Schema { path, .. } if *path == shard.cache)
+                && err.to_string().contains(&format!("found {n}"))
+        };
+        let err = atlas_store::load_cache(&shard.cache).unwrap_err();
+        assert!(positioned(&err), "{n} group(s): {err}");
+        let err = engine
+            .run_with_store(&engine.run_provenance(), &root, EXTRACTION)
+            .unwrap_err();
+        assert!(positioned(&err), "{n} group(s): {err}");
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }
 
