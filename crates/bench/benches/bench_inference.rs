@@ -56,7 +56,6 @@ fn bench_inference(c: &mut Criterion) {
     ]
     .iter()
     .map(|names| class_ids(&library, names))
-    .filter(|ids| !ids.is_empty())
     .collect();
     let mut engine_group = c.benchmark_group("engine_four_clusters_500_samples");
     for num_threads in [1usize, 0] {

@@ -4,8 +4,9 @@
 //! One [`run_batch`] call:
 //!
 //! 1. runs full inference, then a **warm** second leg that must learn the
-//!    identical artifact — demonstrating warm starts end to end (identical
-//!    results, reported executions, wall-clock speedup);
+//!    identical artifact by splicing the first leg's shards —
+//!    demonstrating warm starts end to end (identical results, reported
+//!    executions, wall-clock speedup);
 //! 2. generates the benchmark app suite (with the diversity knobs of
 //!    `atlas-apps` opened up beyond the historical defaults);
 //! 3. analyzes every app under all three specification variants —
@@ -14,18 +15,19 @@
 //!    timings, flow counts, non-trivial points-to edges, and
 //!    precision/recall against the constructed leaks;
 //! 4. emits a machine-readable JSON report ([`BatchReport::json`], schema
-//!    `atlas-batch/1`) plus a short human summary.
+//!    `atlas-batch/2`) plus a short human summary.
 //!
-//! Without a store, the first leg is a cold engine run and the warm leg
-//! replays it from the harvested in-memory verdict cache.  With a
-//! persistent store (`ATLAS_STORE=dir` or [`BatchConfig::store`]), both
-//! legs are the store-backed run over that closure-sharded root: an empty
-//! root fills cluster by cluster, and a root an earlier process seeded
-//! splices every cluster back without running the learner — a warm start
+//! Both legs are the store-backed run over one closure-sharded root: the
+//! persistent store (`ATLAS_STORE=dir` or [`BatchConfig::store`]) when
+//! one is configured, a fresh temporary root (removed when the run ends)
+//! otherwise.  An empty root fills cluster by cluster and the warm leg
+//! splices every cluster back; a root an earlier process seeded splices
+//! every cluster in both legs without running the learner — a warm start
 //! *across processes*.  The first leg's artifact is exported to
 //! `<root>/specs.json` and byte-compared against the previous process's
-//! export; the report's `store` section records the splice counts and the
-//! `specs_identical` verdict that CI's warm-start smoke step asserts.
+//! export; the report's `store` section records the first leg's splice
+//! counts and the `specs_identical` verdict that CI's warm-start smoke
+//! step asserts.
 //!
 //! The `batch` binary prints the JSON to stdout (and the summary to
 //! stderr): `cargo run --release -p atlas-bench --bin batch > report.json`.
@@ -33,9 +35,9 @@
 use crate::config::{app_count, env_parse, sample_budget, store_dir, thread_budget, trace_enabled};
 use crate::context::{analyze_app, SpecSet};
 use crate::json::Json;
-use crate::storeleg::{export_specs, Leg};
+use crate::storeleg::{export_specs, with_root, Leg};
 use atlas_apps::{generate_suite, AppConfig};
-use atlas_core::{AtlasConfig, Engine, StoreError, VerdictCache};
+use atlas_core::{AtlasConfig, Engine, StoreError};
 use atlas_ir::LibraryInterface;
 use atlas_javalib::{class_ids, library_program, CLASS_CLUSTERS};
 use atlas_obs::Recorder;
@@ -62,13 +64,13 @@ pub struct BatchConfig {
     /// diversity knobs wider than the historical suite: more patterns per
     /// app, more benign-payload sinks (precision bait), larger size spread.
     pub app_config: AppConfig,
-    /// Persistent store root (`ATLAS_STORE`).  When set, both inference
-    /// legs are the store-backed run over this closure-sharded root
-    /// (`0x<closure>/{cache,specs}.json` per cluster): shards an earlier
-    /// process left splice without running the learner, missing ones are
-    /// learned and persisted.  The first leg's artifact is exported to
-    /// `specs.json` in the root, and the report gains a `store` section
-    /// with the splice counts and the cross-process determinism verdict.
+    /// Persistent store root (`ATLAS_STORE`).  Both inference legs are the
+    /// store-backed run over a closure-sharded root
+    /// (`0x<closure>/{cache,specs}.json` per cluster, plus the first leg's
+    /// `specs.json` export): this one when set, so shards an earlier
+    /// process left splice without running the learner and the run's own
+    /// shards outlive it; a fresh temporary root, removed when the run
+    /// ends, otherwise.
     pub store: Option<PathBuf>,
     /// Record span events (`ATLAS_TRACE`).  Metrics counters are always
     /// collected; tracing additionally buffers the event stream a
@@ -187,7 +189,7 @@ struct VariantTotals {
 /// The outcome of a batch run: the JSON document plus a human summary.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// The machine-readable report (schema `atlas-batch/1`).
+    /// The machine-readable report (schema `atlas-batch/2`).
     pub json: Json,
     /// A short human-readable summary (one line per headline number).
     pub summary: String,
@@ -200,7 +202,7 @@ pub struct BatchReport {
 /// Runs the full batch pipeline.  See the [module docs](self).
 ///
 /// # Errors
-/// Returns the positioned `atlas-store` error when the configured store is
+/// Returns the positioned `atlas-store` error when the store root is
 /// unreadable/unwritable or holds a corrupt artifact — the `batch` binary
 /// turns this into a nonzero exit with a human-readable message instead of
 /// a panic.
@@ -218,7 +220,6 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
     let clusters: Vec<_> = CLASS_CLUSTERS
         .iter()
         .map(|names| class_ids(&library, names))
-        .filter(|ids| !ids.is_empty())
         .collect();
     let atlas_config = AtlasConfig {
         samples_per_cluster: config.samples,
@@ -227,38 +228,30 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         ..AtlasConfig::default()
     };
 
-    // 1. The first inference leg: the store-backed run when a store is
-    //    configured (a seeded root splices every cluster — a warm start
-    //    across processes), a cold engine run otherwise.
     let engine =
         Engine::new(&library, &interface, atlas_config.clone()).with_recorder(recorder.clone());
-    let (cold, cache) = match &config.store {
-        Some(root) => (Leg::store_backed(&engine, root)?, VerdictCache::new()),
-        None => Leg::run(&engine),
-    };
-    let cache_entries = cache.len();
-
-    // Export the inferred specification set.  When a previous process left
-    // one behind, the export byte-compares against it before overwriting.
-    let specs_identical = match &config.store {
-        Some(root) => export_specs(&library, &cold.artifact, root)?,
-        None => Json::Null,
-    };
-
-    // 2. The warm leg must learn the identical artifact with no
-    //    executions: a second store-backed run over the same root (every
-    //    cluster splices), or the cold leg replayed from its verdicts.
     let warm_engine = Engine::new(&library, &interface, atlas_config)
         .with_recorder(recorder.with_lane_base(4096));
-    let warm = match &config.store {
-        Some(root) => Leg::store_backed(&warm_engine, root)?,
-        None => Leg::run(&warm_engine.warm_start(cache)).0,
-    };
+    let (cold, specs_identical, warm) = with_root(config.store.as_deref(), |root| {
+        // 1. The first inference leg: an empty root fills cluster by
+        //    cluster, a seeded one splices every cluster — a warm start
+        //    across processes.
+        let cold = Leg::store_backed(&engine, root)?;
+        // Export the inferred specification set.  When a previous process
+        // left one behind, the export byte-compares against it before
+        // overwriting.
+        let specs_identical = export_specs(&library, &cold.artifact, root)?;
+        // 2. The warm leg must learn the identical artifact with no
+        //    executions: a second store-backed run over the same root,
+        //    which splices every cluster.
+        let warm = Leg::store_backed(&warm_engine, root)?;
+        Ok::<_, StoreError>((cold, specs_identical, warm))
+    })?;
     let (cold_time, warm_time) = (cold.wall_time, warm.wall_time);
     let identical = cold.artifact == warm.artifact;
 
     // Memoization already pays off within the cold run itself (sampling
-    // re-draws candidates); the warm-start hit rate is reported separately.
+    // re-draws candidates).
     let cold_memo_hit_rate = cold.cache_stats.hit_rate();
 
     // 3. The app suite, analyzed under all three variants; the inferred
@@ -315,7 +308,6 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
     }
 
     // 4. Assemble the report.
-    let cache_stats = warm.cache_stats;
     let speedup = if warm_time.as_secs_f64() > 0.0 {
         cold_time.as_secs_f64() / warm_time.as_secs_f64()
     } else {
@@ -337,7 +329,7 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
         );
     }
     let json = Json::obj()
-        .set("schema", "atlas-batch/1")
+        .set("schema", "atlas-batch/2")
         .set(
             "config",
             Json::obj()
@@ -359,33 +351,22 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
                 .set("oracle_queries", cold.oracle_queries)
                 .set("cold_executions", cold.oracle_executions)
                 .set("warm_executions", warm.oracle_executions)
+                .set("warm_spliced_clusters", warm.splice.spliced)
+                .set("warm_spliced_verdicts", warm.splice.spliced_verdicts)
                 .set("cold_ms", cold_time.as_secs_f64() * 1e3)
                 .set("warm_ms", warm_time.as_secs_f64() * 1e3)
                 .set("warm_speedup", speedup)
                 .set("results_identical", identical)
-                .set("cold_memo_hit_rate", cold_memo_hit_rate)
-                .set(
-                    "cache",
-                    Json::obj()
-                        .set("entries", cache_entries)
-                        .set("lookups", cache_stats.lookups)
-                        .set("hits", cache_stats.hits)
-                        .set("warm_hits", cache_stats.warm_hits)
-                        .set("misses", cache_stats.misses)
-                        .set("evictions", cache_stats.evictions)
-                        .set("hit_rate", cache_stats.hit_rate())
-                        .set("warm_hit_rate", cache_stats.warm_hit_rate()),
-                ),
+                .set("cold_memo_hit_rate", cold_memo_hit_rate),
         )
         .set(
             "store",
-            match (&config.store, &cold.splice) {
-                (Some(root), Some(splice)) => splice.json(root, specs_identical.clone()).set(
+            cold.splice
+                .json(config.store.as_deref(), specs_identical.clone())
+                .set(
                     "library_fingerprint",
                     atlas_store::hex64_string(cold.artifact.fingerprint),
                 ),
-                _ => Json::Null,
-            },
         )
         .set("apps", Json::Arr(app_rows))
         .set("totals", totals_json)
@@ -395,41 +376,38 @@ pub fn run_batch(config: &BatchConfig) -> Result<BatchReport, StoreError> {
     let _ = writeln!(
         summary,
         "inference: cold {:.2?} -> warm {:.2?} ({speedup:.1}x, {} -> {} executions, \
-         {:.1}% warm-hit rate, identical={identical})",
+         {} of {} cluster(s) spliced warm, identical={identical})",
         cold_time,
         warm_time,
         cold.oracle_executions,
         warm.oracle_executions,
-        100.0 * cache_stats.warm_hit_rate(),
+        warm.splice.spliced,
+        cold.artifact.clusters.len(),
     );
-    let _ = writeln!(
-        summary,
-        "cache: {cache_entries} entries, {} lookups, {} hits",
-        cache_stats.lookups, cache_stats.hits
-    );
-    if let (Some(root), Some(splice)) = (&config.store, &cold.splice) {
-        if splice.spliced > 0 {
-            let _ = writeln!(
-                summary,
-                "store: warm-started from {} ({} cluster(s) spliced, {} re-ran, {} verdicts, \
-                 specs identical={})",
-                root.display(),
-                splice.spliced,
-                splice.reran,
-                splice.spliced_verdicts,
-                match &specs_identical {
-                    Json::Bool(b) => b.to_string(),
-                    _ => "n/a".to_string(),
-                },
-            );
-        } else {
-            let _ = writeln!(
-                summary,
-                "store: cold run persisted {} cluster shard(s) to {}",
-                splice.reran,
-                root.display(),
-            );
-        }
+    let root = match &config.store {
+        Some(root) => root.display().to_string(),
+        None => "a temporary root".to_string(),
+    };
+    let splice = &cold.splice;
+    if splice.spliced > 0 {
+        let _ = writeln!(
+            summary,
+            "store: warm-started from {root} ({} cluster(s) spliced, {} re-ran, {} verdicts, \
+             specs identical={})",
+            splice.spliced,
+            splice.reran,
+            splice.spliced_verdicts,
+            match &specs_identical {
+                Json::Bool(b) => b.to_string(),
+                _ => "n/a".to_string(),
+            },
+        );
+    } else {
+        let _ = writeln!(
+            summary,
+            "store: cold run persisted {} cluster shard(s) to {root}",
+            splice.reran,
+        );
     }
     for ((name, _), total) in VARIANTS.iter().zip(&totals) {
         let _ = writeln!(
@@ -456,22 +434,21 @@ mod tests {
 
     #[test]
     fn batch_pipeline_produces_a_consistent_report() {
-        let report = run_batch(&BatchConfig::small()).expect("no store configured");
+        let report = run_batch(&BatchConfig::small()).expect("temporary store root");
         let json = &report.json;
-        assert_eq!(json.get("schema"), Some(&Json::str("atlas-batch/1")));
+        assert_eq!(json.get("schema"), Some(&Json::str("atlas-batch/2")));
+        let int = |section: &Json, key: &str| section.get(key).and_then(Json::as_int);
 
+        // The warm leg splices every cluster the cold leg persisted to the
+        // temporary root: no executions, identical artifact.
         let inference = json.get("inference").expect("inference section");
+        let clusters = int(inference, "clusters").expect("cluster count");
+        assert!(clusters > 0);
+        assert!(int(inference, "cold_executions").unwrap() > 0);
+        assert_eq!(int(inference, "warm_spliced_clusters"), Some(clusters));
+        assert!(int(inference, "warm_spliced_verdicts").unwrap() > 0);
+        assert_eq!(int(inference, "warm_executions"), Some(0));
         assert_eq!(inference.get("results_identical"), Some(&Json::Bool(true)));
-        assert_eq!(inference.get("warm_executions"), Some(&Json::Int(0)));
-        let cache = inference.get("cache").expect("cache section");
-        let Some(Json::Float(warm_rate)) = cache.get("warm_hit_rate") else {
-            panic!("warm_hit_rate missing: {cache:?}");
-        };
-        assert!(*warm_rate > 0.99, "warm run should hit on every query");
-        let Some(Json::Int(entries)) = cache.get("entries") else {
-            panic!("entries missing");
-        };
-        assert!(*entries > 0);
 
         let Some(Json::Arr(apps)) = json.get("apps") else {
             panic!("apps missing");
@@ -497,8 +474,15 @@ mod tests {
         // The summary mentions the headline numbers and the JSON renders.
         assert!(report.summary.contains("identical=true"));
         assert!(report.json.render().contains("warm_speedup"));
-        // Without a store configured, the store section is explicitly null.
-        assert_eq!(json.get("store"), Some(&Json::Null));
+        // Without a store configured, the store section describes the cold
+        // fill of a temporary root and names no path.
+        let store = json.get("store").expect("store section");
+        assert_eq!(store.get("root"), Some(&Json::Null));
+        assert_eq!(store.get("spec_file"), Some(&Json::Null));
+        assert_eq!(int(store, "spliced_clusters"), Some(0));
+        assert_eq!(int(store, "reran_clusters"), Some(clusters));
+        assert_eq!(int(store, "forced_dirty"), Some(clusters));
+        assert_eq!(store.get("specs_identical"), Some(&Json::Null));
     }
 
     #[test]

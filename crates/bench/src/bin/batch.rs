@@ -10,11 +10,13 @@
 //! ATLAS_STORE=target/atlas-store cargo run --release -p atlas-bench --bin batch -- --expect-warm
 //! ```
 //!
-//! The human summary goes to stderr, the JSON document to stdout (and to
-//! `ATLAS_BATCH_OUT` when set).  Budgets come from the usual knobs
-//! (`ATLAS_SAMPLES`, `ATLAS_APPS`, `ATLAS_THREADS`) plus the suite-shape
-//! knobs `ATLAS_BATCH_SEED`, `ATLAS_BATCH_MAX_PATTERNS`, and
-//! `ATLAS_BATCH_SIZE_FACTOR`.
+//! Both inference legs are the store-backed run: over the store root when
+//! one is configured, over a temporary root removed when the run ends
+//! otherwise.  The human summary goes to stderr, the `atlas-batch/2` JSON
+//! document to stdout (and to `ATLAS_BATCH_OUT` when set).  Budgets come
+//! from the usual knobs (`ATLAS_SAMPLES`, `ATLAS_APPS`, `ATLAS_THREADS`)
+//! plus the suite-shape knobs `ATLAS_BATCH_SEED`,
+//! `ATLAS_BATCH_MAX_PATTERNS`, and `ATLAS_BATCH_SIZE_FACTOR`.
 //!
 //! Flags:
 //!
@@ -103,47 +105,17 @@ fn main() {
     }
 }
 
-/// The `--expect-warm` contract: everything a cross-process warm start
-/// promises, checked from the report itself.  Failure messages name the
-/// store root and export involved, so a cold store is diagnosable from the
-/// CI log alone.
+/// The `--expect-warm` contract ([`atlas_bench::warm_start_failures`]),
+/// checked from the report itself: the first leg spliced every cluster
+/// and executed nothing.
 fn verify_warm_start(report: &Json) {
-    let store = report.get("store").unwrap_or(&Json::Null);
     let inference = report.get("inference").unwrap_or(&Json::Null);
-    let int = |section: &Json, key: &str| section.get(key).and_then(Json::as_int);
-    let root = store
-        .get("root")
-        .and_then(Json::as_str)
-        .unwrap_or("<no store configured>");
-    let spec_file = store
-        .get("spec_file")
-        .and_then(Json::as_str)
-        .unwrap_or("<no store configured>");
-    let mut failures = Vec::new();
-    let clusters = int(inference, "clusters");
-    if clusters.unwrap_or(0) == 0 || int(store, "spliced_clusters") != clusters {
-        failures.push(format!(
-            "not every cluster spliced from {root}: {:?} of {clusters:?}",
-            int(store, "spliced_clusters")
-        ));
-    }
-    for key in ["reran_clusters", "forced_dirty"] {
-        match int(store, key) {
-            Some(0) => {}
-            n => failures.push(format!("{key} is not 0 despite {root}: {n:?}")),
-        }
-    }
-    if store.get("specs_identical").and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "inferred spec set differs from the previous process's export at {spec_file}"
-        ));
-    }
-    match int(inference, "cold_executions") {
-        Some(0) => {}
-        n => failures.push(format!(
-            "first leg executed unit tests despite {root}: {n:?}"
-        )),
-    }
+    let int = |key: &str| inference.get(key).and_then(Json::as_int);
+    let failures = atlas_bench::warm_start_failures(
+        report.get("store").unwrap_or(&Json::Null),
+        int("clusters"),
+        int("cold_executions"),
+    );
     if failures.is_empty() {
         eprintln!(
             "batch: cross-process warm start verified (every cluster spliced, identical specs, \

@@ -9,10 +9,12 @@
 //! ATLAS_FLEET_STORE=target/atlas-fleet cargo run --release -p atlas-bench --bin fleet -- --expect-warm
 //! ```
 //!
-//! The human summary goes to stderr, the `atlas-fleet/1` JSON document to
+//! The human summary goes to stderr, the `atlas-fleet/2` JSON document to
 //! stdout (and to `ATLAS_FLEET_OUT` when set).  Budgets come from the
 //! usual knobs (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus `ATLAS_FLEET_STORE`
-//! (store root; member `m` keeps its closure shards under `<root>/m/`),
+//! (store root; member `m` keeps its closure shards under `<root>/m/`;
+//! without one, the member roots live under a temporary root removed when
+//! the run ends),
 //! `ATLAS_FLEET_SEED` (synthetic-library seed), and
 //! `ATLAS_FLEET_LIBS` (comma-separated member names).
 //!
@@ -142,51 +144,27 @@ fn main() {
     }
 }
 
-/// The `--expect-warm` contract: every fleet member spliced every cluster
-/// from its root, executed nothing, and reproduced its spec export byte
-/// for byte.
+/// The `--expect-warm` contract ([`atlas_bench::warm_start_failures`]) for
+/// every fleet member: each spliced every cluster from its root, executed
+/// nothing, and reproduced its spec export byte for byte.
 fn verify_warm_start(report: &Json) {
-    let mut failures = Vec::new();
-    let empty = Vec::new();
     let libraries = report
         .get("libraries")
         .and_then(Json::as_arr)
-        .unwrap_or(&empty);
+        .unwrap_or_default();
+    let mut failures = Vec::new();
     if libraries.is_empty() {
         failures.push("the report lists no libraries".to_string());
     }
-    let int = |section: &Json, key: &str| section.get(key).and_then(Json::as_int);
     for row in libraries {
         let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
-        let store = row.get("store").unwrap_or(&Json::Null);
-        // Name the member root in every failure, so the CI log alone says
-        // which store location was cold.
-        let root = store
-            .get("root")
-            .and_then(Json::as_str)
-            .unwrap_or("<no store configured>");
-        let clusters = int(row, "clusters");
-        if clusters.unwrap_or(0) == 0 || int(store, "spliced_clusters") != clusters {
-            failures.push(format!(
-                "{name}: not every cluster spliced from {root}: {:?} of {clusters:?}",
-                int(store, "spliced_clusters")
-            ));
-        }
-        for key in ["reran_clusters", "forced_dirty"] {
-            match int(store, key) {
-                Some(0) => {}
-                n => failures.push(format!("{name}: {key} is not 0 despite {root}: {n:?}")),
-            }
-        }
-        if store.get("specs_identical").and_then(Json::as_bool) != Some(true) {
-            failures.push(format!(
-                "{name}: inferred spec set differs from the export in {root}"
-            ));
-        }
-        match int(row, "executions") {
-            Some(0) => {}
-            n => failures.push(format!("{name}: executed unit tests despite {root}: {n:?}")),
-        }
+        let int = |key: &str| row.get(key).and_then(Json::as_int);
+        let member = atlas_bench::warm_start_failures(
+            row.get("store").unwrap_or(&Json::Null),
+            int("clusters"),
+            int("executions"),
+        );
+        failures.extend(member.into_iter().map(|f| format!("{name}: {f}")));
     }
     if failures.is_empty() {
         eprintln!(

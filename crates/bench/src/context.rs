@@ -63,7 +63,6 @@ impl EvalContext {
         let clusters = CLASS_CLUSTERS
             .iter()
             .map(|names| class_ids(&library, names))
-            .filter(|ids| !ids.is_empty())
             .collect();
         let config = AtlasConfig {
             samples_per_cluster,

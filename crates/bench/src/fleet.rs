@@ -10,20 +10,22 @@
 //! * an outer work-stealing scheduler hands libraries to workers, while
 //!   each library's [`Engine`] keeps its per-cluster parallelism; the two
 //!   levels share one [`ThreadBudget`], so `ATLAS_THREADS` bounds the
-//!   *total* worker count (`outer × inner ≤ budget`);
-//! * with a store root configured, every library runs the store-backed
-//!   run over its own closure-sharded root `<root>/<member>/` (one
-//!   `0x<closure>/{cache,specs}.json` shard per cluster, plus the member's
-//!   `specs.json` export): an empty root fills cluster by cluster, a
+//!   *total* worker count (`outer × inner ≤ budget`), and one work queue,
+//!   [`map_indexed`];
+//! * every library runs the store-backed run over its own closure-sharded
+//!   root `<root>/<member>/` (one `0x<closure>/{cache,specs}.json` shard
+//!   per cluster, plus the member's `specs.json` export), under the
+//!   configured store root or, without one, a fresh temporary root
+//!   removed when the run ends: an empty root fills cluster by cluster, a
 //!   seeded one splices every cluster without running the learner.  One
-//!   root per member, because two members writing one shard would merge
-//!   their caches and make its bytes depend on scheduling;
+//!   root per member, because two members writing one shard would make
+//!   its bytes depend on scheduling;
 //! * each library's inferred fragments — read from the run's
 //!   `atlas-spec/1` artifact — are scored against its ground-truth corpus
 //!   (statement-level precision/recall via
 //!   [`atlas_core::compare_fragments`]), restricted to the classes its
 //!   clusters cover;
-//! * the run emits a versioned `atlas-fleet/1` JSON report with
+//! * the run emits a versioned `atlas-fleet/2` JSON report with
 //!   per-library rows (in configuration order, independent of scheduling)
 //!   and a parallel-efficiency summary.
 //!
@@ -37,16 +39,14 @@
 
 use crate::config;
 use crate::json::Json;
-use crate::storeleg::{export_specs, Leg};
-use atlas_core::{compare_fragments, AtlasConfig, Engine, StoreError, ThreadBudget};
+use crate::storeleg::{export_specs, with_root, Leg};
+use atlas_core::{compare_fragments, map_indexed, AtlasConfig, Engine, StoreError, ThreadBudget};
 use atlas_ir::{ClassId, LibraryInterface, MethodId, Stmt};
 use atlas_obs::Recorder;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// An error raised by a fleet (or serve) run.
@@ -117,7 +117,9 @@ pub struct FleetConfig {
     /// outer scheduler and the per-library engines.
     pub threads: usize,
     /// Store root (`ATLAS_FLEET_STORE`): member `m` keeps its
-    /// closure-sharded root at `<store_root>/m/`.
+    /// closure-sharded root at `<store_root>/m/`.  Without one, the
+    /// members' roots live under a fresh temporary root, removed when the
+    /// run ends.
     pub store_root: Option<PathBuf>,
     /// Base seed of the synthetic libraries (`ATLAS_FLEET_SEED`).
     pub synth_seed: u64,
@@ -185,7 +187,7 @@ impl FleetConfig {
 /// The outcome of a fleet run: the JSON document plus a human summary.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// The machine-readable report (schema `atlas-fleet/1`).
+    /// The machine-readable report (schema `atlas-fleet/2`).
     pub json: Json,
     /// A short human-readable summary (one line per library).
     pub summary: String,
@@ -201,9 +203,8 @@ struct LibraryRun {
     leg: Leg,
     interface_methods: usize,
     num_classes: usize,
-    /// The member's store root and the spec-export verdict (None without
-    /// a store root).
-    store: Option<(PathBuf, Json)>,
+    /// Whether the spec export matched the member's previous one.
+    specs_identical: Json,
     // Scoring.
     precision: f64,
     recall: f64,
@@ -215,11 +216,12 @@ struct LibraryRun {
 use atlas_store::hex64_string as hex;
 
 /// Runs the full inference pipeline for one library: the store-backed run
-/// over its member root (or a plain run without a store), the
-/// byte-compared spec export, and scoring against ground truth.
+/// over its member root `<root>/<name>/`, the byte-compared spec export,
+/// and scoring against ground truth.
 fn run_library(
     lib: &FleetLibrary,
     fleet: &FleetConfig,
+    root: &Path,
     inner_threads: usize,
     recorder: &Recorder,
     index: usize,
@@ -236,15 +238,9 @@ fn run_library(
     // library, so the exported event stream is schedule-independent.
     let engine = Engine::new(&lib.program, &interface, atlas_config)
         .with_recorder(recorder.with_lane_base(index as u64 * 4096));
-    let (leg, store) = match &fleet.store_root {
-        Some(root) => {
-            let member = root.join(&lib.name);
-            let leg = Leg::store_backed(&engine, &member)?;
-            let identical = export_specs(&lib.program, &leg.artifact, &member)?;
-            (leg, Some((member, identical)))
-        }
-        None => (Leg::run(&engine).0, None),
-    };
+    let member = root.join(&lib.name);
+    let leg = Leg::store_backed(&engine, &member)?;
+    let specs_identical = export_specs(&lib.program, &leg.artifact, &member)?;
 
     // Score the inferred fragments against the ground truth of the classes
     // the clusters actually cover (the corpus may describe more).
@@ -262,7 +258,7 @@ fn run_library(
         name: lib.name.clone(),
         interface_methods: interface.num_methods(),
         num_classes: lib.program.num_classes(),
-        store,
+        specs_identical,
         precision: comparison.precision(),
         recall: comparison.recall(),
         exact: comparison.exact_matches(),
@@ -304,36 +300,16 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
     let budget = ThreadBudget::resolve(fleet.threads);
     let split = budget.split(libraries.len());
 
-    // The outer work-stealing scheduler: a lock-free cursor hands library
-    // indices to workers; results land in per-library slots, so the report
-    // order is the configuration order regardless of scheduling.
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<LibraryRun, FleetError>>>> =
-        Mutex::new((0..libraries.len()).map(|_| None).collect());
-    if split.outer <= 1 {
-        // Inline fast path: identical pipeline, no thread spawn.
-        for (i, lib) in libraries.iter().enumerate() {
-            let run = run_library(lib, fleet, split.inner, &recorder, i);
-            slots.lock().expect("slot lock poisoned")[i] = Some(run);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..split.outer {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(lib) = libraries.get(i) else { break };
-                    let run = run_library(lib, fleet, split.inner, &recorder, i);
-                    slots.lock().expect("slot lock poisoned")[i] = Some(run);
-                });
-            }
-        });
-    }
-    let runs: Vec<LibraryRun> = slots
-        .into_inner()
-        .expect("slot lock poisoned")
+    // The outer scheduler: the work queue hands library indices to
+    // workers and returns the runs in configuration order, regardless of
+    // scheduling.
+    let runs: Vec<LibraryRun> = with_root(fleet.store_root.as_deref(), |root| {
+        map_indexed(&libraries, split.outer, |i, lib| {
+            run_library(lib, fleet, root, split.inner, &recorder, i)
+        })
         .into_iter()
-        .map(|slot| slot.expect("every library was scheduled"))
-        .collect::<Result<_, _>>()?;
+        .collect()
+    })?;
     let wall_time = total_wall.elapsed();
 
     // Assemble the report.
@@ -341,7 +317,6 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
     let mut summary = String::new();
     let mut total_queries = 0usize;
     let mut total_executions = 0usize;
-    let mut total_warm_hits = 0usize;
     let mut total_positives = 0usize;
     let mut total_specs = 0usize;
     let mut cpu_time = Duration::ZERO;
@@ -351,14 +326,10 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
         let num_specs = leg.artifact.num_specs();
         total_queries += leg.oracle_queries;
         total_executions += leg.oracle_executions;
-        total_warm_hits += stats.warm_hits;
         total_positives += leg.positive_examples;
         total_specs += num_specs;
         cpu_time += leg.phase1_time + leg.phase2_time;
-        let store_json = match (&run.store, &leg.splice) {
-            (Some((root, identical)), Some(splice)) => splice.json(root, identical.clone()),
-            _ => Json::Null,
-        };
+        let member_root = fleet.store_root.as_ref().map(|root| root.join(&run.name));
         rows.push(
             Json::obj()
                 .set("name", run.name.as_str())
@@ -374,12 +345,14 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
                     Json::obj()
                         .set("lookups", stats.lookups)
                         .set("hits", stats.hits)
-                        .set("warm_hits", stats.warm_hits)
                         .set("misses", stats.misses)
-                        .set("hit_rate", stats.hit_rate())
-                        .set("warm_hit_rate", stats.warm_hit_rate()),
+                        .set("hit_rate", stats.hit_rate()),
                 )
-                .set("store", store_json)
+                .set(
+                    "store",
+                    leg.splice
+                        .json(member_root.as_deref(), run.specs_identical.clone()),
+                )
                 .set(
                     "specs",
                     Json::obj()
@@ -408,11 +381,10 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
             run.precision,
             run.recall,
             leg.oracle_executions,
-            match &leg.splice {
-                Some(splice) if splice.spliced > 0 => {
-                    format!(" (warm, {} cluster(s) spliced)", splice.spliced)
-                }
-                _ => String::new(),
+            if leg.splice.spliced > 0 {
+                format!(" (warm, {} cluster(s) spliced)", leg.splice.spliced)
+            } else {
+                String::new()
             },
             leg.wall_time,
         );
@@ -427,7 +399,7 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
         cpu_time.as_secs_f64() / wall_time.as_secs_f64() / granted
     };
     let json = Json::obj()
-        .set("schema", "atlas-fleet/1")
+        .set("schema", "atlas-fleet/2")
         .set(
             "config",
             Json::obj()
@@ -455,7 +427,6 @@ pub fn run_fleet(fleet: &FleetConfig) -> Result<FleetReport, FleetError> {
                 .set("libraries", runs.len())
                 .set("oracle_queries", total_queries)
                 .set("executions", total_executions)
-                .set("warm_hits", total_warm_hits)
                 .set("positive_examples", total_positives)
                 .set("specs", total_specs),
         )

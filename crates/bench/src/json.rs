@@ -13,11 +13,11 @@ mod tests {
     use super::*;
 
     /// The report writer's contract, exercised through the re-export: what
-    /// `atlas-batch/1` consumers read back must equal what was written.
+    /// `atlas-batch/2` consumers read back must equal what was written.
     #[test]
     fn report_documents_round_trip_through_the_shared_parser() {
         let doc = Json::obj()
-            .set("schema", "atlas-batch/1")
+            .set("schema", "atlas-batch/2")
             .set("ratio", 0.5)
             .set("name", "line\nbreak \"quoted\"")
             .set("items", vec![Json::Int(1), Json::Null, Json::str("x")]);
@@ -25,7 +25,7 @@ mod tests {
         assert_eq!(parsed, doc);
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
-            Some("atlas-batch/1")
+            Some("atlas-batch/2")
         );
     }
 }

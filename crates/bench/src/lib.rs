@@ -19,14 +19,15 @@
 //! machine-readable pipeline: one `batch` run performs cold + warm-started
 //! inference and analyzes the whole generated-app suite under the
 //! inferred, handwritten, and ground-truth specification variants,
-//! emitting a JSON report (`atlas-batch/1`) with per-app timings, cache
-//! hit rates, and precision/recall.  With `ATLAS_STORE=dir` (or
-//! `--store`), inference is the store-backed run over that closure-sharded
-//! root: the first invocation fills it with one shard per cluster, and the
-//! next — *across processes* — splices every cluster back without running
-//! the learner; `--expect-warm` turns the invariants (every cluster
-//! spliced, zero executions, byte-identical spec export) into an exit code
-//! for CI.
+//! emitting a JSON report (`atlas-batch/2`) with per-app timings, splice
+//! counts, and precision/recall.  Inference is the store-backed run over a
+//! closure-sharded root — a temporary one removed when the run ends, or,
+//! with `ATLAS_STORE=dir` (or `--store`), that one: the first invocation
+//! fills it with one shard per cluster, and the next — *across processes*
+//! — splices every cluster back without running the learner;
+//! `--expect-warm` turns the invariants (every cluster spliced, zero
+//! executions, byte-identical spec export) into an exit code for CI
+//! ([`warm_start_failures`]).
 //!
 //! The [`fleet`] module scales the pipeline from one library to a
 //! *population*: registered `atlas-javalib` variants plus deterministic
@@ -34,7 +35,7 @@
 //! scheduler (two-level parallelism under one `ATLAS_THREADS` budget),
 //! each running the store-backed run over its own member root
 //! (`<root>/<member>/`), scored against its ground truth, and reported as
-//! one `atlas-fleet/1` document (the `fleet` binary).
+//! one `atlas-fleet/2` document (the `fleet` binary).
 //!
 //! The [`serve`] module drives the *resident* deployment mode: spawn an
 //! in-process `atlas-serve` daemon over a closure-sharded store, open
@@ -79,15 +80,29 @@ pub use context::{EvalContext, SpecSet};
 pub use fleet::{run_fleet, FleetConfig, FleetError, FleetReport};
 pub use json::Json;
 pub use serve::{run_serve_multi_bench, ServeBenchConfig, ServeBenchReport};
+pub use storeleg::warm_start_failures;
+
+use std::io::Write as _;
 
 /// Emits a pipeline report from a report binary: the JSON goes to stdout
 /// first (the primary output — a bad file path must never lose the run),
 /// then a copy is written to the path named by the `out_env` environment
 /// variable when it is set and non-empty (an empty value means unset, as
-/// for every knob in [`config`]).  Exits `1` with a `{tag}: cannot write
-/// …` message on a failed file write.
+/// for every knob in [`config`]).  A reader that closed stdout early
+/// (`batch | head`) only ends the stdout copy.  Exits `1` with a `{tag}:
+/// cannot write …` message on any other failed write.
 pub fn emit_report(tag: &str, rendered: &str, out_env: &str) {
-    print!("{rendered}");
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(rendered.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("{tag}: cannot write the report to stdout: {e}");
+            std::process::exit(1);
+        }
+        _ => {}
+    }
     if let Some(path) = config::env_path(out_env) {
         match std::fs::write(&path, rendered) {
             Ok(()) => eprintln!("{tag}: report written to {}", path.display()),

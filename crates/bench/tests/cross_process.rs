@@ -35,7 +35,7 @@ fn run_batch_process(store: &Path, extra_args: &[&str], extra_env: &[(&str, &str
         String::from_utf8_lossy(&output.stderr)
     );
     Json::parse(&String::from_utf8(output.stdout).expect("utf-8 report"))
-        .expect("stdout is a valid atlas-batch/1 document")
+        .expect("stdout is a valid atlas-batch/2 document")
 }
 
 #[test]

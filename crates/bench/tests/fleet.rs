@@ -112,7 +112,7 @@ fn fleet_round_trip_through_sharded_stores() {
 
     // Cold run: every member root fills, one shard per cluster.
     let cold = fleet::run_fleet(&config).expect("cold fleet");
-    assert_eq!(cold.json.get("schema"), Some(&Json::str("atlas-fleet/1")));
+    assert_eq!(cold.json.get("schema"), Some(&Json::str("atlas-fleet/2")));
     let rows = library_rows(&cold.json);
     assert_eq!(rows.len(), 2);
     let mut fingerprints = Vec::new();

@@ -12,6 +12,11 @@
 //! so `ATLAS_THREADS` bounds the *total* worker count of a run, however
 //! deeply it nests.  The split is a pure function of `(budget, jobs)` —
 //! schedulers that use it stay deterministic.
+//!
+//! Both levels schedule through one work queue, [`map_indexed`].
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A resolved global thread budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,9 +92,61 @@ impl ThreadBudget {
     }
 }
 
+/// The work queue both levels share: maps `f` over `items` on `workers`
+/// scoped threads that pull indices off an atomic cursor, and returns the
+/// results in index order, whatever the scheduling.  One worker (or
+/// none) runs inline, spawning no thread.
+pub fn map_indexed<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    if workers <= 1 {
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(i, item);
+                slots.lock().expect("result lock poisoned")[i] = Some(result);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("result lock poisoned")
+        .into_iter()
+        .map(|slot| slot.expect("every index was run"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn map_indexed_keeps_index_order_at_any_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let expected: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * x)).collect();
+        for workers in [0, 1, 2, 5, 64] {
+            let got = map_indexed(&items, workers, |i, &x| (i, x * x));
+            assert_eq!(got, expected, "{workers} workers");
+        }
+        // One worker runs on the calling thread.
+        let caller = std::thread::current().id();
+        let ids = map_indexed(&items, 1, |_, _| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        assert!(map_indexed(&[] as &[u64], 4, |_, &x| x).is_empty());
+    }
 
     #[test]
     fn split_never_exceeds_the_budget() {

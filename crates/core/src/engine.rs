@@ -5,8 +5,9 @@
 //! and fans the per-cluster two-phase pipelines out across a configurable
 //! pool of worker threads.  Per-cluster inference is embarrassingly
 //! parallel: clusters share no mutable state (each gets its own [`Oracle`]),
-//! so the only coordination is a lock-free work queue handing cluster
-//! indices to workers and a slot vector collecting results.
+//! so the only coordination is the shared work queue,
+//! [`map_indexed`], handing cluster indices to workers and collecting
+//! the results in cluster order.
 //!
 //! **Determinism.**  A cluster's pipeline depends only on the program, the
 //! interface restriction, the configuration, and the cluster's RNG seed —
@@ -32,6 +33,7 @@
 //! determinism guarantee extends to any cache state: cold and warm runs
 //! are bit-identical result-for-result.
 
+use crate::budget::map_indexed;
 use crate::inference::{AtlasConfig, ClusterOutcome, InferenceOutcome, ParallelismSummary};
 use atlas_interp::CompiledProgram;
 use atlas_ir::{ClassId, ContentIndex, LibraryInterface, Program};
@@ -40,8 +42,7 @@ use atlas_learn::{
     SampleResult, VerdictCache,
 };
 use atlas_obs::{ArgValue, Recorder};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The parallel specification-inference engine.
@@ -481,8 +482,9 @@ impl<'e, 'p> Session<'e, 'p> {
         let wall = Instant::now();
         let mut session_lane = self.engine.recorder.lane(0);
         let session_start = session_lane.begin();
-        let jobs: Vec<&ClusterJob> = self.jobs.iter().collect();
-        let slots = run_queue(self.engine, &jobs, self.num_threads, &self.collected);
+        let slots = map_indexed(&self.jobs, self.num_threads, |_, job| {
+            run_cluster_job(self.engine, job, &self.collected)
+        });
 
         let mut outcome = InferenceOutcome {
             clusters: Vec::new(),
@@ -521,44 +523,13 @@ impl<'e, 'p> Session<'e, 'p> {
     }
 }
 
-/// The work queue both run shapes share — [`Session::run`] over every
-/// job, the store-backed run over its dirty ones: `num_threads` scoped
-/// workers pull jobs off an atomic cursor and run [`run_cluster_job`],
-/// each result landing in its job's slot, so the slots come back in job
-/// order whatever the scheduling.  One worker runs inline, spawning
-/// nothing.
-pub(crate) fn run_queue(
-    engine: &Engine<'_>,
-    jobs: &[&ClusterJob],
-    num_threads: usize,
-    warm: &VerdictCache,
-) -> Vec<Option<ClusterRun>> {
-    if num_threads <= 1 {
-        return jobs
-            .iter()
-            .map(|job| run_cluster_job(engine, job, warm))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<ClusterRun>>> =
-        Mutex::new((0..jobs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..num_threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let run = run_cluster_job(engine, job, warm);
-                results.lock().expect("result lock poisoned")[i] = run;
-            });
-        }
-    });
-    results.into_inner().expect("result lock poisoned")
-}
-
 /// Runs the two-phase pipeline for one cluster.  This is *the*
 /// deterministic unit of work: everything it reads is immutable shared
-/// state or derived from the job's seed.
-fn run_cluster_job(
+/// state or derived from the job's seed.  Both run shapes queue it
+/// through [`map_indexed`] — [`Session::run`] over every job, the
+/// store-backed run over its dirty ones — so the runs come back in job
+/// order whatever the scheduling.
+pub(crate) fn run_cluster_job(
     engine: &Engine<'_>,
     job: &ClusterJob,
     warm: &VerdictCache,

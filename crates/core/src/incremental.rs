@@ -43,7 +43,8 @@
 //! the new program.  This module's unit tests and the
 //! `incremental_invalidation` integration test both assert exactly this.
 
-use crate::engine::{resolve_threads, run_queue, ClusterJob, Engine};
+use crate::budget::map_indexed;
+use crate::engine::{resolve_threads, run_cluster_job, ClusterJob, Engine};
 use crate::inference::{cluster_spec, ClusterOutcome};
 use crate::shards::{HotShards, ROOT_NAMESPACE};
 use atlas_learn::{CacheStats, OracleStats};
@@ -330,7 +331,10 @@ impl<'p> Engine<'p> {
             .map(|(job, _)| job)
             .collect();
         let num_threads = resolve_threads(self.config().num_threads, dirty.len());
-        let mut runs = run_queue(self, &dirty, num_threads, self.warm_cache()).into_iter();
+        let mut runs = map_indexed(&dirty, num_threads, |_, job| {
+            run_cluster_job(self, job, self.warm_cache())
+        })
+        .into_iter();
 
         // Pass 3 (sequential, in cluster order): persist dirty shards and
         // assemble the outcome.

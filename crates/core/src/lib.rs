@@ -48,7 +48,7 @@ pub mod inference;
 pub mod report;
 pub mod shards;
 
-pub use budget::{BudgetSplit, ThreadBudget};
+pub use budget::{map_indexed, BudgetSplit, ThreadBudget};
 pub use engine::{ClusterJob, Engine, Session};
 pub use incremental::{
     ClusterDisposition, ClusterProvenance, IncrementalCluster, IncrementalOutcome, RunProvenance,

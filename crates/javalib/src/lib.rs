@@ -92,15 +92,22 @@ pub const CLASS_CLUSTERS: &[&[&str]] = &[
     &["PriorityQueue"],
     &["StringBuilder", "String"],
     &["Optional", "Integer"],
-    &["Box"],
 ];
 
-/// Resolves a list of class names to ids, skipping names that do not exist
-/// in the program.
+/// Resolves a list of class names to ids.
+///
+/// # Panics
+/// Panics naming the first class the program lacks: every name list is a
+/// compile-time constant, so a missing class is a bug in the list, and
+/// skipping it would silently shrink the cluster.
 pub fn class_ids(program: &Program, names: &[&str]) -> Vec<ClassId> {
     names
         .iter()
-        .filter_map(|n| program.class_named(n))
+        .map(|n| {
+            program
+                .class_named(n)
+                .unwrap_or_else(|| panic!("class '{n}' is not in the program"))
+        })
         .collect()
 }
 
@@ -195,15 +202,21 @@ mod tests {
         let p = library_program();
         let ids = class_ids(&p, COLLECTION_CLASSES);
         assert_eq!(ids.len(), COLLECTION_CLASSES.len());
-        // Box is not installed by default but clusters mention it; class_ids
-        // silently skips unknown names.
-        let with_box = class_ids(&p, &["ArrayList", "Box"]);
-        assert_eq!(with_box.len(), 1);
+        for cluster in CLASS_CLUSTERS {
+            assert_eq!(class_ids(&p, cluster).len(), cluster.len());
+        }
         assert!(!CLASS_CLUSTERS.is_empty());
         assert!(!SOURCE_METHODS.is_empty() && !SINK_METHODS.is_empty());
         for m in SOURCE_METHODS.iter().chain(SINK_METHODS.iter()) {
             assert!(p.method_qualified(m).is_some(), "missing source/sink {m}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "class 'Box' is not in the program")]
+    fn class_ids_name_a_class_the_program_lacks() {
+        // Box is not installed by default (see `install_box_example`).
+        class_ids(&library_program(), &["ArrayList", "Box"]);
     }
 
     #[test]

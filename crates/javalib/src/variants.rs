@@ -75,8 +75,8 @@ pub struct LibraryVariant {
     pub description: &'static str,
     /// The modules this variant installs, in canonical install order.
     pub modules: &'static [Module],
-    /// Cluster definitions by class name; names that do not exist in the
-    /// variant are skipped (exactly like [`crate::class_ids`]).
+    /// Cluster definitions by class name; every name must be a class the
+    /// variant installs ([`crate::class_ids`] panics otherwise).
     pub clusters: &'static [&'static [&'static str]],
 }
 
@@ -145,12 +145,11 @@ impl LibraryVariant {
     }
 
     /// Resolves the variant's cluster definitions against a program built by
-    /// [`LibraryVariant::build_program`], dropping empty clusters.
+    /// [`LibraryVariant::build_program`].
     pub fn cluster_ids(&self, program: &Program) -> Vec<Vec<ClassId>> {
         self.clusters
             .iter()
             .map(|names| crate::class_ids(program, names))
-            .filter(|ids| !ids.is_empty())
             .collect()
     }
 
@@ -204,6 +203,20 @@ mod tests {
                 "{}: no ground truth inside its clusters",
                 variant.name
             );
+        }
+    }
+
+    #[test]
+    fn every_variant_resolves_every_cluster_name() {
+        for variant in VARIANTS {
+            let program = variant.build_program();
+            for name in variant.clusters.iter().copied().flatten() {
+                assert!(
+                    program.class_named(name).is_some(),
+                    "{}: cluster class '{name}' is not installed",
+                    variant.name
+                );
+            }
         }
     }
 

@@ -3,9 +3,9 @@
 //!
 //! Every request is one line holding one JSON object; every response is
 //! one line holding one JSON object stamped with the schema it speaks.
-//! Both directions round-trip through [`Json`] — the codec adds a
-//! *compact* (single-line) renderer, because the store's pretty printer
-//! spans lines and a frame must not.
+//! Both directions round-trip through [`Json`] — frames use the store
+//! writer's *compact* (single-line) form, [`render_compact`], because its
+//! pretty printer spans lines and a frame must not.
 //!
 //! | Request (`op`) | Fields | Result payload |
 //! |---|---|---|
@@ -43,8 +43,9 @@
 //! arrive.
 
 use atlas_ir::MutationKind;
+/// The store's single-line renderer, re-exported as the frame encoder.
+pub use atlas_store::json::render_compact;
 use atlas_store::Json;
-use std::fmt::Write as _;
 use std::io::BufRead;
 
 /// The `/1` protocol identifier: stamped on responses to frames that did
@@ -280,82 +281,6 @@ pub fn parse_mutation_kind(raw: &str) -> Option<MutationKind> {
         "signature-change" => Some(MutationKind::SignatureChange),
         _ => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Compact rendering
-// ---------------------------------------------------------------------------
-
-/// Serializes a value as *single-line* JSON: same escaping and number
-/// conventions as the store's pretty printer (so `Json::parse` of the
-/// output yields an equal value), but with no newlines or indentation —
-/// the frame invariant of the protocol.
-pub fn render_compact(json: &Json) -> String {
-    let mut out = String::new();
-    write_compact(json, &mut out);
-    out
-}
-
-fn write_compact(json: &Json, out: &mut String) {
-    match json {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Json::Float(f) => {
-            if f.is_finite() {
-                let start = out.len();
-                let _ = write!(out, "{f}");
-                if !out[start..].contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Json::Str(s) => write_escaped_compact(out, s),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(entries) => {
-            out.push('{');
-            for (i, (key, value)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped_compact(out, key);
-                out.push(':');
-                write_compact(value, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_escaped_compact(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ const EDIT_WORK: [(i64, i64); 6] = [
 /// FNV-1a over the flushed store: every file's path relative to the
 /// root, then its length and bytes, in path order.
 const STORE_HASH: &str = "0x2a8e49643da17a53";
+/// The same walk over the store's `specs.json` files only: the half of
+/// [`STORE_HASH`] that must hold when the verdict half (`cache.json`) goes.
+const SPEC_STORE_HASH: &str = "0x5af84c6baa443c85";
 
 struct ScriptOutcome {
     /// One edit-response result per script step.
@@ -136,13 +139,13 @@ fn store_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
     files
 }
 
-/// The pinned fingerprint of a flushed store (see [`STORE_HASH`]).
-fn store_hash(root: &Path) -> String {
+/// The pinned fingerprint of a flushed store's files (see [`STORE_HASH`]).
+fn store_hash<'a>(files: impl IntoIterator<Item = (&'a String, &'a Vec<u8>)>) -> String {
     let mut h = Fnv::new(0);
-    for (path, bytes) in store_files(root) {
-        h.write_str(&path);
+    for (path, bytes) in files {
+        h.write_str(path);
         h.write_u64(bytes.len() as u64);
-        h.write(&bytes);
+        h.write(bytes);
     }
     format!("{:#018x}", h.finish())
 }
@@ -257,7 +260,12 @@ fn pinned_dirty_shards_survive_the_budget_and_flush_identically() {
     // both daemons lose the same verdicts; these do not.
     let work: Vec<(i64, i64)> = eager.edits.iter().map(edit_work).collect();
     assert_eq!(work, EDIT_WORK);
-    assert_eq!(store_hash(&store_eager), STORE_HASH);
+    let files = store_files(&store_eager);
+    assert_eq!(store_hash(&files), STORE_HASH);
+    let specs = files
+        .iter()
+        .filter(|(path, _)| Path::new(path).file_name() == Some("specs.json".as_ref()));
+    assert_eq!(store_hash(specs), SPEC_STORE_HASH);
 
     let _ = std::fs::remove_dir_all(&store_eager);
     let _ = std::fs::remove_dir_all(&store_behind);

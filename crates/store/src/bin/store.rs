@@ -25,7 +25,10 @@
 //! both warn when the artifact's library fingerprint does not match the
 //! current library content.
 //!
-//! Exit codes: `0` success, `1` usage error, `2` operation failure.
+//! Exit codes: `0` success, `1` usage error, `2` operation failure.  A
+//! reader that closes the pipe early (`store stats <ROOT> | head -n 1`)
+//! ends the output, not the command: the rest of the output is dropped and
+//! the exit code is the command's own.
 
 use atlas_ir::hash::{library_fingerprint, Fnv};
 use atlas_ir::LibraryInterface;
@@ -36,6 +39,7 @@ use atlas_store::{
     SpecArtifact,
 };
 use std::collections::BTreeSet;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -56,14 +60,16 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    let out = &mut Out(io::stdout().lock());
     let result = match command {
-        "inspect" => inspect(rest),
-        "stats" => stats(rest),
-        "gc-shards" => gc_shards_cmd(rest),
-        "export-specs" => export_specs(rest),
-        "diff-specs" => diff_specs(rest),
+        "inspect" => inspect(out, rest),
+        "stats" => stats(out, rest),
+        "gc-shards" => gc_shards_cmd(out, rest),
+        "export-specs" => export_specs(out, rest),
+        "diff-specs" => diff_specs(out, rest),
         other => Err(CliError::Usage(format!("unknown command '{other}'"))),
-    };
+    }
+    .and_then(|()| out.flush().map_err(CliError::from));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(message)) => {
@@ -88,13 +94,40 @@ impl From<atlas_store::StoreError> for CliError {
     }
 }
 
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> CliError {
+        CliError::Failed(format!("cannot write to stdout: {e}"))
+    }
+}
+
+/// Standard output, locked once for the whole command, on which a closed
+/// pipe (`BrokenPipe`) ends the output: such a write is dropped instead
+/// of failing, so the command still runs to its own exit code.
+struct Out(io::StdoutLock<'static>);
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self.0.write(buf) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(buf.len()),
+            result => result,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self.0.flush() {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+            result => result,
+        }
+    }
+}
+
 use atlas_store::hex64_string as hex;
 
 // ---------------------------------------------------------------------------
 // inspect
 // ---------------------------------------------------------------------------
 
-fn inspect(files: &[String]) -> Result<(), CliError> {
+fn inspect(out: &mut Out, files: &[String]) -> Result<(), CliError> {
     if files.is_empty() {
         return Err(CliError::Usage("inspect needs at least one file".into()));
     }
@@ -103,13 +136,13 @@ fn inspect(files: &[String]) -> Result<(), CliError> {
         let doc = load_document(path)?;
         let mut digest = Fnv::new(0);
         digest.write(doc.render().as_bytes());
-        println!("{}:", path.display());
-        println!("  content digest: {}", hex(digest.finish()));
+        writeln!(out, "{}:", path.display())?;
+        writeln!(out, "  content digest: {}", hex(digest.finish()))?;
         match document_schema(&doc) {
-            Some(CacheArtifact::SCHEMA) => inspect_cache(path, &doc)?,
-            Some(SpecArtifact::SCHEMA) => inspect_specs(&doc),
-            Some(other) => println!("  schema: {other} (not a store artifact)"),
-            None => println!("  schema: none (not a store artifact)"),
+            Some(CacheArtifact::SCHEMA) => inspect_cache(out, path, &doc)?,
+            Some(SpecArtifact::SCHEMA) => inspect_specs(out, &doc)?,
+            Some(other) => writeln!(out, "  schema: {other} (not a store artifact)")?,
+            None => writeln!(out, "  schema: none (not a store artifact)")?,
         }
     }
     Ok(())
@@ -123,7 +156,7 @@ fn inspect(files: &[String]) -> Result<(), CliError> {
 /// its entry counts and provenance; for a closure-sharded store root, one
 /// row per shard directory (entry counts read from each shard's cache
 /// file).
-fn stats(paths: &[String]) -> Result<(), CliError> {
+fn stats(out: &mut Out, paths: &[String]) -> Result<(), CliError> {
     if paths.is_empty() {
         return Err(CliError::Usage("stats needs at least one path".into()));
     }
@@ -131,7 +164,7 @@ fn stats(paths: &[String]) -> Result<(), CliError> {
         let path = Path::new(raw);
         if path.is_dir() {
             let shards = atlas_store::list_shards(path)?;
-            println!("{}: {} shard dir(s)", path.display(), shards.len());
+            writeln!(out, "{}: {} shard dir(s)", path.display(), shards.len())?;
             let mut total = 0usize;
             for shard in &shards {
                 let entries = if shard.cache.exists() {
@@ -140,51 +173,56 @@ fn stats(paths: &[String]) -> Result<(), CliError> {
                     0
                 };
                 total += entries;
-                println!(
+                writeln!(
+                    out,
                     "  {}: {entries} entries, specs {}",
                     hex(shard.fingerprint),
                     if shard.specs.exists() { "yes" } else { "no" }
-                );
+                )?;
             }
-            println!("  total: {total} entries");
+            writeln!(out, "  total: {total} entries")?;
         } else {
             let artifact = load_cache(path)?;
             let p = &artifact.provenance;
-            println!(
+            writeln!(
+                out,
                 "{}: library {} closure {}: {} entries ({} positive)",
                 path.display(),
                 hex(p.fingerprint),
                 hex(p.closure),
                 artifact.entries.len(),
                 positives(&artifact)
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn inspect_cache(path: &Path, doc: &Json) -> Result<(), CliError> {
+fn inspect_cache(out: &mut Out, path: &Path, doc: &Json) -> Result<(), CliError> {
     let artifact =
         CacheArtifact::decode(doc).map_err(|e| atlas_store::StoreError::schema(path, e))?;
     let p = &artifact.provenance;
-    println!("  schema: {}", CacheArtifact::SCHEMA);
-    println!(
+    writeln!(out, "  schema: {}", CacheArtifact::SCHEMA)?;
+    writeln!(
+        out,
         "  library {} closure {} context {}",
         hex(p.fingerprint),
         hex(p.closure),
         hex(p.context)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  strategy {:?}, limits {}/{}/{} (steps/depth/heap)",
         p.strategy, p.limits.max_steps, p.limits.max_call_depth, p.limits.max_heap_objects
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {} entries ({} positive), recorded stats: {} lookups, {:.1}% hit rate",
         artifact.entries.len(),
         positives(&artifact),
         artifact.stats.lookups,
         100.0 * artifact.stats.hit_rate()
-    );
+    )?;
     Ok(())
 }
 
@@ -195,13 +233,13 @@ fn positives(artifact: &CacheArtifact) -> usize {
 
 /// Spec files are inspected structurally (no method-name resolution), so
 /// `inspect` also works on artifacts from foreign library variants.
-fn inspect_specs(doc: &Json) {
-    println!("  schema: {}", SpecArtifact::SCHEMA);
+fn inspect_specs(out: &mut Out, doc: &Json) -> Result<(), CliError> {
+    writeln!(out, "  schema: {}", SpecArtifact::SCHEMA)?;
     if let Some(fp) = doc.get("library_fingerprint").and_then(Json::as_str) {
-        println!("  library: {fp}");
+        writeln!(out, "  library: {fp}")?;
     }
     let clusters = doc.get("clusters").and_then(Json::as_arr).unwrap_or(&[]);
-    println!("  clusters: {}", clusters.len());
+    writeln!(out, "  clusters: {}", clusters.len())?;
     for (i, cluster) in clusters.iter().enumerate() {
         let classes: Vec<&str> = cluster
             .get("classes")
@@ -224,18 +262,20 @@ fn inspect_specs(doc: &Json) {
             .and_then(|f| f.get("transitions"))
             .and_then(Json::as_arr)
             .map_or(0, <[Json]>::len);
-        println!(
+        writeln!(
+            out,
             "  cluster {i} [{}]: {num_specs} specs, fsa {states} states / {transitions} transitions",
             classes.join(", ")
-        );
+        )?;
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // gc-shards (closure-sharded roots)
 // ---------------------------------------------------------------------------
 
-fn gc_shards_cmd(args: &[String]) -> Result<(), CliError> {
+fn gc_shards_cmd(out: &mut Out, args: &[String]) -> Result<(), CliError> {
     let mut root = None;
     let mut keep = Vec::new();
     let mut history = 0usize;
@@ -267,12 +307,13 @@ fn gc_shards_cmd(args: &[String]) -> Result<(), CliError> {
         ));
     }
     let summary = atlas_store::gc_shards_with_history(Path::new(&root), &keep, history)?;
-    println!(
+    writeln!(
+        out,
         "gc-shards {root}: kept {} shard dir(s) ({} explicit, history {history}), removed {}",
         summary.kept,
         keep.len(),
         summary.removed
-    );
+    )?;
     Ok(())
 }
 
@@ -296,29 +337,30 @@ fn load_against_library(file: &str) -> Result<(SpecArtifact, atlas_ir::Program),
     Ok((artifact, program))
 }
 
-fn export_specs(args: &[String]) -> Result<(), CliError> {
+fn export_specs(out: &mut Out, args: &[String]) -> Result<(), CliError> {
     let [file] = args else {
         return Err(CliError::Usage("export-specs needs one spec file".into()));
     };
     let (artifact, program) = load_against_library(file)?;
     let interface = LibraryInterface::from_program(&program);
-    println!(
+    writeln!(
+        out,
         "{} specification(s) in {} cluster(s), extracted with max_len={} limit={}",
         artifact.num_specs(),
         artifact.clusters.len(),
         artifact.extraction.0,
         artifact.extraction.1
-    );
+    )?;
     for cluster in &artifact.clusters {
-        println!("[{}]", cluster.classes.join(", "));
+        writeln!(out, "[{}]", cluster.classes.join(", "))?;
         for spec in &cluster.specs {
-            println!("  {}", spec.display(&interface));
+            writeln!(out, "  {}", spec.display(&interface))?;
         }
     }
     Ok(())
 }
 
-fn diff_specs(args: &[String]) -> Result<(), CliError> {
+fn diff_specs(out: &mut Out, args: &[String]) -> Result<(), CliError> {
     let [file] = args else {
         return Err(CliError::Usage("diff-specs needs one spec file".into()));
     };
@@ -335,10 +377,11 @@ fn diff_specs(args: &[String]) -> Result<(), CliError> {
     // Columns count *normalized points-to effects* (the deduplicated
     // statement signatures the §6 evaluation compares corpora by), not raw
     // fragment statements — "exact" means the effect sets coincide.
-    println!(
+    writeln!(
+        out,
         "{:<34} {:>9} {:>12}  verdict",
         "method", "inferred", "handwritten"
-    );
+    )?;
     for method in methods {
         let name = program.qualified_name(method);
         let sig_inf = inferred
@@ -367,16 +410,18 @@ fn diff_specs(args: &[String]) -> Result<(), CliError> {
             }
             (None, None) => continue,
         };
-        println!(
+        writeln!(
+            out,
             "{name:<34} {:>9} {:>12}  {verdict}",
             sig_inf.map_or(0, |s| s.len()),
             sig_hand.map_or(0, |s| s.len()),
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "summary: {} method(s) in both ({exact} exact), {inferred_only} inferred-only, \
          {handwritten_only} handwritten-only",
         both
-    );
+    )?;
     Ok(())
 }

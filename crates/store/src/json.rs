@@ -1,5 +1,6 @@
 //! A minimal, self-contained JSON implementation: a value tree ([`Json`]),
-//! a deterministic pretty printer, and a strict parser with error
+//! one deterministic writer — pretty-printed ([`Json::render`]) or on a
+//! single line ([`render_compact`]) — and a strict parser with error
 //! positions.
 //!
 //! The build environment has no crates.io access, so `serde_json` is not an
@@ -123,7 +124,7 @@ impl Json {
     /// Serializes the value as pretty-printed JSON (2-space indent).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -138,7 +139,10 @@ impl Json {
         Parser::new(text).parse_document()
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Writes the value pretty-printed at `indent` levels, or on a single
+    /// line when `indent` is `None` (see [`render_compact`]).  Both forms
+    /// share every scalar, escape and number convention.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -166,16 +170,15 @@ impl Json {
                     return;
                 }
                 out.push('[');
+                let inner = indent.map(|i| i + 1);
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
+                    push_line(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                push_line(out, indent);
                 out.push(']');
             }
             Json::Obj(entries) => {
@@ -184,27 +187,39 @@ impl Json {
                     return;
                 }
                 out.push('{');
+                let inner = indent.map(|i| i + 1);
                 for (i, (key, value)) in entries.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    push_line(out, inner);
                     write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    value.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                push_line(out, indent);
                 out.push('}');
             }
         }
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Serializes a value as *single-line* JSON: the conventions of
+/// [`Json::render`] (so [`Json::parse`] of the output yields an equal
+/// value) without newlines or indentation, for line-framed protocols.
+pub fn render_compact(json: &Json) -> String {
+    let mut out = String::new();
+    json.write(&mut out, None);
+    out
+}
+
+/// Starts a new line at `indent` levels; nothing in compact form.
+fn push_line(out: &mut String, indent: Option<usize>) {
+    if let Some(indent) = indent {
+        out.push('\n');
+        for _ in 0..indent {
+            out.push_str("  ");
+        }
     }
 }
 

@@ -9,6 +9,8 @@
 //!   by path, so only its modification time can make a history window
 //!   keep it.  `merge` is not a command: a shard's verdicts are written
 //!   whole, never merged.
+//! * `stats` into a pipe whose reader is already gone: the output ends,
+//!   the command does not fail.
 //! * `inspect`, `stats`, `export-specs` and `diff-specs` on a root the
 //!   store-backed run wrote (javalib-lang at a small budget), plus the
 //!   whole-run `specs.json` export beside its shards.
@@ -158,6 +160,28 @@ fn stats_and_gc_shards_on_a_closure_root() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'merge'"));
     assert!(!merged.exists());
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A reader that closed the pipe before the first line (`store stats
+/// <ROOT> | head -n 0`) ends the output, not the command: `stats` exits
+/// with its own status, 0, and nothing panics.
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_command() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("atlas-store-cli-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    build_root(&dir);
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_store"))
+        .args(["stats", &path_str(&dir)])
+        .stdout(writer)
+        .output()
+        .expect("spawn store binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

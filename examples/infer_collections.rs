@@ -37,7 +37,6 @@ fn main() {
     let clusters = CLASS_CLUSTERS
         .iter()
         .map(|names| class_ids(&library, names))
-        .filter(|ids| !ids.is_empty())
         .collect();
     let config = AtlasConfig {
         samples_per_cluster: samples,
